@@ -16,13 +16,13 @@ from .analysis import (EMBEDDING_MODES, paragraph_similarity, pca_project,
 from .checkpoint import load_checkpoint, save_checkpoint
 from .corpus import DOMAIN_MODES, load_corpus
 from .encoder import LORA_TARGETS, ModelConfig
-from .errors import (ConfigError, DocTrainError, ValidationError,
+from .errors import (ConfigError, DataError, DocTrainError, ValidationError,
                      exit_code_for)
 from .finetune import (FinetuneConfig, finetune_pair_classification,
                        finetune_span_qa, finetune_token_classification,
                        load_pairs, load_span_qa, load_token_class)
-from .manifest import (RunRecorder, argv_from_manifest, load_manifest,
-                       verify_replay, write_manifest)
+from .manifest import (RunRecorder, argv_from_manifest, file_digest,
+                       load_manifest, verify_replay, write_manifest)
 from .mining import load_triplets, mine_triplets_metadata, mine_triplets_rouge, save_triplets
 from .model import DocumentModel
 from .taxonomy import (Taxonomy, WordVectors, derive_taxonomy,
@@ -34,20 +34,6 @@ log = logging.getLogger(__name__)
 
 TASKS = ("span-qa", "token-classification", "pair-classification")
 ANALYSES = ("wl", "correlation", "pca", "paragraphs")
-
-
-def workers_from_env() -> int:
-    raw = os.environ.get("DOCTRAIN_WORKERS", "1")
-    try:
-        workers = int(raw)
-    except ValueError:
-        raise ConfigError(f"DOCTRAIN_WORKERS must be an integer, got {raw!r}")
-    if workers < 1:
-        raise ConfigError(f"DOCTRAIN_WORKERS must be >= 1, got {workers}")
-    if workers > 1:
-        log.info("DOCTRAIN_WORKERS=%d requested; pipelines run single-"
-                 "threaded and treat the value as an upper bound", workers)
-    return workers
 
 
 def _add_model_flags(p: argparse.ArgumentParser) -> None:
@@ -556,11 +542,16 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
 
-    rec = None
     try:
-        workers_from_env()
         if args.replay is not None:
             recorded = load_manifest(args.replay)
+            # a changed input would make the rerun overwrite the recorded
+            # outputs with different ones, so check inputs before running
+            changed = sorted(path for path, digest in recorded.inputs.items()
+                             if file_digest(path) != digest)
+            if changed:
+                raise DataError(f"replay inputs changed since the manifest "
+                                f"was recorded: {changed}")
             replay_argv = argv_from_manifest(recorded)
             replay_args = parser.parse_args(replay_argv)
             fresh = _run_subcommand(replay_args)

@@ -27,6 +27,13 @@ log = logging.getLogger(__name__)
 
 LORA_TARGETS = ("query", "key", "value", "output", "ffn")
 
+# the layer weights each LoRA target adapts, in LoraPair order
+_LORA_WEIGHTS = {"query": ("attention.query.weight",),
+                 "key": ("attention.key.weight",),
+                 "value": ("attention.value.weight",),
+                 "output": ("attention.output.weight",),
+                 "ffn": ("ffn.w1", "ffn.w2")}
+
 # sub-word pieces per sentence are capped defensively; desk-scale sentences
 # stay far below this
 _MAX_PIECES = 1024
@@ -65,6 +72,13 @@ class ModelConfig:
 
 def _init(rng: np.random.Generator, *shape: int) -> np.ndarray:
     return snap32(rng.normal(0.0, 0.02, shape))
+
+
+def key_padding_bias(lengths: list[int]) -> np.ndarray:
+    """[B, S_max] additive key bias for sequences padded to the longest: 0 on
+    each sequence's first `length` rows, -inf after."""
+    lengths = np.asarray(lengths)
+    return np.where(np.arange(lengths.max()) < lengths[:, None], 0.0, -np.inf)
 
 
 class TransformerLayer:
@@ -106,32 +120,53 @@ class TransformerLayer:
                 out = out + T.matmul(T.matmul(x, pair.a), pair.b)
         return out
 
-    def forward(self, x: Tensor, adapters: dict | None = None,
-                return_attention: bool = False):
-        """[S, d] -> [S, d]; optionally also the [heads, S, S] attention map."""
-        s, d = x.shape
+    def forward(self, x: Tensor, key_bias: np.ndarray | None = None,
+                adapters: dict | None = None, return_attention: bool = False):
+        """[B, S, d] -> [B, S, d]; an [S, d] input is the B=1 case.
+
+        `key_bias` is an additive [B, S] attention-score bias per key: 0 for
+        a valid row, -inf for padding, so no row attends to padded keys.
+        Projections run on the flattened [B*S, d] rows. With
+        `return_attention` the [B, heads, S, S] map comes back too
+        ([heads, S, S] for an [S, d] input).
+        """
+        shape = x.shape
+        if x.ndim not in (2, 3):
+            raise ShapeError(f"expected [S, d] or [B, S, d] input, got {shape}")
+        d = shape[-1]
         if d != self.d_model:
             raise ShapeError(f"layer width {self.d_model} got input width {d}")
-        ad = adapters or {}
-        q = self._adapted(x, self.wq, self.bq, ad.get("query"))
-        k = self._adapted(x, self.wk, self.bk, ad.get("key"))
-        v = self._adapted(x, self.wv, self.bv, ad.get("value"))
+        b, s = (1, shape[0]) if x.ndim == 2 else shape[:2]
         h, dh = self.num_heads, d // self.num_heads
-        split = lambda t: T.transpose(T.reshape(t, (s, h, dh)), (1, 0, 2))
-        scores = T.matmul(split(q), T.transpose(split(k), (0, 2, 1))) * (dh**-0.5)
+        rows = x if x.ndim == 2 else T.reshape(x, (b * s, d))
+        ad = adapters or {}
+        q = self._adapted(rows, self.wq, self.bq, ad.get("query"))
+        k = self._adapted(rows, self.wk, self.bk, ad.get("key"))
+        v = self._adapted(rows, self.wv, self.bv, ad.get("value"))
+        # heads move next to the batch axis: [B, h, S, dh], keys [B, h, dh, S]
+        split = lambda t, axes: T.transpose(T.reshape(t, (b, s, h, dh)), axes)
+        scores = T.matmul(split(q, (0, 2, 1, 3)),
+                          split(k, (0, 2, 3, 1))) * (dh**-0.5)
+        if key_bias is not None:
+            bias = np.asarray(key_bias, dtype=np.float64)
+            if bias.shape != (b, s):
+                raise ShapeError(f"key_bias shape {bias.shape}, expected {(b, s)}")
+            scores = scores + bias.reshape(b, 1, 1, s)
         attn = T.softmax(scores, axis=-1)
-        ctx = T.reshape(T.transpose(T.matmul(attn, split(v)), (1, 0, 2)), (s, d))
+        ctx = T.matmul(attn, split(v, (0, 2, 1, 3)))
+        ctx = T.reshape(T.transpose(ctx, (0, 2, 1, 3)), (b * s, d))
         ffn_pairs = ad.get("ffn")
         attn_out = self._adapted(ctx, self.wo, self.bo, ad.get("output"))
-        x = T.layer_norm(x + attn_out, self.norm1_g, self.norm1_b)
-        hidden = T.gelu(self._adapted(x, self.w1, self.b1,
+        rows = T.layer_norm(rows + attn_out, self.norm1_g, self.norm1_b)
+        hidden = T.gelu(self._adapted(rows, self.w1, self.b1,
                                       ffn_pairs[:1] if ffn_pairs else None))
         ffn_out = self._adapted(hidden, self.w2, self.b2,
                                 ffn_pairs[1:] if ffn_pairs else None)
-        x = T.layer_norm(x + ffn_out, self.norm2_g, self.norm2_b)
+        rows = T.layer_norm(rows + ffn_out, self.norm2_g, self.norm2_b)
+        out = rows if x.ndim == 2 else T.reshape(rows, shape)
         if return_attention:
-            return x, attn.data
-        return x
+            return out, (attn.data[0] if x.ndim == 2 else attn.data)
+        return out
 
 
 class UpperEncoder:
@@ -145,16 +180,18 @@ class UpperEncoder:
             for _ in range(config.num_layers)
         ]
 
-    def forward(self, x: Tensor, adapter: "LoraAdapter | None" = None,
+    def forward(self, x: Tensor, key_bias: np.ndarray | None = None,
+                adapter: "LoraAdapter | None" = None,
                 return_attention: bool = False):
+        """[B, S, d] (or [S, d]) -> same shape; see TransformerLayer.forward."""
         maps = []
         for i, layer in enumerate(self.layers):
             ad = adapter.layer_adapters(i) if adapter is not None else None
             if return_attention:
-                x, attn = layer.forward(x, ad, return_attention=True)
+                x, attn = layer.forward(x, key_bias, ad, return_attention=True)
                 maps.append(attn)
             else:
-                x = layer.forward(x, ad)
+                x = layer.forward(x, key_bias, ad)
         return (x, maps) if return_attention else x
 
     def named_params(self) -> dict[str, Tensor]:
@@ -231,21 +268,32 @@ class EmbeddingTable:
 
     def rows(self, ids: list[int]) -> Tensor:
         """[T] ids -> [T, d] input rows: token vector plus positional vector."""
-        n = len(ids)
-        if n == 0:
-            raise LengthError("token sequence is empty")
-        if n > self.config.max_positions:
-            raise LengthError(
-                f"sequence length {n} exceeds positional capacity "
-                f"{self.config.max_positions}"
-            )
-        bad = [i for i in ids if not 0 <= int(i) < self.config.vocab_size]
-        if bad:
-            raise VocabularyError(
-                f"token id(s) outside vocabulary of size "
-                f"{self.config.vocab_size}: {bad[:5]}"
-            )
-        return T.embedding(self.token, ids) + T.take(self.position, slice(0, n))
+        return T.reshape(self.batch_rows([ids]), (len(ids), self.config.d_model))
+
+    def batch_rows(self, seqs: list[list[int]]) -> Tensor:
+        """B id sequences -> [B, T_max, d] input rows, each sequence padded
+        after its end with id 0 (see `key_padding_bias`)."""
+        for ids in seqs:
+            n = len(ids)
+            if n == 0:
+                raise LengthError("token sequence is empty")
+            if n > self.config.max_positions:
+                raise LengthError(
+                    f"sequence length {n} exceeds positional capacity "
+                    f"{self.config.max_positions}"
+                )
+            bad = [i for i in ids if not 0 <= int(i) < self.config.vocab_size]
+            if bad:
+                raise VocabularyError(
+                    f"token id(s) outside vocabulary of size "
+                    f"{self.config.vocab_size}: {bad[:5]}"
+                )
+        width = max(len(ids) for ids in seqs)
+        padded = np.zeros((len(seqs), width), dtype=np.int64)
+        for i, ids in enumerate(seqs):
+            padded[i, :len(ids)] = ids
+        return (T.embedding(self.token, padded)
+                + T.take(self.position, slice(0, width)))
 
     def named_params(self) -> dict[str, Tensor]:
         return {"embed.token": self.token, "embed.position": self.position}
@@ -346,6 +394,16 @@ class LoraAdapter:
     def num_params(self) -> int:
         return sum(t.size for t in self.trainable_tensors())
 
+    def merged_deltas(self) -> dict[str, np.ndarray]:
+        """Upper-encoder weight name -> A·B, the update that merging the
+        adapter into its base weight adds (W x + B(A x) = (W + A·B) x)."""
+        out: dict[str, np.ndarray] = {}
+        for i, per_layer in enumerate(self._adapters):
+            for target, pairs in per_layer.items():
+                for name, pair in zip(_LORA_WEIGHTS[target], pairs):
+                    out[f"upper.{i}.{name}"] = pair.a.data @ pair.b.data
+        return out
+
 
 class AdaptedUpperEncoder:
     """View of an upper encoder with adapters active and base weights frozen."""
@@ -354,11 +412,13 @@ class AdaptedUpperEncoder:
         self.base = base
         self.adapter = adapter
 
-    def forward(self, x: Tensor, return_attention: bool = False):
+    def forward(self, x: Tensor, key_bias: np.ndarray | None = None,
+                return_attention: bool = False):
         if self.adapter.rank == 0:
             # rank 0 is a strict no-op view
-            return self.base.forward(x, return_attention=return_attention)
-        return self.base.forward(x, adapter=self.adapter,
+            return self.base.forward(x, key_bias,
+                                     return_attention=return_attention)
+        return self.base.forward(x, key_bias, adapter=self.adapter,
                                  return_attention=return_attention)
 
 

@@ -158,7 +158,17 @@ def _zero_head(rows: int, cols: int) -> tuple[Tensor, Tensor]:
     return w, b
 
 
-class SpanQaModel:
+class _ExampleLossMean:
+    """Tasks whose batch loss is the mean of single-example losses."""
+
+    def batch_loss(self, batch: list) -> Tensor:
+        total = self.loss(batch[0])
+        for ex in batch[1:]:
+            total = total + self.loss(ex)
+        return total * (1.0 / len(batch))
+
+
+class SpanQaModel(_ExampleLossMean):
     """Joint start/end span scorer over [CLS] question [SEP] context.
 
     Position 0 (the leading classification slot) doubles as the
@@ -264,23 +274,37 @@ class TokenTaggerModel:
             raise ValidationError(
                 f"labels {sorted(set(bad))} outside [0, {self.num_classes})")
 
-    def _logits(self, ex: TokenClassExample) -> Tensor:
-        ids = encode_tokens(list(ex.tokens), self.model.config.vocab_size)
-        ids = ids[:self.model.config.max_positions]
-        out = self.model.forward_tokens(ids)
-        return T.matmul(out, self.w) + self.b
+    def _logits(self, batch: list[TokenClassExample]):
+        """Logits [N, C] of every kept token of the batch, in example order,
+        from one padded pass; plus each example's kept length."""
+        seqs = [encode_tokens(list(ex.tokens), self.model.config.vocab_size)
+                [:self.model.config.max_positions] for ex in batch]
+        out = self.model.encode_token_batch(seqs)
+        b, s, d = out.shape
+        kept = np.concatenate([i * s + np.arange(len(q))
+                               for i, q in enumerate(seqs)])
+        rows = T.embedding(T.reshape(out, (b * s, d)), kept)
+        return T.matmul(rows, self.w) + self.b, [len(q) for q in seqs]
+
+    def batch_loss(self, batch: list[TokenClassExample]) -> Tensor:
+        """Mean over the examples of each one's mean token cross entropy."""
+        for ex in batch:
+            self._check(ex)
+        logits, lengths = self._logits(batch)
+        targets = np.concatenate([ex.labels[:n]
+                                  for ex, n in zip(batch, lengths)])
+        weights = np.concatenate([np.full(n, 1.0 / (n * len(batch)))
+                                  for n in lengths])
+        return T.cross_entropy_rows(logits, targets, reduction="sum",
+                                    weights=weights)
 
     def loss(self, ex: TokenClassExample) -> Tensor:
-        self._check(ex)
-        logits = self._logits(ex)
-        n = logits.data.shape[0]
-        targets = np.asarray(ex.labels[:n])
-        return T.cross_entropy_rows(logits, targets, reduction="mean")
+        return self.batch_loss([ex])
 
     def predict(self, ex: TokenClassExample) -> list[int]:
         self._check(ex)
         with no_grad():
-            logits = self._logits(ex)
+            logits, _ = self._logits([ex])
         return [int(i) for i in logits.data.argmax(axis=1)]
 
     def evaluate(self, examples) -> dict[str, float]:
@@ -296,7 +320,7 @@ class TokenTaggerModel:
                 "accuracy": accuracy(y_true, y_pred)}
 
 
-class PairClassifierModel:
+class PairClassifierModel(_ExampleLossMean):
     """Two-way classifier on the first-position output of [CLS] a [SEP] b."""
 
     primary_metric = "accuracy"
@@ -388,10 +412,7 @@ def finetune(task, train: list, dev: list,
         order = rng.permutation(len(train))
         for lo in range(0, len(train), config.batch_size):
             batch = [train[i] for i in order[lo:lo + config.batch_size]]
-            loss = task.loss(batch[0])
-            for ex in batch[1:]:
-                loss = loss + task.loss(ex)
-            loss = loss * (1.0 / len(batch))
+            loss = task.batch_loss(batch)
             if not np.isfinite(loss.data).all():
                 raise NumericError(f"non-finite loss in epoch {epoch}")
             backward(loss)

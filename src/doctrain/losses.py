@@ -80,9 +80,3 @@ def hierarchical_loss_rows(logits_per_level: list[Tensor],
         level_sum = T.cross_entropy_rows(logits, targets, reduction="sum")
         total = level_sum if total is None else total + level_sum
     return total * (1.0 / num_sets)
-
-
-def total_loss(triplet: Tensor, hierarchical: Tensor) -> Tensor:
-    """Unweighted sum of the two objectives."""
-    _check_finite(triplet, hierarchical)
-    return triplet + hierarchical

@@ -10,8 +10,9 @@ import numpy as np
 from . import tensor as T
 from .checkpoint import Checkpoint
 from .encoder import (AdaptedUpperEncoder, ClassificationHeads, EmbeddingTable,
-                      LowerEncoder, ModelConfig, UpperEncoder, apply_lora)
-from .errors import CorruptCheckpoint, LengthError, NumericError, ShapeError
+                      LowerEncoder, ModelConfig, UpperEncoder, apply_lora,
+                      key_padding_bias)
+from .errors import CorruptCheckpoint, LengthError, ShapeError
 from .optim import ParamGroup, snap32
 from .seeding import make_rng
 from .tensor import Tensor
@@ -88,29 +89,46 @@ class DocumentModel:
             sentences = sentences[:cap]
         return np.stack([self.lower.embed(s) for s in sentences], axis=0)
 
+    def encode_matrices(self, matrices: list[np.ndarray]) -> Tensor:
+        """N [S_i, d] sentence-vector matrices -> [N, d] document vectors.
+
+        One upper-encoder pass over the documents padded to the longest;
+        each vector is the mean of that document's valid output rows.
+        Sentence rows carry no positional vectors.
+        """
+        d = self.config.d_model
+        for m in matrices:
+            if m.ndim != 2 or m.shape[0] < 1 or m.shape[1] != d:
+                raise ShapeError(f"expected [S, {d}] matrix, got {m.shape}")
+        lengths = [m.shape[0] for m in matrices]
+        x = np.zeros((len(matrices), max(lengths), d))
+        pool = np.zeros((len(matrices), 1, max(lengths)))
+        for i, m in enumerate(matrices):
+            x[i, :len(m)] = m
+            pool[i, 0, :len(m)] = 1.0 / len(m)
+        out = self._encoder().forward(Tensor(x), key_padding_bias(lengths))
+        return T.reshape(T.matmul(Tensor(pool), out), (len(matrices), d))
+
     def encode_matrix(self, matrix: np.ndarray) -> Tensor:
-        """[S, d] sentence-vector matrix -> [d] document vector (mean of upper
-        outputs). Sentence rows carry no positional vectors."""
-        if matrix.ndim != 2 or matrix.shape[1] != self.config.d_model:
-            raise ShapeError(f"expected [S, {self.config.d_model}] matrix, "
-                             f"got {matrix.shape}")
-        out = self._encoder().forward(Tensor(matrix))
-        return T.tmean(out, axis=0)
+        """[S, d] sentence-vector matrix -> [d] document vector."""
+        return T.reshape(self.encode_matrices([matrix]), (self.config.d_model,))
 
     def encode_document(self, sentences: list[str]) -> Tensor:
         return self.encode_matrix(self.embed_sentences(sentences))
 
     # -- token path ---------------------------------------------------------
 
+    def encode_token_batch(self, seqs: list[list[int]]) -> Tensor:
+        """B token-id sequences -> [B, T_max, d] contextualized outputs of one
+        padded pass; rows past a sequence's length are padding."""
+        rows = self.embed.batch_rows(seqs)
+        return self._encoder().forward(rows,
+                                       key_padding_bias([len(q) for q in seqs]))
+
     def forward_tokens(self, ids: list[int]) -> Tensor:
         """Token ids -> [T, d] contextualized outputs from the same upper tier."""
-        rows = self.embed.rows(ids)
-        return self._encoder().forward(rows)
-
-    # -- heads ----------------------------------------------------------------
-
-    def classify_hierarchy(self, doc_vector: Tensor) -> list[Tensor]:
-        return self.heads.logits(doc_vector)
+        return T.reshape(self.encode_token_batch([ids]),
+                         (len(ids), self.config.d_model))
 
     # -- parameter bookkeeping -------------------------------------------------
 
@@ -141,11 +159,6 @@ class DocumentModel:
                 groups.append(ParamGroup(name, buckets[name]))
         return groups
 
-    def check_finite(self, out: Tensor) -> Tensor:
-        if not np.isfinite(out.data).all():
-            raise NumericError("non-finite values in forward output")
-        return out
-
     # -- persistence ----------------------------------------------------------
 
     def to_checkpoint(self, extra_meta: dict | None = None) -> Checkpoint:
@@ -154,7 +167,11 @@ class DocumentModel:
         meta = {"config": dataclasses.asdict(self.config)}
         if extra_meta:
             meta.update(extra_meta)
-        tensors = {name: t.data.astype(np.float32)
+        # trained LoRA adapters travel merged into their base weights
+        deltas = (self.adapted.adapter.merged_deltas()
+                  if self.adapted is not None else {})
+        tensors = {name: (snap32(t.data + deltas[name]) if name in deltas
+                          else t.data).astype(np.float32)
                    for name, t in self.named_params().items()}
         return Checkpoint(meta=meta, tensors=tensors)
 

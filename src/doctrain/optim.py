@@ -27,9 +27,6 @@ class ParamGroup:
     tensors: list[Tensor]
     frozen: bool = False
 
-    def l1_norm(self) -> float:
-        return float(sum(np.abs(t.data).sum() for t in self.tensors))
-
     def num_params(self) -> int:
         return int(sum(t.size for t in self.tensors))
 

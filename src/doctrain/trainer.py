@@ -188,37 +188,40 @@ def pretrain(model: DocumentModel, corpus: Corpus, triplets: list[Triplet],
     total_steps = total_step_count(len(triplets), config.batch_size,
                                    config.epochs)
     depth = model.heads.depth
+    hier_members = ["anchor_id", "positive_id"]
+    if config.hier_negative:
+        hier_members.append("negative_id")
+    # encode only the documents an active loss reads
+    encoded = (["anchor_id", "positive_id", "negative_id"] if use_triplet
+               else hier_members)
     loss_curve: list[dict] = []
     step = 0
     for _ in range(config.epochs):
         order = rng.permutation(len(triplets))
         for lo, hi in _batches(len(triplets), config.batch_size):
             batch = [triplets[i] for i in order[lo:hi]]
-            vec_cache: dict[str, Tensor] = {}
+            # one upper-encoder pass over the step's distinct documents; a
+            # document may fill several slots, so rows are gathered with
+            # T.embedding, whose backward adds repeated indices up
+            slot: dict[str, int] = {}
+            for t in batch:
+                for m in encoded:
+                    slot.setdefault(getattr(t, m), len(slot))
+            vecs = model.encode_matrices([matrices[d] for d in slot])
 
-            def doc_vec(doc_id: str) -> Tensor:
-                hit = vec_cache.get(doc_id)
-                if hit is None:
-                    hit = model.encode_matrix(matrices[doc_id])
-                    vec_cache[doc_id] = hit
-                return hit
+            def rows(members) -> Tensor:
+                return T.embedding(vecs, [slot[getattr(t, m)]
+                                          for t in batch for m in members])
 
-            members = ["anchor_id", "positive_id"]
-            if config.hier_negative:
-                members.append("negative_id")
             loss = None
             if use_triplet:
-                anchors = T.stack([doc_vec(t.anchor_id) for t in batch])
-                positives = T.stack([doc_vec(t.positive_id) for t in batch])
-                negatives = T.stack([doc_vec(t.negative_id) for t in batch])
-                loss = triplet_loss(anchors, positives, negatives)
+                loss = triplet_loss(rows(["anchor_id"]), rows(["positive_id"]),
+                                    rows(["negative_id"]))
             if use_hier:
-                rows = T.stack([doc_vec(getattr(t, m))
-                                for t in batch for m in members])
-                logits_per_level = model.heads.logits_matrix(rows)
+                logits_per_level = model.heads.logits_matrix(rows(hier_members))
                 targets_per_level = [
                     np.array([labels[getattr(t, m)].indices[lv]
-                              for t in batch for m in members])
+                              for t in batch for m in hier_members])
                     for lv in range(depth)
                 ]
                 hier = hierarchical_loss_rows(logits_per_level,

@@ -274,7 +274,7 @@ def test_c05_separation_at_desk_scale(synthetic, separation_run):
     for doc in held:
         with no_grad():
             vec = model.encode_document(list(doc.sentences))
-            level0 = model.classify_hierarchy(vec)[0].data.ravel()
+            level0 = model.heads.logits(vec)[0].data.ravel()
         target = pad_hierarchy(doc.hierarchy_path, tax).indices[0]
         correct += int(np.argmax(level0) == target)
     accuracy = correct / len(held)

@@ -13,9 +13,8 @@ import numpy as np
 import pytest
 
 from doctrain.checkpoint import load_checkpoint, save_checkpoint
-from doctrain.cli import _resolved_config, build_parser, main, workers_from_env
+from doctrain.cli import _resolved_config, build_parser, main
 from doctrain.encoder import ModelConfig
-from doctrain.errors import ConfigError
 from doctrain.manifest import argv_from_manifest, load_manifest
 from doctrain.model import DocumentModel
 from doctrain.taxonomy import Taxonomy
@@ -87,26 +86,6 @@ class TestParser:
 
     def test_missing_required_flag_exits_2(self):
         assert main(["mine", "--corpus", CORPUS]) == 2
-
-
-class TestWorkersEnv:
-    def test_values(self, monkeypatch):
-        monkeypatch.delenv("DOCTRAIN_WORKERS", raising=False)
-        assert workers_from_env() == 1
-        monkeypatch.setenv("DOCTRAIN_WORKERS", "4")
-        assert workers_from_env() == 4
-        monkeypatch.setenv("DOCTRAIN_WORKERS", "0")
-        with pytest.raises(ConfigError):
-            workers_from_env()
-        monkeypatch.setenv("DOCTRAIN_WORKERS", "many")
-        with pytest.raises(ConfigError, match="many"):
-            workers_from_env()
-
-    def test_bad_value_fails_any_subcommand(self, monkeypatch, tmp_path):
-        monkeypatch.setenv("DOCTRAIN_WORKERS", "zero")
-        rc = main(["mine", "--corpus", CORPUS, "--out",
-                   str(tmp_path / "t.jsonl"), "--mode", "customer_support"])
-        assert rc == 2
 
 
 class TestMine:
@@ -193,6 +172,25 @@ class TestPretrain:
         assert finals["upper.ffn"]["relative_l1_change"] > 0.0
         assert finals["heads"]["zero_reference"] is True
 
+    def test_lora_rank_writes_the_trained_adapters(self, tmp_path, mined):
+        """Adapted projections leave the run merged into the checkpoint;
+        weights without an adapter keep their initial values."""
+        out = tmp_path / "lora.ckpt"
+        rc = main(["pretrain", "--corpus", CORPUS, "--out", str(out),
+                   "--mode", "customer_support", "--triplets", str(mined),
+                   "--loss", "triplet", "--batch", "4", "--epochs", "3",
+                   "--lr", "1e-2", "--lora-rank", "2", "--lora-targets",
+                   "query", "ffn", "--seed", "1", *SMALL_MODEL_FLAGS])
+        assert rc == 0
+        saved = load_checkpoint(out)
+        assert saved.meta["train"]["lora_rank"] == 2
+        config = DocumentModel.from_checkpoint(saved).config
+        initial = DocumentModel(config).to_checkpoint().tensors
+        moved = {name for name in saved.tensors
+                 if not np.array_equal(saved.tensors[name], initial[name])}
+        assert moved == {"upper.0.attention.query.weight", "upper.0.ffn.w1",
+                         "upper.0.ffn.w2"}
+
     def test_mlm_objective_runs_without_triplets(self, tmp_path):
         out = tmp_path / "mlm.ckpt"
         rc = main(["pretrain", "--corpus", CORPUS, "--out", str(out),
@@ -223,6 +221,23 @@ class TestReplay:
         rc = main(["--replay", str(tampered)])
         assert rc == 3
         assert "replay changed outputs" in capsys.readouterr().err
+
+    def test_replay_refuses_changed_inputs_before_running(self, tmp_path,
+                                                         capsys):
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_bytes(open(CORPUS, "rb").read())
+        out = tmp_path / "tri.jsonl"
+        assert main(["mine", "--corpus", str(corpus), "--out", str(out),
+                     "--mode", "customer_support", "--count", "4",
+                     "--seed", "2"]) == 0
+        manifest = tmp_path / "tri.jsonl.manifest.json"
+        recorded = out.read_bytes(), manifest.read_bytes()
+        lines = corpus.read_text().splitlines(keepends=True)
+        corpus.write_text("".join(lines[:-1]))
+        capsys.readouterr()
+        assert main(["--replay", str(manifest)]) == 3
+        assert str(corpus) in capsys.readouterr().err
+        assert (out.read_bytes(), manifest.read_bytes()) == recorded
 
     def test_argv_round_trip_recovers_the_config(self, pretrained):
         manifest = load_manifest(str(pretrained) + ".manifest.json")

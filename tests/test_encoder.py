@@ -20,6 +20,7 @@ from doctrain.encoder import (
     TransformerLayer,
     UpperEncoder,
     apply_lora,
+    key_padding_bias,
 )
 from doctrain.errors import ConfigError, LengthError, ShapeError, VocabularyError
 from doctrain.seeding import make_rng
@@ -111,6 +112,55 @@ class TestTransformerLayer:
         layer = TransformerLayer(16, 4, 24, np.random.default_rng(4), True)
         with pytest.raises(ShapeError):
             layer.forward(Tensor(np.zeros((3, 8))))
+
+    def test_padded_keys_get_zero_attention(self, rng):
+        layer = TransformerLayer(16, 4, 24, np.random.default_rng(2), True)
+        x = Tensor(rng.normal(size=(2, 5, 16)))
+        bias = key_padding_bias([5, 3])
+        out, attn = layer.forward(x, bias, return_attention=True)
+        assert out.shape == (2, 5, 16) and attn.shape == (2, 4, 5, 5)
+        assert np.all(attn[1, :, :, 3:] == 0.0)
+        assert np.allclose(attn.sum(axis=-1), 1.0)
+
+    def test_batch_rows_match_each_sequence_alone(self, rng):
+        layer = TransformerLayer(16, 4, 24, np.random.default_rng(6), True)
+        randomize_layer(layer, rng)
+        lengths = [4, 1, 3]
+        x = rng.normal(size=(3, 4, 16))
+        out = layer.forward(Tensor(x), key_padding_bias(lengths)).data
+        for i, n in enumerate(lengths):
+            alone = layer.forward(Tensor(x[i, :n])).data
+            assert np.allclose(out[i, :n], alone, rtol=0, atol=1e-12)
+
+    def test_padded_batch_gradients_match_finite_differences(self, rng):
+        """Central differences through a masked ragged batch; padded input
+        rows feed no valid output, so their gradient is exactly zero."""
+        layer = TransformerLayer(8, 2, 12, np.random.default_rng(7), True)
+        randomize_layer(layer, rng)
+        lengths = [3, 1, 2]
+        bias = key_padding_bias(lengths)
+        valid = (np.arange(3) < np.array(lengths)[:, None])[..., None]
+        probe = rng.normal(size=(3, 3, 8)) * valid
+        x = Tensor(rng.normal(size=(3, 3, 8)), requires_grad=True)
+
+        def loss():
+            return T.tsum(layer.forward(x, bias) * probe)
+
+        T.backward(loss())
+        assert np.all(x.grad[~valid[..., 0]] == 0.0)
+        h = 1e-6
+        for tensor in (x, layer.wq, layer.wk, layer.w1, layer.norm1_g):
+            flat, grad = tensor.data.reshape(-1), tensor.grad.reshape(-1)
+            for k in rng.choice(flat.size, size=min(12, flat.size),
+                                replace=False):
+                orig = flat[k]
+                flat[k] = orig + h
+                up = loss().item()
+                flat[k] = orig - h
+                down = loss().item()
+                flat[k] = orig
+                fd = (up - down) / (2 * h)
+                assert abs(grad[k] - fd) <= 1e-6 * max(1.0, abs(fd))
 
     def test_gradients_reach_every_parameter(self, rng):
         layer = TransformerLayer(8, 2, 12, np.random.default_rng(5), True)
@@ -273,6 +323,14 @@ class TestLora:
         x = rng.normal(size=(5, 16))
         base = enc.forward(Tensor(x)).data
         assert np.array_equal(adapted.forward(Tensor(x)).data, base)
+
+    def test_fresh_adapter_is_exact_noop_on_batched_input(self, rng):
+        enc = UpperEncoder(small_config(num_layers=2), np.random.default_rng(0))
+        adapted = apply_lora(enc, rank=3, targets=LORA_TARGETS, seed=2)
+        x = rng.normal(size=(3, 4, 16))
+        bias = key_padding_bias([4, 2, 1])
+        base = enc.forward(Tensor(x), bias).data
+        assert np.array_equal(adapted.forward(Tensor(x), bias).data, base)
 
     def test_rank_zero_is_noop_view_with_no_params(self, rng):
         enc = UpperEncoder(small_config(), np.random.default_rng(0))

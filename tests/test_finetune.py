@@ -21,7 +21,7 @@ from doctrain.finetune import (FinetuneConfig, PairClassifierModel,
                                load_span_qa, load_token_class, macro_f1,
                                span_token_f1)
 from doctrain.model import DocumentModel
-from doctrain.tensor import Tensor
+from doctrain.tensor import Tensor, backward
 
 from conftest import small_config
 
@@ -179,8 +179,8 @@ class _ScriptedTask:
     def head_tensors(self):
         return self.inner.head_tensors()
 
-    def loss(self, ex):
-        return self.inner.loss(ex)
+    def batch_loss(self, batch):
+        return self.inner.batch_loss(batch)
 
     def evaluate(self, dev):
         score = self.scores[self.calls]
@@ -233,8 +233,8 @@ class TestFinetuneLoop:
         model = DocumentModel(small_config())
         task = _ScriptedTask(model, [0.5])
         seen = []
-        inner_loss = task.loss
-        task.loss = lambda ex: seen.append(ex) or inner_loss(ex)
+        inner_loss = task.batch_loss
+        task.batch_loss = lambda batch: seen.extend(batch) or inner_loss(batch)
         train = tagging_examples(rng, 10)
         finetune(task, train, train[:2],
                  FinetuneConfig(lr=1e-3, epochs=1, max_examples=3))
@@ -281,6 +281,27 @@ class TestTokenTagger:
             model, train, dev, num_classes=2,
             config=FinetuneConfig(lr=3e-3, epochs=10, patience=10))
         assert result.metrics["macro_f1"] >= 0.8
+
+    def test_ragged_batch_loss_is_the_mean_of_example_losses(self, rng):
+        model = DocumentModel(small_config())
+        task = TokenTaggerModel(model, 2)
+        task.w.data = rng.normal(size=task.w.shape)
+        batch = [tagging_examples(rng, 1, length=n)[0] for n in (5, 1, 3, 7)]
+        tensors = [task.w, model.embed.token, model.upper.layers[0].wq]
+
+        backward(task.batch_loss(batch))
+        batched = [t.grad.copy() for t in tensors]
+        for t in tensors:
+            t.zero_grad()
+        losses = []
+        for ex in batch:
+            loss = task.loss(ex) * (1.0 / len(batch))
+            losses.append(loss.item())
+            backward(loss)
+        assert task.batch_loss(batch).item() == pytest.approx(
+            sum(losses), rel=0, abs=1e-12)
+        for got, t in zip(batched, tensors):
+            assert np.allclose(got, t.grad, rtol=0, atol=1e-12)
 
     def test_label_range_enforced(self):
         model = DocumentModel(small_config())

@@ -23,7 +23,6 @@ from doctrain.losses import (
     TRIPLET_MARGIN,
     hierarchical_loss,
     hierarchical_loss_rows,
-    total_loss,
     triplet_loss,
 )
 from doctrain.tensor import Tensor, backward
@@ -212,19 +211,12 @@ class TestHierarchicalLossRows:
 
 
 class TestTotalLoss:
-    def test_plain_sum(self):
-        got = total_loss(vec(0.75), vec(2.5)).item()
-        assert got == 3.25
-
-    def test_rejects_non_finite(self):
-        with pytest.raises(NumericError):
-            total_loss(vec(np.inf), vec(1.0))
+    """The combined objective is the plain sum of the two losses."""
 
     def test_combined_gradient_is_sum_of_parts(self, rng):
         a, p, n = (vec(rng.normal(size=3)) for _ in range(3))
         lv = vec(rng.normal(size=4))
-        backward(total_loss(triplet_loss(a, p, n),
-                            hierarchical_loss([lv], [2])))
+        backward(triplet_loss(a, p, n) + hierarchical_loss([lv], [2]))
         a2, p2, n2 = (vec(x.data.copy()) for x in (a, p, n))
         backward(triplet_loss(a2, p2, n2))
         assert np.allclose(a.grad, a2.grad)

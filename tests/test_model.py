@@ -2,12 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from doctrain.checkpoint import load_checkpoint, save_checkpoint
-from doctrain.errors import (CorruptCheckpoint, LengthError, NumericError,
-                             ShapeError)
+from doctrain.errors import CorruptCheckpoint, LengthError, ShapeError
 from doctrain.model import GROUPS, DocumentModel, group_of
-from doctrain.tensor import Tensor
+from doctrain import tensor as T
+from doctrain.tensor import Tensor, backward
 
 from conftest import small_config
 
@@ -79,6 +81,42 @@ class TestForwardPaths:
         with pytest.raises(ShapeError):
             model.encode_matrix(np.zeros((3, 5)))
 
+    @settings(max_examples=25, deadline=None)
+    @given(lengths=st.lists(st.integers(1, 6), min_size=1, max_size=5),
+           seed=st.integers(0, 2**16))
+    def test_batched_documents_match_one_at_a_time(self, lengths, seed):
+        """One padded pass gives each document's vector and every parameter
+        gradient of the per-document passes, within 1e-12 in float64."""
+        rng = np.random.default_rng(seed)
+        model = DocumentModel(small_config(num_layers=2))
+        for t in model.upper.named_params().values():
+            t.data = rng.normal(0.0, 0.5, t.shape)
+        matrices = [rng.normal(size=(n, 16)) for n in lengths]
+        probe = rng.normal(size=(len(lengths), 16))
+        params = model.upper.named_params()
+
+        batched = model.encode_matrices(matrices)
+        backward(T.tsum(batched * probe))
+        batched_grads = {k: t.grad.copy() for k, t in params.items()}
+        for t in params.values():
+            t.zero_grad()
+        for i, m in enumerate(matrices):
+            vec = model.encode_matrix(m)
+            assert np.allclose(batched.data[i], vec.data, rtol=0, atol=1e-12)
+            backward(T.tsum(vec * probe[i]))
+        for k, t in params.items():
+            assert np.allclose(batched_grads[k], t.grad, rtol=0,
+                               atol=1e-12), k
+
+    def test_token_batch_matches_single_sequences(self):
+        model = DocumentModel(small_config())
+        seqs = [[3, 10, 20, 7], [5], [9, 9, 4]]
+        out = model.encode_token_batch(seqs).data
+        assert out.shape == (3, 4, 16)
+        for i, ids in enumerate(seqs):
+            alone = model.forward_tokens(ids).data
+            assert np.allclose(out[i, :len(ids)], alone, rtol=0, atol=1e-12)
+
     def test_token_path_shapes(self):
         model = DocumentModel(small_config())
         out = model.forward_tokens([3, 10, 20])
@@ -101,14 +139,8 @@ class TestForwardPaths:
 
     def test_classify_hierarchy_widths(self):
         model = DocumentModel(small_config(level_sizes=(4, 2)))
-        logits = model.classify_hierarchy(
-            model.encode_document(["Classify me."]))
+        logits = model.heads.logits(model.encode_document(["Classify me."]))
         assert [lv.shape for lv in logits] == [(5,), (3,)]
-
-    def test_check_finite(self):
-        model = DocumentModel(small_config())
-        with pytest.raises(NumericError):
-            model.check_finite(Tensor(np.array([np.nan])))
 
 
 class TestAdapters:

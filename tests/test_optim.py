@@ -170,4 +170,3 @@ class TestAdamW:
     def test_group_helpers(self):
         g = ParamGroup("w", [param(np.ones((2, 3))), param([-2.0])])
         assert g.num_params() == 7
-        assert g.l1_norm() == 8.0

@@ -5,8 +5,13 @@ import math
 import numpy as np
 import pytest
 
+from doctrain import tensor as T
+from doctrain import trainer
 from doctrain.checkpoint import checkpoint_bytes
+from doctrain.corpus import Corpus
+from doctrain.encoder import UpperEncoder
 from doctrain.errors import ConfigError, ValidationError
+from doctrain.losses import hierarchical_loss_rows, triplet_loss
 from doctrain.model import DocumentModel
 from doctrain.optim import linear_lr
 from doctrain.taxonomy import Taxonomy, pad_hierarchy
@@ -14,7 +19,9 @@ from doctrain.trainer import (DriftRecord, DriftReport, TrainConfig,
                               pretrain, pretrain_mlm, total_step_count,
                               track_drift)
 
-from conftest import separable_corpus, small_config, triplets_for
+from doctrain.tensor import no_grad
+
+from conftest import make_document, separable_corpus, small_config, triplets_for
 
 TAXONOMY = Taxonomy.from_paths([("astro",), ("law",), ("bio",)])
 
@@ -26,6 +33,19 @@ def labels_for(corpus):
 def fresh_model(**overrides):
     overrides.setdefault("level_sizes", TAXONOMY.level_sizes)
     return DocumentModel(small_config(**overrides))
+
+
+def tape_nodes(loss) -> int:
+    """Recorded operations reachable from `loss`."""
+    seen, stack, count = {id(loss)}, [loss], 0
+    while stack:
+        node = stack.pop()
+        count += node._backward is not None
+        for parent in node._parents:
+            if id(parent) not in seen:
+                seen.add(id(parent))
+                stack.append(parent)
+    return count
 
 
 def quick_config(**overrides):
@@ -121,6 +141,70 @@ class TestPretrain:
         for row in result.loss_curve:
             assert row["lr"] == linear_lr(1e-3, row["step"], 3)
         assert result.loss_curve[-1]["lr"] == 0.0
+
+    def test_one_encoder_pass_and_a_fixed_tape_per_step(self, monkeypatch):
+        """Each step encodes its documents in one padded upper-encoder pass,
+        so the tape a step builds has as many nodes at batch 16 as at 4."""
+        rng = np.random.default_rng(5)
+        corpus = Corpus(documents=[
+            make_document(f"{c}{i}", c, rng, hierarchy=(c,),
+                          num_sentences=int(rng.integers(1, 6)))
+            for c in ("astro", "law", "bio") for i in range(6)],
+            domain_mode="customer_support")
+        nodes, forwards = [], []
+        real_backward, real_forward = trainer.backward, UpperEncoder.forward
+        monkeypatch.setattr(trainer, "backward", lambda loss: (
+            nodes.append(tape_nodes(loss)), real_backward(loss))[1])
+        monkeypatch.setattr(UpperEncoder, "forward", lambda *a, **k: (
+            forwards.append(1), real_forward(*a, **k))[1])
+        for batch in (4, 16):
+            pretrain(fresh_model(), corpus, triplets_for(corpus, 16),
+                     labels_for(corpus), quick_config(batch_size=batch))
+        assert len(nodes) == len(forwards) == 4 + 1
+        assert len(set(nodes)) == 1
+
+    def test_batched_step_matches_per_document_reference(self, monkeypatch):
+        """The step's loss and gradients equal those of encoding each
+        document on its own, including documents that fill several slots."""
+        corpus = separable_corpus(per_category=3)
+        triplets = triplets_for(corpus, 10)
+        labels = labels_for(corpus)
+
+        def model_with_heads():
+            # nonzero heads, so every hierarchy row sends gradient back
+            m = fresh_model()
+            w = m.heads.weights[0]
+            w.data = np.random.default_rng(1).normal(size=w.shape)
+            return m
+
+        model, grads = model_with_heads(), {}
+        real_backward = trainer.backward
+
+        def spy(loss):
+            real_backward(loss)
+            grads["loss"] = loss.item()
+            grads.update({k: t.grad.copy()
+                          for k, t in model.upper.named_params().items()})
+
+        monkeypatch.setattr(trainer, "backward", spy)
+        pretrain(model, corpus, triplets, labels,
+                 quick_config(batch_size=len(triplets)))
+
+        ref = model_with_heads()
+        vec = lambda doc_id: ref.encode_document(
+            list(corpus.get(doc_id).sentences))
+        members = ("anchor_id", "positive_id", "negative_id")
+        a, p, n = (T.stack([vec(getattr(t, m)) for t in triplets])
+                   for m in members)
+        rows = T.stack([vec(getattr(t, m)) for t in triplets for m in members])
+        targets = [np.array([labels[getattr(t, m)].indices[0]
+                             for t in triplets for m in members])]
+        loss = triplet_loss(a, p, n) + hierarchical_loss_rows(
+            ref.heads.logits_matrix(rows), targets, num_sets=len(triplets))
+        T.backward(loss)
+        assert loss.item() == pytest.approx(grads["loss"], rel=0, abs=1e-12)
+        for k, t in ref.upper.named_params().items():
+            assert np.allclose(grads[k], t.grad, rtol=0, atol=1e-12), k
 
     def test_loss_decreases_on_separable_data(self):
         corpus = separable_corpus(per_category=5)
@@ -341,6 +425,28 @@ class TestLoraArm:
         lora = pretrain(fresh_model(), corpus, triplets, labels_for(corpus),
                         quick_config(lora_rank=2))
         assert lora.loss_curve[0]["loss"] == base.loss_curve[0]["loss"]
+
+    def test_checkpoint_carries_the_trained_adapters(self):
+        """Adapters are merged into the saved weights, so the reloaded model
+        computes what the live adapted model computes on both input paths,
+        up to float32 rounding of the merged weights."""
+        model, result = self.run_lora(initial_lr=1e-2, epochs=3,
+                                      lora_targets=("query", "value", "ffn"))
+        reloaded = DocumentModel.from_checkpoint(result.checkpoint)
+        matrix = model.embed_sentences(["Stellar quasar orbit.",
+                                        "Contract clause appeal."])
+        ids = [5, 17, 42, 9]
+        with no_grad():
+            live = [model.encode_matrix(matrix).data,
+                    model.forward_tokens(ids).data]
+            got = [reloaded.encode_matrix(matrix).data,
+                   reloaded.forward_tokens(ids).data]
+            model.detach_adapter()
+            base = [model.encode_matrix(matrix).data,
+                    model.forward_tokens(ids).data]
+        for want, have, unadapted in zip(live, got, base):
+            assert np.allclose(have, want, rtol=0, atol=1e-7)
+            assert np.abs(unadapted - want).max() > 1e-4
 
     def test_checkpoint_stores_base_tensors_only(self):
         model, result = self.run_lora()
