@@ -36,8 +36,8 @@ def _token_inputs(model: DocumentModel, sentences: list[str]) -> np.ndarray:
                     len(ids), model.config.max_positions)
         ids = ids[:model.config.max_positions]
     with no_grad():
-        rows = model.embed.rows(ids)
-    return rows.data.copy()
+        rows = model.embed.batch_rows([ids])
+    return rows.data[0].copy()
 
 
 def _cosine_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -98,9 +98,11 @@ def _doc_vectors(model: DocumentModel, docs: list[list[str]]) -> tuple[np.ndarra
             log.warning("truncating %d tokens to %d positions",
                         len(ids), model.config.max_positions)
             ids = ids[:model.config.max_positions]
+        # one document per call: a corpus-wide padded batch would hold a
+        # [docs, heads, T, T] attention map per softmax intermediate
         with no_grad():
-            out = model.forward_tokens(ids)
-        tok_vecs.append(out.data.mean(axis=0))
+            out = model.encode_token_batch([ids])
+        tok_vecs.append(out.data[0].mean(axis=0))
     return np.stack(sent_vecs), np.stack(tok_vecs)
 
 

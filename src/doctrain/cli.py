@@ -523,9 +523,12 @@ def _run_subcommand(args: argparse.Namespace):
         args.func(args, rec)
         if args.subcommand != "inspect-checkpoint":
             rec.finish()
-            manifest_path = _manifest_path(args)
-            write_manifest(rec.manifest, manifest_path)
-            log.info("manifest written to %s", manifest_path)
+            # a replay is checked against the manifest it reran, which must
+            # stay as recorded
+            if args.replay is None:
+                manifest_path = _manifest_path(args)
+                write_manifest(rec.manifest, manifest_path)
+                log.info("manifest written to %s", manifest_path)
     except BaseException:
         _cleanup(rec)
         raise
@@ -553,7 +556,8 @@ def main(argv: list[str] | None = None) -> int:
                 raise DataError(f"replay inputs changed since the manifest "
                                 f"was recorded: {changed}")
             replay_argv = argv_from_manifest(recorded)
-            replay_args = parser.parse_args(replay_argv)
+            replay_args = parser.parse_args(["--replay", args.replay,
+                                             *replay_argv])
             fresh = _run_subcommand(replay_args)
             verify_replay(recorded, fresh)
             print(f"replay verified: {len(fresh.output_digests)} outputs "

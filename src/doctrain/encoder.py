@@ -266,10 +266,6 @@ class EmbeddingTable:
                                      config.max_positions, config.d_model),
                                requires_grad=True)
 
-    def rows(self, ids: list[int]) -> Tensor:
-        """[T] ids -> [T, d] input rows: token vector plus positional vector."""
-        return T.reshape(self.batch_rows([ids]), (len(ids), self.config.d_model))
-
     def batch_rows(self, seqs: list[list[int]]) -> Tensor:
         """B id sequences -> [B, T_max, d] input rows, each sequence padded
         after its end with id 0 (see `key_padding_bias`)."""
@@ -293,7 +289,7 @@ class EmbeddingTable:
         for i, ids in enumerate(seqs):
             padded[i, :len(ids)] = ids
         return (T.embedding(self.token, padded)
-                + T.take(self.position, slice(0, width)))
+                + T.embedding(self.position, np.arange(width)))
 
     def named_params(self) -> dict[str, Tensor]:
         return {"embed.token": self.token, "embed.position": self.position}
@@ -324,11 +320,6 @@ class ClassificationHeads:
             raise ShapeError(f"expected [N, d] vectors, got {doc_vectors.shape}")
         return [T.matmul(doc_vectors, w) + b
                 for w, b in zip(self.weights, self.biases)]
-
-    def logits(self, doc_vector: Tensor) -> list[Tensor]:
-        """[d] document vector -> per level [C_level + 1] logits."""
-        mat = T.reshape(doc_vector, (1, doc_vector.shape[-1]))
-        return [T.reshape(lv, (lv.shape[-1],)) for lv in self.logits_matrix(mat)]
 
     def named_params(self) -> dict[str, Tensor]:
         out: dict[str, Tensor] = {}
@@ -403,26 +394,3 @@ class LoraAdapter:
                 for name, pair in zip(_LORA_WEIGHTS[target], pairs):
                     out[f"upper.{i}.{name}"] = pair.a.data @ pair.b.data
         return out
-
-
-class AdaptedUpperEncoder:
-    """View of an upper encoder with adapters active and base weights frozen."""
-
-    def __init__(self, base: UpperEncoder, adapter: LoraAdapter):
-        self.base = base
-        self.adapter = adapter
-
-    def forward(self, x: Tensor, key_bias: np.ndarray | None = None,
-                return_attention: bool = False):
-        if self.adapter.rank == 0:
-            # rank 0 is a strict no-op view
-            return self.base.forward(x, key_bias,
-                                     return_attention=return_attention)
-        return self.base.forward(x, key_bias, adapter=self.adapter,
-                                 return_attention=return_attention)
-
-
-def apply_lora(upper: UpperEncoder, rank: int,
-               targets: tuple[str, ...] = ("query", "value"),
-               seed: int = 0) -> AdaptedUpperEncoder:
-    return AdaptedUpperEncoder(upper, LoraAdapter(upper.config, rank, targets, seed))

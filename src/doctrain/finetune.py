@@ -10,6 +10,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import tensor as T
+from .encoder import key_padding_bias
 from .errors import ConfigError, NumericError, ParseError, ValidationError
 from .model import DocumentModel
 from .optim import AdamW, ParamGroup
@@ -158,17 +159,7 @@ def _zero_head(rows: int, cols: int) -> tuple[Tensor, Tensor]:
     return w, b
 
 
-class _ExampleLossMean:
-    """Tasks whose batch loss is the mean of single-example losses."""
-
-    def batch_loss(self, batch: list) -> Tensor:
-        total = self.loss(batch[0])
-        for ex in batch[1:]:
-            total = total + self.loss(ex)
-        return total * (1.0 / len(batch))
-
-
-class SpanQaModel(_ExampleLossMean):
+class SpanQaModel:
     """Joint start/end span scorer over [CLS] question [SEP] context.
 
     Position 0 (the leading classification slot) doubles as the
@@ -204,32 +195,42 @@ class SpanQaModel(_ExampleLossMean):
         offset = 2 + len(q_ids)  # index of the first context position
         return ids, offset, len(ctx_ids)
 
-    def _logits(self, ex: SpanQaExample):
-        ids, offset, kept = self._encode(ex)
-        out = self.model.forward_tokens(ids)
-        n = len(ids)
-        start = T.reshape(T.matmul(out, self.w_start) + self.b_start, (n,))
-        end = T.reshape(T.matmul(out, self.w_end) + self.b_end, (n,))
-        return start, end, offset, kept
+    def _logits(self, batch: list[SpanQaExample]):
+        """[B, T_max] start and end logits of one padded pass, -inf past each
+        sequence's end; plus each example's (offset, kept context length)."""
+        encoded = [self._encode(ex) for ex in batch]
+        seqs = [ids for ids, _, _ in encoded]
+        out = self.model.encode_token_batch(seqs)
+        b, s, d = out.shape
+        rows = T.reshape(out, (b * s, d))
+        pad = key_padding_bias([len(q) for q in seqs])
+        start = T.reshape(T.matmul(rows, self.w_start) + self.b_start,
+                          (b, s)) + pad
+        end = T.reshape(T.matmul(rows, self.w_end) + self.b_end, (b, s)) + pad
+        return start, end, [(offset, kept) for _, offset, kept in encoded]
 
-    def loss(self, ex: SpanQaExample) -> Tensor:
-        start, end, offset, kept = self._logits(ex)
-        if ex.answer is None:
-            ts = te = 0
-        else:
-            s, e = ex.answer
-            if e >= kept:  # span truncated away; fall back to no-answer
+    def batch_loss(self, batch: list[SpanQaExample]) -> Tensor:
+        """Mean over the examples of start plus end cross entropy."""
+        start, end, spans = self._logits(batch)
+        ts, te = [], []
+        for ex, (offset, kept) in zip(batch, spans):
+            if ex.answer is None:
+                s = e = 0
+            elif ex.answer[1] >= kept:  # span truncated away; no-answer
                 log.warning("gold span %s lost to truncation", ex.answer)
-                ts = te = 0
+                s = e = 0
             else:
-                ts, te = offset + s, offset + e
-        return T.cross_entropy(start, ts) + T.cross_entropy(end, te)
+                s, e = offset + ex.answer[0], offset + ex.answer[1]
+            ts.append(s)
+            te.append(e)
+        return (T.cross_entropy_rows(start, ts, "mean")
+                + T.cross_entropy_rows(end, te, "mean"))
 
     def predict(self, ex: SpanQaExample) -> tuple[int, int] | None:
         with no_grad():
-            start, end, offset, kept = self._logits(ex)
-        s_log = start.data
-        e_log = end.data
+            start, end, [(offset, kept)] = self._logits([ex])
+        s_log = start.data[0]
+        e_log = end.data[0]
         best_score = s_log[0] + e_log[0]
         best: tuple[int, int] | None = None
         for s in range(offset, offset + kept):
@@ -298,9 +299,6 @@ class TokenTaggerModel:
         return T.cross_entropy_rows(logits, targets, reduction="sum",
                                     weights=weights)
 
-    def loss(self, ex: TokenClassExample) -> Tensor:
-        return self.batch_loss([ex])
-
     def predict(self, ex: TokenClassExample) -> list[int]:
         self._check(ex)
         with no_grad():
@@ -320,7 +318,7 @@ class TokenTaggerModel:
                 "accuracy": accuracy(y_true, y_pred)}
 
 
-class PairClassifierModel(_ExampleLossMean):
+class PairClassifierModel:
     """Two-way classifier on the first-position output of [CLS] a [SEP] b."""
 
     primary_metric = "accuracy"
@@ -332,23 +330,25 @@ class PairClassifierModel(_ExampleLossMean):
     def head_tensors(self) -> list[Tensor]:
         return [self.w, self.b]
 
-    def _logits(self, ex: PairExample) -> Tensor:
+    def _logits(self, batch: list[PairExample]) -> Tensor:
+        """[B, 2] logits from each sequence's first output row, one pass."""
         vocab = self.model.config.vocab_size
-        ids = ([CLS_ID] + encode_tokens(list(ex.first), vocab) + [SEP_ID]
-               + encode_tokens(list(ex.second), vocab))
-        ids = ids[:self.model.config.max_positions]
-        out = self.model.forward_tokens(ids)
-        first = T.take(out, 0)
-        return T.matmul(T.reshape(first, (1, -1)), self.w) + self.b
+        seqs = [([CLS_ID] + encode_tokens(list(ex.first), vocab) + [SEP_ID]
+                 + encode_tokens(list(ex.second), vocab))
+                [:self.model.config.max_positions] for ex in batch]
+        out = self.model.encode_token_batch(seqs)
+        b, s, d = out.shape
+        first = T.embedding(T.reshape(out, (b * s, d)), np.arange(b) * s)
+        return T.matmul(first, self.w) + self.b
 
-    def loss(self, ex: PairExample) -> Tensor:
-        logits = self._logits(ex)
-        return T.cross_entropy_rows(logits, np.array([ex.label]),
+    def batch_loss(self, batch: list[PairExample]) -> Tensor:
+        return T.cross_entropy_rows(self._logits(batch),
+                                    np.array([ex.label for ex in batch]),
                                     reduction="mean")
 
     def predict(self, ex: PairExample) -> int:
         with no_grad():
-            logits = self._logits(ex)
+            logits = self._logits([ex])
         return int(logits.data[0].argmax())
 
     def evaluate(self, examples) -> dict[str, float]:

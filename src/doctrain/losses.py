@@ -39,31 +39,12 @@ def triplet_loss(anchor: Tensor, positive: Tensor, negative: Tensor) -> Tensor:
     return T.tmean(hinge) if anchor.ndim == 2 else hinge
 
 
-def hierarchical_loss(logits: list[Tensor], targets: list[int]) -> Tensor:
-    """One document's hierarchy loss: cross entropy summed over levels.
-
-    `logits[j]` is the 1-D logit vector of level j (null class included as the
-    last index); `targets[j]` the gold index at that level. A triplet's loss is
-    the sum of this over its documents.
-    """
-    if len(logits) != len(targets):
-        raise ShapeError(f"{len(logits)} levels of logits vs {len(targets)} targets")
-    if not logits:
-        raise ShapeError("hierarchical loss needs at least one level")
-    total = None
-    for lv, tgt in zip(logits, targets):
-        _check_finite(lv)
-        ce = T.cross_entropy(lv, int(tgt))
-        total = ce if total is None else total + ce
-    return total
-
-
 def hierarchical_loss_rows(logits_per_level: list[Tensor],
                            targets_per_level: list[np.ndarray],
                            num_sets: int) -> Tensor:
-    """Batched form: cross entropy summed over every (document, level) pair,
-    divided by the number of document sets (triplets), i.e. a per-set sum
-    followed by a mean over sets.
+    """Hierarchy loss: cross entropy summed over every (document, level)
+    pair, divided by the number of document sets (triplets), i.e. a per-set
+    sum followed by a mean over sets; one document is the num_sets=1 case.
 
     `logits_per_level[j]` stacks all documents' level-j logits as [N, C_j+1];
     `targets_per_level[j]` carries the matching N integer labels.

@@ -9,9 +9,8 @@ import numpy as np
 
 from . import tensor as T
 from .checkpoint import Checkpoint
-from .encoder import (AdaptedUpperEncoder, ClassificationHeads, EmbeddingTable,
-                      LowerEncoder, ModelConfig, UpperEncoder, apply_lora,
-                      key_padding_bias)
+from .encoder import (ClassificationHeads, EmbeddingTable, LoraAdapter,
+                      LowerEncoder, ModelConfig, UpperEncoder, key_padding_bias)
 from .errors import CorruptCheckpoint, LengthError, ShapeError
 from .optim import ParamGroup, snap32
 from .seeding import make_rng
@@ -62,19 +61,14 @@ class DocumentModel:
         self.upper = UpperEncoder(config, make_rng(config.seed, "upper"))
         self.embed = EmbeddingTable(config)
         self.heads = ClassificationHeads(config.d_model, config.level_sizes)
-        self.adapted: AdaptedUpperEncoder | None = None
+        # low-rank adapters both input paths run through, when attached
+        self.adapter: LoraAdapter | None = None
 
     def attach_adapter(self, rank: int, targets: tuple[str, ...] = ("query", "value"),
-                       seed: int = 0) -> AdaptedUpperEncoder:
-        """Route both input paths through low-rank adapters; base stays frozen."""
-        self.adapted = apply_lora(self.upper, rank, targets, seed)
-        return self.adapted
-
-    def detach_adapter(self) -> None:
-        self.adapted = None
-
-    def _encoder(self):
-        return self.adapted if self.adapted is not None else self.upper
+                       seed: int = 0) -> LoraAdapter:
+        """Route both input paths through fresh low-rank adapters."""
+        self.adapter = LoraAdapter(self.config, rank, targets, seed)
+        return self.adapter
 
     # -- sentence path ----------------------------------------------------
 
@@ -106,29 +100,23 @@ class DocumentModel:
         for i, m in enumerate(matrices):
             x[i, :len(m)] = m
             pool[i, 0, :len(m)] = 1.0 / len(m)
-        out = self._encoder().forward(Tensor(x), key_padding_bias(lengths))
+        out = self.upper.forward(Tensor(x), key_padding_bias(lengths),
+                                 self.adapter)
         return T.reshape(T.matmul(Tensor(pool), out), (len(matrices), d))
 
-    def encode_matrix(self, matrix: np.ndarray) -> Tensor:
-        """[S, d] sentence-vector matrix -> [d] document vector."""
-        return T.reshape(self.encode_matrices([matrix]), (self.config.d_model,))
-
     def encode_document(self, sentences: list[str]) -> Tensor:
-        return self.encode_matrix(self.embed_sentences(sentences))
+        """Sentence strings -> [d] document vector."""
+        return T.reshape(self.encode_matrices([self.embed_sentences(sentences)]),
+                         (self.config.d_model,))
 
     # -- token path ---------------------------------------------------------
 
     def encode_token_batch(self, seqs: list[list[int]]) -> Tensor:
         """B token-id sequences -> [B, T_max, d] contextualized outputs of one
         padded pass; rows past a sequence's length are padding."""
-        rows = self.embed.batch_rows(seqs)
-        return self._encoder().forward(rows,
-                                       key_padding_bias([len(q) for q in seqs]))
-
-    def forward_tokens(self, ids: list[int]) -> Tensor:
-        """Token ids -> [T, d] contextualized outputs from the same upper tier."""
-        return T.reshape(self.encode_token_batch([ids]),
-                         (len(ids), self.config.d_model))
+        return self.upper.forward(self.embed.batch_rows(seqs),
+                                  key_padding_bias([len(q) for q in seqs]),
+                                  self.adapter)
 
     # -- parameter bookkeeping -------------------------------------------------
 
@@ -168,8 +156,7 @@ class DocumentModel:
         if extra_meta:
             meta.update(extra_meta)
         # trained LoRA adapters travel merged into their base weights
-        deltas = (self.adapted.adapter.merged_deltas()
-                  if self.adapted is not None else {})
+        deltas = self.adapter.merged_deltas() if self.adapter is not None else {}
         tensors = {name: (snap32(t.data + deltas[name]) if name in deltas
                           else t.data).astype(np.float32)
                    for name, t in self.named_params().items()}

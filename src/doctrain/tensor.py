@@ -111,9 +111,6 @@ class Tensor:
     def __matmul__(self, other):
         return matmul(self, other)
 
-    def __getitem__(self, index):
-        return take(self, index)
-
 
 def as_tensor(value) -> Tensor:
     return value if isinstance(value, Tensor) else Tensor(value)
@@ -266,19 +263,6 @@ def transpose(a, axes) -> Tensor:
         _accum(a, g.transpose(inverse))
 
     return _make(out, (a,), bw)
-
-
-def take(a, index) -> Tensor:
-    """Basic indexing (int / slice / tuple); backward scatter-adds."""
-    a = as_tensor(a)
-    out = a.data[index]
-
-    def bw(g):
-        buf = np.zeros_like(a.data)
-        buf[index] += g
-        _accum(a, buf)
-
-    return _make(np.array(out, copy=True), (a,), bw)
 
 
 def stack(tensors, axis: int = 0) -> Tensor:

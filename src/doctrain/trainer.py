@@ -179,7 +179,7 @@ def pretrain(model: DocumentModel, corpus: Corpus, triplets: list[Triplet],
         for g in groups:
             if g.name != "heads":
                 g.frozen = True  # adapters replace base-weight training
-        groups.append(ParamGroup("lora", adapter.adapter.trainable_tensors()))
+        groups.append(ParamGroup("lora", adapter.trainable_tensors()))
     optimizer = AdamW(groups, lr=config.initial_lr, betas=config.betas,
                       eps=config.eps, weight_decay=config.weight_decay)
     tracker = _DriftTracker(groups)
@@ -294,7 +294,8 @@ def pretrain_mlm(model: DocumentModel, corpus: Corpus,
     for _ in range(config.epochs):
         order = rng.permutation(len(sequences))
         for lo, hi in _batches(len(sequences), config.batch_size):
-            logits_rows = []
+            seqs = []
+            mask_rows = []
             target_rows = []
             for i in order[lo:hi]:
                 ids = sequences[i]
@@ -304,11 +305,15 @@ def pretrain_mlm(model: DocumentModel, corpus: Corpus,
                 masked = list(ids)
                 for pos in mask_pos:
                     masked[pos] = MASK_ID
-                out = model.forward_tokens(masked)
-                picked = T.take(out, mask_pos)
-                logits_rows.append(T.matmul(picked, mlm_head_w) + mlm_head_b)
+                seqs.append(masked)
+                mask_rows.append(mask_pos)
                 target_rows.append(np.array(ids)[mask_pos])
-            logits = T.concat(logits_rows, axis=0)
+            # one padded pass; masked rows are gathered from the flat outputs
+            out = model.encode_token_batch(seqs)
+            b, s, d = out.shape
+            picked = T.embedding(T.reshape(out, (b * s, d)), np.concatenate(
+                [k * s + pos for k, pos in enumerate(mask_rows)]))
+            logits = T.matmul(picked, mlm_head_w) + mlm_head_b
             targets = np.concatenate(target_rows)
             loss = T.cross_entropy_rows(logits, targets, reduction="mean")
             if not np.isfinite(loss.data).all():

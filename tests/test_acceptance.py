@@ -35,8 +35,7 @@ from doctrain.encoder import ModelConfig
 from doctrain.errors import DataError
 from doctrain.finetune import (FinetuneConfig, TokenClassExample,
                                finetune_token_classification)
-from doctrain.losses import (hierarchical_loss, hierarchical_loss_rows,
-                             triplet_loss)
+from doctrain.losses import hierarchical_loss_rows, triplet_loss
 from doctrain.mining import mine_triplets_metadata
 from doctrain.model import DocumentModel
 from doctrain.rouge import lcs_length
@@ -107,15 +106,15 @@ def test_c01_gradients_match_finite_differences():
                for lv in range(tax.depth)]
 
     def combined_loss():
-        vecs = [model.encode_matrix(m) for m in matrices]
-        anchor, pos, neg = [T.reshape(v, (1, -1)) for v in vecs]
+        vecs = model.encode_matrices(matrices)
+        anchor, pos, neg = (T.embedding(vecs, [i]) for i in range(3))
         margin_part = triplet_loss(anchor, pos, neg)
-        logits = model.heads.logits_matrix(T.stack(vecs))
+        logits = model.heads.logits_matrix(vecs)
         return margin_part + hierarchical_loss_rows(logits, targets,
                                                     num_sets=1)
 
     with no_grad():
-        vecs = [model.encode_matrix(m).data for m in matrices]
+        vecs = model.encode_matrices(matrices).data
     hinge_arg = (np.linalg.norm(vecs[0] - vecs[1])
                  - np.linalg.norm(vecs[0] - vecs[2]) + 1.0)
     assert hinge_arg > 0.1  # keep the finite differences off the relu kink
@@ -160,24 +159,30 @@ def test_c02_loss_oracles():
         assert got == pytest.approx(want, abs=1e-6)
 
     for _ in range(100):
+        docs = int(rng.integers(1, 5))
+        sets = int(rng.integers(1, docs + 1))
         levels = int(rng.integers(1, 4))
         logits, targets, want = [], [], 0.0
         for _ in range(levels):
             c = int(rng.integers(2, 6))
-            z = rng.normal(size=c)
-            t = int(rng.integers(c))
+            z = rng.normal(size=(docs, c))
+            t = rng.integers(c, size=docs)
             logits.append(Tensor(z))
             targets.append(t)
-            want += -(z[t] - np.log(np.exp(z - z.max()).sum()) - z.max())
-        got = float(hierarchical_loss(logits, targets).data)
-        assert got == pytest.approx(want, abs=1e-6)
+            for zi, ti in zip(z, t):
+                want += -(zi[ti] - np.log(np.exp(zi - zi.max()).sum())
+                          - zi.max())
+        got = float(hierarchical_loss_rows(logits, targets, sets).data)
+        assert got == pytest.approx(want / sets, abs=1e-6)
 
     same = Tensor(rng.normal(size=(3, 4)))
     assert float(triplet_loss(same, same, same).data) == pytest.approx(
         1.0, abs=1e-12)
-    binary = float(hierarchical_loss([Tensor(np.zeros(2))], [0]).data)
+    binary = float(hierarchical_loss_rows([Tensor(np.zeros((1, 2)))],
+                                          [np.array([0])], num_sets=1).data)
     assert binary == pytest.approx(np.log(2.0), abs=1e-12)
-    ok("C2", "200 random oracle cases within 1e-6; exact anchors "
+    ok("C2", "200 random oracle cases within 1e-6 (1-4 documents per "
+             "hierarchy call); exact anchors "
              "(identical-document loss 1, uniform binary CE ln 2)")
 
 
@@ -273,8 +278,9 @@ def test_c05_separation_at_desk_scale(synthetic, separation_run):
     correct = 0
     for doc in held:
         with no_grad():
-            vec = model.encode_document(list(doc.sentences))
-            level0 = model.heads.logits(vec)[0].data.ravel()
+            vec = model.encode_matrices(
+                [model.embed_sentences(list(doc.sentences))])
+            level0 = model.heads.logits_matrix(vec)[0].data.ravel()
         target = pad_hierarchy(doc.hierarchy_path, tax).indices[0]
         correct += int(np.argmax(level0) == target)
     accuracy = correct / len(held)
@@ -442,29 +448,31 @@ def test_c11_lora_contract():
     matrix = model.embed_sentences(sentences)
     ids = [7, 40, 3, 511]
     with no_grad():
-        base_doc = model.encode_matrix(matrix).data.copy()
-        base_tok = model.forward_tokens(ids).data.copy()
+        base_doc = model.encode_matrices([matrix]).data.copy()
+        base_tok = model.encode_token_batch([ids]).data.copy()
 
     rank0 = model.attach_adapter(0, ("query", "value"), seed=9)
-    assert rank0.adapter.trainable_tensors() == []
+    assert model.adapter is rank0
+    assert rank0.trainable_tensors() == []
     with no_grad():
-        assert np.array_equal(model.encode_matrix(matrix).data, base_doc)
-        assert np.array_equal(model.forward_tokens(ids).data, base_tok)
-    model.detach_adapter()
+        assert np.array_equal(model.encode_matrices([matrix]).data, base_doc)
+        assert np.array_equal(model.encode_token_batch([ids]).data, base_tok)
+    model.adapter = None
 
     rank = 2
-    adapted = model.attach_adapter(rank, ("query", "value"), seed=9)
+    adapter = model.attach_adapter(rank, ("query", "value"), seed=9)
+    assert model.adapter is adapter
     with no_grad():
-        assert np.array_equal(model.encode_matrix(matrix).data, base_doc)
-        assert np.array_equal(model.forward_tokens(ids).data, base_tok)
-    tensors = adapted.adapter.trainable_tensors()
+        assert np.array_equal(model.encode_matrices([matrix]).data, base_doc)
+        assert np.array_equal(model.encode_token_batch([ids]).data, base_tok)
+    tensors = adapter.trainable_tensors()
     d = model.config.d_model
     matrices = model.config.num_layers * 2  # query and value per layer
     assert len(tensors) == matrices * 2  # one A and one B per matrix
     per_matrix = [tensors[k].data.size + tensors[k + 1].data.size
                   for k in range(0, len(tensors), 2)]
     assert per_matrix == [2 * rank * d] * matrices
-    model.detach_adapter()
+    model.adapter = None
     ok("C11", f"rank-0 and fresh rank-{rank} adapters bit-exact on both "
               f"paths; {matrices} adapted matrices at {2 * rank * d} "
               f"parameters each")

@@ -222,6 +222,23 @@ class TestReplay:
         assert rc == 3
         assert "replay changed outputs" in capsys.readouterr().err
 
+    def test_failed_replay_keeps_the_recorded_manifest(self, tmp_path,
+                                                      capsys):
+        out = tmp_path / "tri.jsonl"
+        assert main(["mine", "--corpus", CORPUS, "--out", str(out),
+                     "--mode", "customer_support", "--count", "4",
+                     "--seed", "2"]) == 0
+        manifest = tmp_path / "tri.jsonl.manifest.json"
+        raw = json.loads(manifest.read_text())
+        raw["output_digests"][str(out)] = "0" * 64
+        manifest.write_text(json.dumps(raw))
+        tampered = manifest.read_bytes()
+        capsys.readouterr()
+        assert main(["--replay", str(manifest)]) == 3
+        assert "replay changed outputs" in capsys.readouterr().err
+        assert manifest.read_bytes() == tampered
+        assert main(["--replay", str(manifest)]) == 3
+
     def test_replay_refuses_changed_inputs_before_running(self, tmp_path,
                                                          capsys):
         corpus = tmp_path / "corpus.jsonl"

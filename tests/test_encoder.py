@@ -11,7 +11,6 @@ import pytest
 from doctrain import tensor as T
 from doctrain.encoder import (
     LORA_TARGETS,
-    AdaptedUpperEncoder,
     ClassificationHeads,
     EmbeddingTable,
     LoraAdapter,
@@ -19,7 +18,6 @@ from doctrain.encoder import (
     ModelConfig,
     TransformerLayer,
     UpperEncoder,
-    apply_lora,
     key_padding_bias,
 )
 from doctrain.errors import ConfigError, LengthError, ShapeError, VocabularyError
@@ -246,32 +244,33 @@ class TestEmbeddingTable:
         cfg = small_config()
         table = EmbeddingTable(cfg)
         ids = [7, 3, 7]
-        got = table.rows(ids).data
+        got = table.batch_rows([ids]).data[0]
         want = table.token.data[ids] + table.position.data[:3]
         assert np.array_equal(got, want)
 
     def test_empty_sequence_raises(self):
         with pytest.raises(LengthError):
-            EmbeddingTable(small_config()).rows([])
+            EmbeddingTable(small_config()).batch_rows([[]])
 
     def test_over_capacity_raises(self):
         cfg = small_config(max_positions=4)
         with pytest.raises(LengthError, match="5"):
-            EmbeddingTable(cfg).rows([3] * 5)
+            EmbeddingTable(cfg).batch_rows([[3] * 5])
 
     def test_out_of_vocab_raises_with_offenders(self):
         table = EmbeddingTable(small_config(vocab_size=512))
         with pytest.raises(VocabularyError, match="512"):
-            table.rows([3, 512])
+            table.batch_rows([[3, 512]])
         with pytest.raises(VocabularyError):
-            table.rows([-1])
+            table.batch_rows([[-1]])
 
 
 class TestClassificationHeads:
     def test_zero_init_gives_uniform_logits(self):
         heads = ClassificationHeads(16, (4, 9))
-        logits = heads.logits(Tensor(np.random.default_rng(0).normal(size=16)))
-        assert [lv.shape for lv in logits] == [(5,), (10,)]  # width + null slot
+        logits = heads.logits_matrix(
+            Tensor(np.random.default_rng(0).normal(size=(1, 16))))
+        assert [lv.shape for lv in logits] == [(1, 5), (1, 10)]  # width + null slot
         for lv in logits:
             assert np.array_equal(lv.data, np.zeros(lv.shape))
 
@@ -288,8 +287,8 @@ class TestClassificationHeads:
         vecs = rng.normal(size=(3, 8))
         mat = heads.logits_matrix(Tensor(vecs))[0].data
         for i in range(3):
-            single = heads.logits(Tensor(vecs[i]))[0].data
-            assert np.allclose(mat[i], single)
+            single = heads.logits_matrix(Tensor(vecs[i:i + 1]))[0].data
+            assert np.allclose(mat[i], single[0])
 
     def test_matrix_rejects_vector_input(self):
         with pytest.raises(ShapeError):
@@ -319,73 +318,73 @@ class TestModelConfig:
 class TestLora:
     def test_fresh_adapter_is_exact_noop(self, rng):
         enc = UpperEncoder(small_config(num_layers=2), np.random.default_rng(0))
-        adapted = apply_lora(enc, rank=4, targets=("query", "value"), seed=1)
+        adapter = LoraAdapter(enc.config, 4, ("query", "value"), seed=1)
         x = rng.normal(size=(5, 16))
         base = enc.forward(Tensor(x)).data
-        assert np.array_equal(adapted.forward(Tensor(x)).data, base)
+        assert np.array_equal(enc.forward(Tensor(x), None, adapter).data, base)
 
     def test_fresh_adapter_is_exact_noop_on_batched_input(self, rng):
         enc = UpperEncoder(small_config(num_layers=2), np.random.default_rng(0))
-        adapted = apply_lora(enc, rank=3, targets=LORA_TARGETS, seed=2)
+        adapter = LoraAdapter(enc.config, 3, LORA_TARGETS, seed=2)
         x = rng.normal(size=(3, 4, 16))
         bias = key_padding_bias([4, 2, 1])
         base = enc.forward(Tensor(x), bias).data
-        assert np.array_equal(adapted.forward(Tensor(x), bias).data, base)
+        assert np.array_equal(enc.forward(Tensor(x), bias, adapter).data, base)
 
     def test_rank_zero_is_noop_view_with_no_params(self, rng):
         enc = UpperEncoder(small_config(), np.random.default_rng(0))
-        adapted = apply_lora(enc, rank=0)
-        assert adapted.adapter.num_params() == 0
-        assert adapted.adapter.trainable_tensors() == []
+        adapter = LoraAdapter(enc.config, 0, ("query", "value"), seed=0)
+        assert adapter.num_params() == 0
+        assert adapter.trainable_tensors() == []
         x = rng.normal(size=(2, 16))
-        assert np.array_equal(adapted.forward(Tensor(x)).data,
+        assert np.array_equal(enc.forward(Tensor(x), None, adapter).data,
                               enc.forward(Tensor(x)).data)
 
     def test_nonzero_second_factor_changes_output(self, rng):
         enc = UpperEncoder(small_config(), np.random.default_rng(0))
-        adapted = apply_lora(enc, rank=2, targets=("query",), seed=3)
-        for pair_list in adapted.adapter._adapters[0].values():
+        adapter = LoraAdapter(enc.config, 2, ("query",), seed=3)
+        for pair_list in adapter._adapters[0].values():
             for pair in pair_list:
                 pair.b.data = rng.normal(size=pair.b.shape)
         x = rng.normal(size=(4, 16))
-        assert not np.allclose(adapted.forward(Tensor(x)).data,
+        assert not np.allclose(enc.forward(Tensor(x), None, adapter).data,
                                enc.forward(Tensor(x)).data)
 
     def test_param_counts(self):
         cfg = small_config(num_layers=3, d_model=16, ffn_dim=32)
         enc = UpperEncoder(cfg, np.random.default_rng(0))
         r = 4
-        square = apply_lora(enc, r, targets=("query", "value"))
+        square = LoraAdapter(enc.config, r, ("query", "value"), seed=0)
         # each square target costs 2*r*d per layer
-        assert square.adapter.num_params() == 3 * 2 * (2 * r * 16)
-        ffn = apply_lora(enc, r, targets=("ffn",))
+        assert square.num_params() == 3 * 2 * (2 * r * 16)
+        ffn = LoraAdapter(enc.config, r, ("ffn",), seed=0)
         # both feed-forward matrices factor to r*(d+ffn) each
-        assert ffn.adapter.num_params() == 3 * 2 * (r * (16 + 32))
-        everything = apply_lora(enc, r, targets=LORA_TARGETS)
-        assert everything.adapter.num_params() == (
+        assert ffn.num_params() == 3 * 2 * (r * (16 + 32))
+        everything = LoraAdapter(enc.config, r, LORA_TARGETS, seed=0)
+        assert everything.num_params() == (
             3 * (4 * 2 * r * 16 + 2 * r * (16 + 32)))
 
     def test_adapter_tensors_are_trainable_base_unaffected(self):
         enc = UpperEncoder(small_config(), np.random.default_rng(0))
-        adapted = apply_lora(enc, rank=2)
-        tensors = adapted.adapter.trainable_tensors()
+        adapter = LoraAdapter(enc.config, 2, ("query", "value"), seed=0)
+        tensors = adapter.trainable_tensors()
         assert tensors and all(t.requires_grad for t in tensors)
 
     def test_bad_configs(self):
         enc = UpperEncoder(small_config(), np.random.default_rng(0))
         with pytest.raises(ConfigError):
-            apply_lora(enc, rank=-1)
+            LoraAdapter(enc.config, -1, ("query", "value"), seed=0)
         with pytest.raises(ConfigError):
-            apply_lora(enc, rank=2, targets=("query", "query"))
+            LoraAdapter(enc.config, 2, ("query", "query"), seed=0)
         with pytest.raises(ConfigError, match="sideways"):
-            apply_lora(enc, rank=2, targets=("sideways",))
+            LoraAdapter(enc.config, 2, ("sideways",), seed=0)
 
     def test_adapter_gradients_flow(self, rng):
         enc = UpperEncoder(small_config(), np.random.default_rng(0))
-        adapted = apply_lora(enc, rank=2, targets=("query", "ffn"), seed=5)
-        out = adapted.forward(Tensor(rng.normal(size=(3, 16))))
+        adapter = LoraAdapter(enc.config, 2, ("query", "ffn"), seed=5)
+        out = enc.forward(Tensor(rng.normal(size=(3, 16))), None, adapter)
         T.backward(T.tsum(out * out))
-        for t in adapted.adapter.trainable_tensors():
+        for t in adapter.trainable_tensors():
             assert t.grad is not None
 
     def test_determinism_across_instances(self):

@@ -282,32 +282,11 @@ class TestTokenTagger:
             config=FinetuneConfig(lr=3e-3, epochs=10, patience=10))
         assert result.metrics["macro_f1"] >= 0.8
 
-    def test_ragged_batch_loss_is_the_mean_of_example_losses(self, rng):
-        model = DocumentModel(small_config())
-        task = TokenTaggerModel(model, 2)
-        task.w.data = rng.normal(size=task.w.shape)
-        batch = [tagging_examples(rng, 1, length=n)[0] for n in (5, 1, 3, 7)]
-        tensors = [task.w, model.embed.token, model.upper.layers[0].wq]
-
-        backward(task.batch_loss(batch))
-        batched = [t.grad.copy() for t in tensors]
-        for t in tensors:
-            t.zero_grad()
-        losses = []
-        for ex in batch:
-            loss = task.loss(ex) * (1.0 / len(batch))
-            losses.append(loss.item())
-            backward(loss)
-        assert task.batch_loss(batch).item() == pytest.approx(
-            sum(losses), rel=0, abs=1e-12)
-        for got, t in zip(batched, tensors):
-            assert np.allclose(got, t.grad, rtol=0, atol=1e-12)
-
     def test_label_range_enforced(self):
         model = DocumentModel(small_config())
         task = TokenTaggerModel(model, 2)
         with pytest.raises(ValidationError, match="2"):
-            task.loss(TokenClassExample(("a",), (2,)))
+            task.batch_loss([TokenClassExample(("a",), (2,))])
 
     def test_num_classes_validation(self):
         with pytest.raises(ConfigError):
@@ -342,33 +321,46 @@ class TestSpanQa:
         task = SpanQaModel(DocumentModel(small_config()))
         # start peaks after end's peak; the (3, 1) combo is illegal, so the
         # best legal pair is (1, 1) -> context span (0, 0)
-        start = Tensor(np.array([0.0, 0.0, 0.0, 5.0]))
-        end = Tensor(np.array([0.0, 6.0, 0.0, 0.0]))
-        monkeypatch.setattr(task, "_logits", lambda ex: (start, end, 1, 3))
+        start = Tensor(np.array([[0.0, 0.0, 0.0, 5.0]]))
+        end = Tensor(np.array([[0.0, 6.0, 0.0, 0.0]]))
+        monkeypatch.setattr(task, "_logits",
+                            lambda batch: (start, end, [(1, 3)]))
         got = task.predict(SpanQaExample(("q",), ("a", "b", "c"), None))
         assert got == (0, 0)
 
     def test_no_answer_baseline_wins_when_strongest(self, monkeypatch):
         task = SpanQaModel(DocumentModel(small_config()))
-        start = Tensor(np.array([10.0, 0.0, 0.0, 0.0]))
-        end = Tensor(np.array([10.0, 1.0, 1.0, 1.0]))
-        monkeypatch.setattr(task, "_logits", lambda ex: (start, end, 1, 3))
+        start = Tensor(np.array([[10.0, 0.0, 0.0, 0.0]]))
+        end = Tensor(np.array([[10.0, 1.0, 1.0, 1.0]]))
+        monkeypatch.setattr(task, "_logits",
+                            lambda batch: (start, end, [(1, 3)]))
         assert task.predict(SpanQaExample(("q",), ("a", "b", "c"), None)) is None
 
     def test_question_crowding_out_context_rejected(self):
         task = SpanQaModel(DocumentModel(small_config(max_positions=6)))
         ex = SpanQaExample(("q1", "q2", "q3", "q4"), ("c",), None)
         with pytest.raises(ValidationError, match="room"):
-            task.loss(ex)
+            task.batch_loss([ex])
 
     def test_context_truncation_warns_and_falls_back(self, caplog):
         task = SpanQaModel(DocumentModel(small_config(max_positions=8)))
         ctx = tuple(f"t{i}" for i in range(10))
         ex = SpanQaExample(("q",), ctx, (9, 9))  # answer beyond the kept part
         with caplog.at_level("WARNING", logger="doctrain.finetune"):
-            loss = task.loss(ex)
+            loss = task.batch_loss([ex])
         assert np.isfinite(loss.data).all()
         assert any("truncat" in r.message for r in caplog.records)
+
+    def test_zero_heads_ragged_loss_is_mean_of_two_ln_lengths(self):
+        """Each row's softmax covers only its own sequence, so a zero head
+        scores ln(n_i) per head on a sequence of n_i tokens."""
+        task = SpanQaModel(DocumentModel(small_config()))
+        batch = [SpanQaExample(("q",), ("a", "b", "c", "d", "e", "f"), (1, 2)),
+                 SpanQaExample(("q", "r"), ("a",), None),
+                 SpanQaExample(("q",), ("a", "b", "c"), (2, 2))]
+        lengths = np.array([2 + len(ex.question) + len(ex.context)
+                            for ex in batch])
+        assert task.batch_loss(batch).item() == np.mean(2 * np.log(lengths))
 
     def test_learns_to_find_the_needle(self, rng):
         model = DocumentModel(small_config())
@@ -380,12 +372,61 @@ class TestSpanQa:
         assert result.metrics["f1"] >= 0.8
 
 
+def _tagger_batch(model, rng):
+    task = TokenTaggerModel(model, 2)
+    return task, [tagging_examples(rng, 1, length=n)[0] for n in (5, 1, 3, 7)]
+
+
+def _span_qa_batch(model, rng):
+    task = SpanQaModel(model)
+    words = ["lorem", "ipsum", "dolor", "sit", "amet"]
+    ctx = lambda n: tuple(words[i] for i in rng.integers(len(words), size=n))
+    return task, [SpanQaExample(("find",), ctx(5), (1, 3)),
+                  SpanQaExample(("find", "it"), ctx(1), None),
+                  SpanQaExample(("where",), ctx(3), (2, 2)),
+                  SpanQaExample(("find", "the", "word"), ctx(7), (0, 6))]
+
+
+def _pair_batch(model, rng):
+    task = PairClassifierModel(model)
+    return task, [PairExample(("alpha", "beta"), ("gamma",), 1),
+                  PairExample(("one",), ("two",), 0),
+                  PairExample(("a", "b", "c", "d"), ("e", "f", "g"), 1)]
+
+
+@pytest.mark.parametrize("make", [_tagger_batch, _span_qa_batch, _pair_batch],
+                         ids=["tagger", "span_qa", "pair"])
+def test_ragged_batch_loss_is_the_mean_of_example_losses(make, rng):
+    """One padded pass gives the mean of the one-example losses, and the
+    same gradients, within 1e-12."""
+    model = DocumentModel(small_config())
+    task, batch = make(model, rng)
+    for t in task.head_tensors():
+        t.data = rng.normal(size=t.shape)
+    tensors = task.head_tensors() + [model.embed.token,
+                                     model.upper.layers[0].wq]
+
+    backward(task.batch_loss(batch))
+    batched = [t.grad.copy() for t in tensors]
+    for t in tensors:
+        t.zero_grad()
+    losses = []
+    for ex in batch:
+        loss = task.batch_loss([ex]) * (1.0 / len(batch))
+        losses.append(loss.item())
+        backward(loss)
+    assert task.batch_loss(batch).item() == pytest.approx(
+        sum(losses), rel=0, abs=1e-12)
+    for got, t in zip(batched, tensors):
+        assert np.allclose(got, t.grad, rtol=0, atol=1e-12)
+
+
 class TestPairClassifier:
     def test_mechanics(self, rng):
         model = DocumentModel(small_config())
         task = PairClassifierModel(model)
         ex = PairExample(("alpha", "beta"), ("alpha", "beta"), 1)
-        assert np.isfinite(task.loss(ex).data).all()
+        assert np.isfinite(task.batch_loss([ex]).data).all()
         assert task.predict(ex) in (0, 1)
         metrics = task.evaluate([ex, PairExample(("x",), ("y",), 0)])
         assert set(metrics) == {"accuracy", "f1"}

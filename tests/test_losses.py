@@ -19,17 +19,18 @@ from hypothesis import strategies as st
 
 from doctrain import tensor as T
 from doctrain.errors import NumericError, ShapeError
-from doctrain.losses import (
-    TRIPLET_MARGIN,
-    hierarchical_loss,
-    hierarchical_loss_rows,
-    triplet_loss,
-)
+from doctrain.losses import TRIPLET_MARGIN, hierarchical_loss_rows, triplet_loss
 from doctrain.tensor import Tensor, backward
 
 
 def vec(values):
     return Tensor(np.asarray(values, dtype=np.float64), requires_grad=True)
+
+
+def one_doc(levels, targets):
+    """Hierarchy loss of one document from its [1, C_j] level logits."""
+    return hierarchical_loss_rows(levels, [np.array([t]) for t in targets],
+                                  num_sets=1)
 
 
 def oracle_triplet(a, p, n):
@@ -142,12 +143,12 @@ class TestTripletLoss:
 
 class TestHierarchicalLoss:
     def test_zero_logits_sum_ln_of_widths(self):
-        logits = [vec(np.zeros(3)), vec(np.zeros(5))]
-        got = hierarchical_loss(logits, [0, 4]).item()
+        logits = [vec(np.zeros((1, 3))), vec(np.zeros((1, 5)))]
+        got = one_doc(logits, [0, 4]).item()
         assert abs(got - (math.log(3) + math.log(5))) < 1e-12
 
     def test_two_logit_example(self):
-        got = hierarchical_loss([vec([10.0, 0.0])], [0]).item()
+        got = one_doc([vec([[10.0, 0.0]])], [0]).item()
         assert abs(got - math.log(1 + math.exp(-10))) < 1e-12
 
     def test_matches_ce_oracle_per_level(self, rng):
@@ -156,23 +157,23 @@ class TestHierarchicalLoss:
             logits = [rng.normal(size=w) * 3 for w in widths]
             targets = [int(rng.integers(0, w)) for w in widths]
             want = sum(oracle_ce(lv, t) for lv, t in zip(logits, targets))
-            got = hierarchical_loss([vec(lv) for lv in logits], targets).item()
+            got = one_doc([vec(lv[None]) for lv in logits], targets).item()
             assert abs(got - want) < 1e-6
 
     def test_level_count_mismatch(self):
         with pytest.raises(ShapeError):
-            hierarchical_loss([vec(np.zeros(3))], [0, 1])
+            one_doc([vec(np.zeros((1, 3)))], [0, 1])
         with pytest.raises(ShapeError):
-            hierarchical_loss([], [])
+            one_doc([], [])
 
     def test_null_class_is_a_valid_target(self):
         # last index stands for "no label at this level"
-        lv = vec([0.0, 0.0, 0.0])
-        assert hierarchical_loss([lv], [2]).item() == pytest.approx(math.log(3))
+        lv = vec([[0.0, 0.0, 0.0]])
+        assert one_doc([lv], [2]).item() == pytest.approx(math.log(3))
 
     def test_gradient_flows_to_logits(self):
-        lv = vec([1.0, -1.0, 0.5])
-        backward(hierarchical_loss([lv], [1]))
+        lv = vec([[1.0, -1.0, 0.5]])
+        backward(one_doc([lv], [1]))
         assert lv.grad is not None and not np.allclose(lv.grad, 0.0)
 
 
@@ -184,9 +185,8 @@ class TestHierarchicalLossRows:
         logit_mats = [rng.normal(size=(num_docs, w)) for w in widths]
         targets = [rng.integers(0, w, size=num_docs) for w in widths]
         want = sum(
-            hierarchical_loss(
-                [vec(mat[i]) for mat in logit_mats],
-                [int(t[i]) for t in targets]).item()
+            one_doc([vec(mat[i:i + 1]) for mat in logit_mats],
+                    [int(t[i]) for t in targets]).item()
             for i in range(num_docs)
         ) / num_sets
         got = hierarchical_loss_rows(
@@ -215,11 +215,11 @@ class TestTotalLoss:
 
     def test_combined_gradient_is_sum_of_parts(self, rng):
         a, p, n = (vec(rng.normal(size=3)) for _ in range(3))
-        lv = vec(rng.normal(size=4))
-        backward(triplet_loss(a, p, n) + hierarchical_loss([lv], [2]))
+        lv = vec(rng.normal(size=(1, 4)))
+        backward(triplet_loss(a, p, n) + one_doc([lv], [2]))
         a2, p2, n2 = (vec(x.data.copy()) for x in (a, p, n))
         backward(triplet_loss(a2, p2, n2))
         assert np.allclose(a.grad, a2.grad)
         lv2 = vec(lv.data.copy())
-        backward(hierarchical_loss([lv2], [2]))
+        backward(one_doc([lv2], [2]))
         assert np.allclose(lv.grad, lv2.grad)

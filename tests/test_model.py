@@ -79,7 +79,7 @@ class TestForwardPaths:
     def test_matrix_shape_validation(self):
         model = DocumentModel(small_config())
         with pytest.raises(ShapeError):
-            model.encode_matrix(np.zeros((3, 5)))
+            model.encode_matrices([np.zeros((3, 5))])
 
     @settings(max_examples=25, deadline=None)
     @given(lengths=st.lists(st.integers(1, 6), min_size=1, max_size=5),
@@ -101,8 +101,8 @@ class TestForwardPaths:
         for t in params.values():
             t.zero_grad()
         for i, m in enumerate(matrices):
-            vec = model.encode_matrix(m)
-            assert np.allclose(batched.data[i], vec.data, rtol=0, atol=1e-12)
+            vec = model.encode_matrices([m])
+            assert np.allclose(batched.data[i], vec.data[0], rtol=0, atol=1e-12)
             backward(T.tsum(vec * probe[i]))
         for k, t in params.items():
             assert np.allclose(batched_grads[k], t.grad, rtol=0,
@@ -114,13 +114,13 @@ class TestForwardPaths:
         out = model.encode_token_batch(seqs).data
         assert out.shape == (3, 4, 16)
         for i, ids in enumerate(seqs):
-            alone = model.forward_tokens(ids).data
+            alone = model.encode_token_batch([ids]).data[0]
             assert np.allclose(out[i, :len(ids)], alone, rtol=0, atol=1e-12)
 
     def test_token_path_shapes(self):
         model = DocumentModel(small_config())
-        out = model.forward_tokens([3, 10, 20])
-        assert out.shape == (3, 16)
+        out = model.encode_token_batch([[3, 10, 20]])
+        assert out.shape == (1, 3, 16)
 
     def test_token_and_sentence_paths_share_the_upper_encoder(self):
         """Moving an upper weight changes both paths' outputs.
@@ -131,16 +131,17 @@ class TestForwardPaths:
         """
         model = DocumentModel(small_config())
         sent = model.encode_document(["Shared weights."]).data.copy()
-        tok = model.forward_tokens([5, 6]).data.copy()
+        tok = model.encode_token_batch([[5, 6]]).data.copy()
         model.upper.layers[0].w1.data[0, :] += 0.5
         assert not np.allclose(model.encode_document(["Shared weights."]).data,
                                sent)
-        assert not np.allclose(model.forward_tokens([5, 6]).data, tok)
+        assert not np.allclose(model.encode_token_batch([[5, 6]]).data, tok)
 
     def test_classify_hierarchy_widths(self):
         model = DocumentModel(small_config(level_sizes=(4, 2)))
-        logits = model.heads.logits(model.encode_document(["Classify me."]))
-        assert [lv.shape for lv in logits] == [(5,), (3,)]
+        vecs = model.encode_matrices([model.embed_sentences(["Classify me."])])
+        logits = model.heads.logits_matrix(vecs)
+        assert [lv.shape for lv in logits] == [(1, 5), (1, 3)]
 
 
 class TestAdapters:
@@ -148,12 +149,12 @@ class TestAdapters:
         model = DocumentModel(small_config())
         base_sent = model.encode_document(["Route check."]).data.copy()
         model.attach_adapter(rank=2, seed=3)
-        for pair_list in model.adapted.adapter._adapters[0].values():
+        for pair_list in model.adapter._adapters[0].values():
             for pair in pair_list:
                 pair.b.data = np.full(pair.b.shape, 0.3)
         assert not np.allclose(model.encode_document(["Route check."]).data,
                                base_sent)
-        model.detach_adapter()
+        model.adapter = None
         assert np.allclose(model.encode_document(["Route check."]).data,
                            base_sent)
 
@@ -174,13 +175,13 @@ class TestPersistence:
         model.upper.layers[0].wq.data = snap32(model.upper.layers[0].wq.data + 0.25)
         model.heads.weights[0].data += 0.125
         sent = model.encode_document(["Persist me.", "Twice."]).data
-        tok = model.forward_tokens([4, 5, 6]).data
+        tok = model.encode_token_batch([[4, 5, 6]]).data
         path = tmp_path / "m.ckpt"
         save_checkpoint(model.to_checkpoint(), path)
         restored = DocumentModel.from_checkpoint(load_checkpoint(path))
         assert np.array_equal(
             restored.encode_document(["Persist me.", "Twice."]).data, sent)
-        assert np.array_equal(restored.forward_tokens([4, 5, 6]).data, tok)
+        assert np.array_equal(restored.encode_token_batch([[4, 5, 6]]).data, tok)
 
     def test_lower_featurizer_travels_via_config_seed(self, tmp_path):
         model = DocumentModel(small_config(seed=21))
@@ -227,3 +228,10 @@ def test_same_seed_models_are_identical():
     for name, t in a.named_params(include_lower=True).items():
         assert np.array_equal(t.data, b.named_params(
             include_lower=True)[name].data), name
+
+
+def test_every_public_name_resolves():
+    import doctrain
+    assert len(set(doctrain.__all__)) == len(doctrain.__all__)
+    for name in doctrain.__all__:
+        assert hasattr(doctrain, name), name

@@ -92,13 +92,6 @@ class TestShapes:
         backward(T.tsum(out * out))
         assert np.allclose(a.grad, 2 * a.data)
 
-    def test_take_row(self):
-        a = t(np.arange(12.0).reshape(4, 3))
-        backward(T.tsum(T.take(a, 2)))
-        want = np.zeros((4, 3))
-        want[2] = 1.0
-        assert np.array_equal(a.grad, want)
-
     def test_stack_and_concat(self):
         xs = [t(np.full(3, float(i))) for i in range(4)]
         backward(T.tsum(T.stack(xs) * 2.0))

@@ -19,7 +19,7 @@ from doctrain.trainer import (DriftRecord, DriftReport, TrainConfig,
                               pretrain, pretrain_mlm, total_step_count,
                               track_drift)
 
-from doctrain.tensor import no_grad
+from doctrain.tensor import Tensor, no_grad
 
 from conftest import make_document, separable_corpus, small_config, triplets_for
 
@@ -318,6 +318,46 @@ class TestPretrainMlm:
         head = result.drift.final_by_group()["mlm_head"]
         assert head.zero_reference is True
 
+    def test_step_gathers_each_sequence_masked_rows(self, monkeypatch, rng):
+        """A ragged step's head gradient equals the one built from the
+        masked rows of per-sequence passes, within 1e-12."""
+        from doctrain.text import MASK_ID, encode_tokens, tokenize
+        docs = [make_document(f"d{n}", "astro", rng, num_sentences=n)
+                for n in (1, 3, 2)]
+        corpus = Corpus(documents=docs, domain_mode="customer_support")
+        model, seen = fresh_model(), {}
+        encode = model.encode_token_batch
+
+        def spy(seqs):
+            seen.setdefault("seqs", [list(q) for q in seqs])
+            return encode(seqs)
+
+        class Recording(trainer.AdamW):
+            def step(self, lr=None):
+                head = next(g for g in self.groups if g.name == "mlm_head")
+                seen.setdefault("grad", head.tensors[0].grad.copy())
+                super().step(lr)
+
+        monkeypatch.setattr(model, "encode_token_batch", spy)
+        monkeypatch.setattr(trainer, "AdamW", Recording)
+        pretrain_mlm(model, corpus, quick_config(batch_size=len(docs)))
+
+        ref = fresh_model()
+        vocab = ref.config.vocab_size
+        originals = {len(ids): ids for ids in (
+            encode_tokens(tokenize(" ".join(d.sentences)), vocab)
+            for d in docs)}
+        assert len(originals) == len(docs)  # lengths identify sequences
+        rows, targets = [], []
+        for masked in seen["seqs"]:
+            pos = [i for i, t in enumerate(masked) if t == MASK_ID]
+            rows.append(ref.encode_token_batch([masked]).data[0][pos])
+            targets.extend(originals[len(masked)][i] for i in pos)
+        w = Tensor(np.zeros((ref.config.d_model, vocab)), requires_grad=True)
+        T.backward(T.cross_entropy_rows(
+            T.matmul(Tensor(np.concatenate(rows)), w), targets, "mean"))
+        assert np.allclose(seen["grad"], w.grad, rtol=0, atol=1e-12)
+
     def test_short_documents_rejected(self):
         from doctrain.corpus import Corpus, Document
         corpus = Corpus([Document(id="a", sentences=("word",))], "derived")
@@ -437,13 +477,13 @@ class TestLoraArm:
                                         "Contract clause appeal."])
         ids = [5, 17, 42, 9]
         with no_grad():
-            live = [model.encode_matrix(matrix).data,
-                    model.forward_tokens(ids).data]
-            got = [reloaded.encode_matrix(matrix).data,
-                   reloaded.forward_tokens(ids).data]
-            model.detach_adapter()
-            base = [model.encode_matrix(matrix).data,
-                    model.forward_tokens(ids).data]
+            live = [model.encode_matrices([matrix]).data,
+                    model.encode_token_batch([ids]).data]
+            got = [reloaded.encode_matrices([matrix]).data,
+                   reloaded.encode_token_batch([ids]).data]
+            model.adapter = None
+            base = [model.encode_matrices([matrix]).data,
+                    model.encode_token_batch([ids]).data]
         for want, have, unadapted in zip(live, got, base):
             assert np.allclose(have, want, rtol=0, atol=1e-7)
             assert np.abs(unadapted - want).max() > 1e-4
