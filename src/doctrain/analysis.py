@@ -14,7 +14,7 @@ from .errors import ConfigError, ContractError, ValidationError
 from .model import DocumentModel
 from .seeding import make_rng
 from .taxonomy import _tfidf_matrix
-from .tensor import Tensor, no_grad
+from .tensor import no_grad
 from .text import encode_tokens, tokenize
 
 log = logging.getLogger(__name__)
@@ -22,11 +22,8 @@ log = logging.getLogger(__name__)
 EMBEDDING_MODES = ("sentence", "token")
 
 
-def _sentence_inputs(model: DocumentModel, sentences: list[str]) -> np.ndarray:
-    return model.embed_sentences(sentences)
-
-
-def _token_inputs(model: DocumentModel, sentences: list[str]) -> np.ndarray:
+def _token_ids(model: DocumentModel, sentences: list[str]) -> list[int]:
+    """A document's token ids, truncated to the model's positions."""
     tokens = tokenize(" ".join(sentences))
     if not tokens:
         raise ContractError("document has no tokens")
@@ -35,8 +32,12 @@ def _token_inputs(model: DocumentModel, sentences: list[str]) -> np.ndarray:
         log.warning("truncating %d tokens to %d positions",
                     len(ids), model.config.max_positions)
         ids = ids[:model.config.max_positions]
+    return ids
+
+
+def _token_inputs(model: DocumentModel, sentences: list[str]) -> np.ndarray:
     with no_grad():
-        rows = model.embed.batch_rows([ids])
+        rows = model.embed.batch_rows([_token_ids(model, sentences)])
     return rows.data[0].copy()
 
 
@@ -61,7 +62,8 @@ def wl_metric(model: DocumentModel, doc_a: list[str], doc_b: list[str],
         raise ConfigError(f"embedding_mode must be one of {EMBEDDING_MODES}")
     if not doc_a or not doc_b:
         raise ContractError("wl_metric needs two non-empty documents")
-    embed = _sentence_inputs if embedding_mode == "sentence" else _token_inputs
+    embed = (DocumentModel.embed_sentences if embedding_mode == "sentence"
+             else _token_inputs)
     a = embed(model, doc_a)
     b = embed(model, doc_b)
     sims = _cosine_rows(a, b)
@@ -92,16 +94,10 @@ def _doc_vectors(model: DocumentModel, docs: list[list[str]]) -> tuple[np.ndarra
     for sentences in docs:
         with no_grad():
             sent_vecs.append(model.encode_document(sentences).data.copy())
-        tokens = tokenize(" ".join(sentences))
-        ids = encode_tokens(tokens, model.config.vocab_size)
-        if len(ids) > model.config.max_positions:
-            log.warning("truncating %d tokens to %d positions",
-                        len(ids), model.config.max_positions)
-            ids = ids[:model.config.max_positions]
         # one document per call: a corpus-wide padded batch would hold a
         # [docs, heads, T, T] attention map per softmax intermediate
         with no_grad():
-            out = model.encode_token_batch([ids])
+            out = model.encode_token_batch([_token_ids(model, sentences)])
         tok_vecs.append(out.data[0].mean(axis=0))
     return np.stack(sent_vecs), np.stack(tok_vecs)
 
@@ -148,8 +144,7 @@ class PcaResult:
     explained_variance: np.ndarray  # [k] fractions of total variance
 
 
-def pca_project(vectors: np.ndarray, k: int = 2, seed: int = 0,
-                iters: int = 500) -> PcaResult:
+def pca_project(vectors: np.ndarray, k: int = 2, seed: int = 0) -> PcaResult:
     """Top-k principal components via seeded power iteration with deflation."""
     x = np.asarray(vectors, dtype=np.float64)
     if x.ndim != 2:
@@ -169,7 +164,7 @@ def pca_project(vectors: np.ndarray, k: int = 2, seed: int = 0,
     for c in range(k):
         v = rng.normal(size=d)
         v /= np.linalg.norm(v)
-        for _ in range(iters):
+        for _ in range(500):
             nxt = work @ v
             norm = np.linalg.norm(nxt)
             if norm < 1e-15:

@@ -516,7 +516,11 @@ def _manifest_path(args: argparse.Namespace) -> str:
 
 
 def _run_subcommand(args: argparse.Namespace):
-    """Run one handler; on failure remove partial outputs before re-raising."""
+    """Run one handler; on failure remove partial outputs before re-raising.
+
+    A replay's outputs are the recorded artifacts it verifies, so a failed
+    replay leaves them in place.
+    """
     _materialize_defaults(args)
     rec = RunRecorder(args.subcommand, _resolved_config(args))
     try:
@@ -530,7 +534,8 @@ def _run_subcommand(args: argparse.Namespace):
                 write_manifest(rec.manifest, manifest_path)
                 log.info("manifest written to %s", manifest_path)
     except BaseException:
-        _cleanup(rec)
+        if args.replay is None:
+            _cleanup(rec)
         raise
     return rec.manifest
 

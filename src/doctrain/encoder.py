@@ -121,14 +121,12 @@ class TransformerLayer:
         return out
 
     def forward(self, x: Tensor, key_bias: np.ndarray | None = None,
-                adapters: dict | None = None, return_attention: bool = False):
+                adapters: dict | None = None) -> Tensor:
         """[B, S, d] -> [B, S, d]; an [S, d] input is the B=1 case.
 
         `key_bias` is an additive [B, S] attention-score bias per key: 0 for
         a valid row, -inf for padding, so no row attends to padded keys.
-        Projections run on the flattened [B*S, d] rows. With
-        `return_attention` the [B, heads, S, S] map comes back too
-        ([heads, S, S] for an [S, d] input).
+        Projections run on the flattened [B*S, d] rows.
         """
         shape = x.shape
         if x.ndim not in (2, 3):
@@ -163,10 +161,7 @@ class TransformerLayer:
         ffn_out = self._adapted(hidden, self.w2, self.b2,
                                 ffn_pairs[1:] if ffn_pairs else None)
         rows = T.layer_norm(rows + ffn_out, self.norm2_g, self.norm2_b)
-        out = rows if x.ndim == 2 else T.reshape(rows, shape)
-        if return_attention:
-            return out, (attn.data[0] if x.ndim == 2 else attn.data)
-        return out
+        return rows if x.ndim == 2 else T.reshape(rows, shape)
 
 
 class UpperEncoder:
@@ -181,18 +176,12 @@ class UpperEncoder:
         ]
 
     def forward(self, x: Tensor, key_bias: np.ndarray | None = None,
-                adapter: "LoraAdapter | None" = None,
-                return_attention: bool = False):
+                adapter: "LoraAdapter | None" = None) -> Tensor:
         """[B, S, d] (or [S, d]) -> same shape; see TransformerLayer.forward."""
-        maps = []
         for i, layer in enumerate(self.layers):
             ad = adapter.layer_adapters(i) if adapter is not None else None
-            if return_attention:
-                x, attn = layer.forward(x, key_bias, ad, return_attention=True)
-                maps.append(attn)
-            else:
-                x = layer.forward(x, key_bias, ad)
-        return (x, maps) if return_attention else x
+            x = layer.forward(x, key_bias, ad)
+        return x
 
     def named_params(self) -> dict[str, Tensor]:
         out: dict[str, Tensor] = {}

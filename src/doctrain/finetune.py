@@ -28,7 +28,6 @@ class FinetuneConfig:
     batch_size: int = 8
     max_examples: int | None = None  # few-shot budget, e.g. 50
     patience: int = 5
-    weight_decay: float = 0.01
     seed: int = 0
 
     def validate(self) -> "FinetuneConfig":
@@ -396,8 +395,7 @@ def finetune(task, train: list, dev: list,
         train = train[:config.max_examples]
 
     groups = _trainable_groups(task.model, task.head_tensors())
-    optimizer = AdamW(groups, lr=config.lr,
-                      weight_decay=config.weight_decay)
+    optimizer = AdamW(groups, lr=config.lr)
     trainable = [t for g in groups if not g.frozen for t in g.tensors]
     rng = make_rng(config.seed, "finetune-shuffle")
 

@@ -12,9 +12,6 @@ from .errors import DataError, ParseError, StorageError
 
 MANIFEST_VERSION = 1
 
-# timings change between identical runs; everything else must not
-VOLATILE_KEYS = ("timings",)
-
 
 def file_digest(path) -> str:
     try:
@@ -44,11 +41,6 @@ class RunManifest:
             "output_digests": self.output_digests,
             "timings": self.timings,
         }
-
-    def core(self) -> dict:
-        """Everything a rerun must reproduce (volatile keys dropped)."""
-        return {k: v for k, v in self.to_dict().items()
-                if k not in VOLATILE_KEYS}
 
 
 def write_manifest(manifest: RunManifest, path) -> None:

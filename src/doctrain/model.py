@@ -120,13 +120,11 @@ class DocumentModel:
 
     # -- parameter bookkeeping -------------------------------------------------
 
-    def named_params(self, include_lower: bool = False) -> dict[str, Tensor]:
+    def named_params(self) -> dict[str, Tensor]:
         out: dict[str, Tensor] = {}
         out.update(self.upper.named_params())
         out.update(self.embed.named_params())
         out.update(self.heads.named_params())
-        if include_lower:
-            out.update(self.lower.named_params())
         return out
 
     def param_groups(self) -> list[ParamGroup]:

@@ -73,9 +73,6 @@ class Tensor:
     def zero_grad(self) -> None:
         self.grad = None
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data.copy())
-
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
@@ -93,23 +90,6 @@ class Tensor:
 
     def __sub__(self, other):
         return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __neg__(self):
-        return mul(self, -1.0)
-
-    def __truediv__(self, other):
-        if isinstance(other, Tensor):
-            return mul(self, power(other, -1.0))
-        return mul(self, 1.0 / float(other))
-
-    def __pow__(self, exponent):
-        return power(self, exponent)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
 
 def as_tensor(value) -> Tensor:
@@ -187,28 +167,6 @@ def mul(a, b) -> Tensor:
     return _make(out, (a, b), bw)
 
 
-def power(a, exponent) -> Tensor:
-    a = as_tensor(a)
-    e = float(exponent)
-    out = a.data**e
-
-    def bw(g):
-        _accum(a, _sum_to(g * e * a.data ** (e - 1.0), a.shape))
-
-    return _make(out, (a,), bw)
-
-
-def sqrt(a) -> Tensor:
-    """Square root; backward is guarded at 0 (subgradient taken as 0-safe)."""
-    a = as_tensor(a)
-    root = np.sqrt(a.data)
-
-    def bw(g):
-        _accum(a, _sum_to(g * 0.5 / np.maximum(root, _EPS_DIV), a.shape))
-
-    return _make(root, (a,), bw)
-
-
 def relu(a) -> Tensor:
     a = as_tensor(a)
     out = np.maximum(a.data, 0.0)
@@ -265,52 +223,7 @@ def transpose(a, axes) -> Tensor:
     return _make(out, (a,), bw)
 
 
-def stack(tensors, axis: int = 0) -> Tensor:
-    parts = [as_tensor(t) for t in tensors]
-    if not parts:
-        raise ShapeError("stack() needs at least one tensor")
-    base = parts[0].shape
-    for p in parts[1:]:
-        if p.shape != base:
-            raise ShapeError(f"stack() shapes differ: {base} vs {p.shape}")
-    out = np.stack([p.data for p in parts], axis=axis)
-
-    def bw(g):
-        slabs = np.split(g, len(parts), axis=axis)
-        for p, slab in zip(parts, slabs):
-            _accum(p, slab.reshape(p.shape))
-
-    return _make(out, tuple(parts), bw)
-
-
-def concat(tensors, axis: int = 0) -> Tensor:
-    parts = [as_tensor(t) for t in tensors]
-    if not parts:
-        raise ShapeError("concat() needs at least one tensor")
-    out = np.concatenate([p.data for p in parts], axis=axis)
-    offsets = np.cumsum([p.shape[axis] for p in parts])[:-1]
-
-    def bw(g):
-        for p, slab in zip(parts, np.split(g, offsets, axis=axis)):
-            _accum(p, slab)
-
-    return _make(out, tuple(parts), bw)
-
-
 # -- reductions -----------------------------------------------------------
-
-
-def tsum(a, axis=None, keepdims: bool = False) -> Tensor:
-    a = as_tensor(a)
-    out = a.data.sum(axis=axis, keepdims=keepdims)
-
-    def bw(g):
-        g = np.asarray(g)
-        if axis is not None and not keepdims:
-            g = np.expand_dims(g, axis)
-        _accum(a, np.broadcast_to(g, a.shape).copy())
-
-    return _make(out, (a,), bw)
 
 
 def tmean(a, axis=None, keepdims: bool = False) -> Tensor:
@@ -420,27 +333,6 @@ def layer_norm(x, gain, bias, eps: float = 1e-5) -> Tensor:
         _accum(bias, g.sum(axis=reduce_axes))
 
     return _make(out, (x, gain, bias), bw)
-
-
-def cross_entropy(logits, target: int) -> Tensor:
-    """Negative log softmax probability of `target` for a 1-D logit vector."""
-    logits = as_tensor(logits)
-    if logits.ndim != 1:
-        raise ShapeError(f"cross_entropy expects 1-D logits, got {logits.shape}")
-    n = logits.shape[0]
-    t = int(target)
-    if not 0 <= t < n:
-        raise IndexError(f"cross_entropy target {t} out of range [0, {n})")
-    m = logits.data.max()
-    lse = m + np.log(np.exp(logits.data - m).sum())
-    out = lse - logits.data[t]
-
-    def bw(g):
-        p = np.exp(logits.data - lse)
-        p[t] -= 1.0
-        _accum(logits, g * p)
-
-    return _make(np.asarray(out), (logits,), bw)
 
 
 def cross_entropy_rows(logits, targets, reduction: str = "mean",

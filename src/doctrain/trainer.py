@@ -1,5 +1,5 @@
-"""Pre-training loops (document objective and the MLM comparison arm) plus
-parameter-drift instrumentation."""
+"""Pre-training: one loop shared by the document objective and the MLM
+comparison arm, plus parameter-drift instrumentation."""
 
 from __future__ import annotations
 
@@ -25,6 +25,7 @@ from .text import MASK_ID, encode_tokens, tokenize
 log = logging.getLogger(__name__)
 
 LOSS_MODES = ("triplet", "hier", "both")
+MLM_MASK_RATE = 0.15
 
 
 @dataclass(frozen=True)
@@ -35,10 +36,6 @@ class TrainConfig:
     max_triplets: int = 4000
     loss: str = "both"
     hier_negative: bool = True
-    betas: tuple[float, float] = (0.9, 0.999)
-    eps: float = 1e-8
-    weight_decay: float = 0.01
-    mlm_mask_rate: float = 0.15
     log_every: int = 10
     lora_rank: int = 0  # 0 trains the base encoder; > 0 trains adapters only
     lora_targets: tuple[str, ...] = ("query", "value")
@@ -51,8 +48,6 @@ class TrainConfig:
             raise ConfigError(f"initial_lr must be >= 0, got {self.initial_lr}")
         if self.loss not in LOSS_MODES:
             raise ConfigError(f"loss must be one of {LOSS_MODES}, got {self.loss!r}")
-        if not 0.0 < self.mlm_mask_rate < 1.0:
-            raise ConfigError(f"mlm_mask_rate must sit in (0, 1)")
         if self.log_every < 1:
             raise ConfigError("log_every must be >= 1")
         if self.lora_rank < 0:
@@ -119,13 +114,41 @@ class PretrainResult:
     total_steps: int
 
 
-def _batches(n: int, batch_size: int) -> list[tuple[int, int]]:
-    return [(lo, min(lo + batch_size, n)) for lo in range(0, n, batch_size)]
-
-
 def total_step_count(n_items: int, batch_size: int, epochs: int) -> int:
     """Partial final batches still train, so steps = epochs * ceil(n/b)."""
     return epochs * math.ceil(n_items / batch_size)
+
+
+def _train(groups: list[ParamGroup], n_items: int, config: TrainConfig,
+           rng: np.random.Generator, step_loss
+           ) -> tuple[list[dict], DriftReport, int]:
+    """The loop both objectives share: AdamW under the linear schedule.
+
+    Each epoch shuffles the `n_items` training items with `rng`, and
+    `step_loss(indices)` returns the scalar loss of one batch of them.
+    """
+    optimizer = AdamW(groups, lr=config.initial_lr)
+    tracker = _DriftTracker(groups)
+    total_steps = total_step_count(n_items, config.batch_size, config.epochs)
+    loss_curve: list[dict] = []
+    step = 0
+    for _ in range(config.epochs):
+        order = rng.permutation(n_items)
+        for lo in range(0, n_items, config.batch_size):
+            loss = step_loss(order[lo:lo + config.batch_size])
+            if not np.isfinite(loss.data).all():
+                raise NumericError(f"non-finite loss at step {step}")
+            backward(loss)
+            lr = linear_lr(config.initial_lr, step, total_steps)
+            optimizer.step(lr)
+            optimizer.zero_grad()
+            loss_curve.append({"step": step, "lr": lr,
+                               "loss": float(loss.item())})
+            step += 1
+            if step % config.log_every == 0 and step < total_steps:
+                tracker.record(step)
+    tracker.record(None)
+    return loss_curve, tracker.report, total_steps
 
 
 def pretrain(model: DocumentModel, corpus: Corpus, triplets: list[Triplet],
@@ -180,13 +203,6 @@ def pretrain(model: DocumentModel, corpus: Corpus, triplets: list[Triplet],
             if g.name != "heads":
                 g.frozen = True  # adapters replace base-weight training
         groups.append(ParamGroup("lora", adapter.trainable_tensors()))
-    optimizer = AdamW(groups, lr=config.initial_lr, betas=config.betas,
-                      eps=config.eps, weight_decay=config.weight_decay)
-    tracker = _DriftTracker(groups)
-    rng = make_rng(config.seed, "pretrain-shuffle")
-
-    total_steps = total_step_count(len(triplets), config.batch_size,
-                                   config.epochs)
     depth = model.heads.depth
     hier_members = ["anchor_id", "positive_id"]
     if config.hier_negative:
@@ -194,52 +210,42 @@ def pretrain(model: DocumentModel, corpus: Corpus, triplets: list[Triplet],
     # encode only the documents an active loss reads
     encoded = (["anchor_id", "positive_id", "negative_id"] if use_triplet
                else hier_members)
-    loss_curve: list[dict] = []
-    step = 0
-    for _ in range(config.epochs):
-        order = rng.permutation(len(triplets))
-        for lo, hi in _batches(len(triplets), config.batch_size):
-            batch = [triplets[i] for i in order[lo:hi]]
-            # one upper-encoder pass over the step's distinct documents; a
-            # document may fill several slots, so rows are gathered with
-            # T.embedding, whose backward adds repeated indices up
-            slot: dict[str, int] = {}
-            for t in batch:
-                for m in encoded:
-                    slot.setdefault(getattr(t, m), len(slot))
-            vecs = model.encode_matrices([matrices[d] for d in slot])
 
-            def rows(members) -> Tensor:
-                return T.embedding(vecs, [slot[getattr(t, m)]
-                                          for t in batch for m in members])
+    def step_loss(indices) -> Tensor:
+        batch = [triplets[i] for i in indices]
+        # one upper-encoder pass over the step's distinct documents; a
+        # document may fill several slots, so rows are gathered with
+        # T.embedding, whose backward adds repeated indices up
+        slot: dict[str, int] = {}
+        for t in batch:
+            for m in encoded:
+                slot.setdefault(getattr(t, m), len(slot))
+        vecs = model.encode_matrices([matrices[d] for d in slot])
 
-            loss = None
-            if use_triplet:
-                loss = triplet_loss(rows(["anchor_id"]), rows(["positive_id"]),
-                                    rows(["negative_id"]))
-            if use_hier:
-                logits_per_level = model.heads.logits_matrix(rows(hier_members))
-                targets_per_level = [
-                    np.array([labels[getattr(t, m)].indices[lv]
-                              for t in batch for m in hier_members])
-                    for lv in range(depth)
-                ]
-                hier = hierarchical_loss_rows(logits_per_level,
-                                              targets_per_level,
-                                              num_sets=len(batch))
-                loss = hier if loss is None else loss + hier
-            if not np.isfinite(loss.data).all():
-                raise NumericError(f"non-finite loss at step {step}")
-            backward(loss)
-            lr = linear_lr(config.initial_lr, step, total_steps)
-            optimizer.step(lr)
-            optimizer.zero_grad()
-            loss_curve.append({"step": step, "lr": lr,
-                               "loss": float(loss.item())})
-            step += 1
-            if step % config.log_every == 0 and step < total_steps:
-                tracker.record(step)
-    tracker.record(None)
+        def rows(members) -> Tensor:
+            return T.embedding(vecs, [slot[getattr(t, m)]
+                                      for t in batch for m in members])
+
+        loss = None
+        if use_triplet:
+            loss = triplet_loss(rows(["anchor_id"]), rows(["positive_id"]),
+                                rows(["negative_id"]))
+        if use_hier:
+            logits_per_level = model.heads.logits_matrix(rows(hier_members))
+            targets_per_level = [
+                np.array([labels[getattr(t, m)].indices[lv]
+                          for t in batch for m in hier_members])
+                for lv in range(depth)
+            ]
+            hier = hierarchical_loss_rows(logits_per_level,
+                                          targets_per_level,
+                                          num_sets=len(batch))
+            loss = hier if loss is None else loss + hier
+        return loss
+
+    loss_curve, drift, total_steps = _train(
+        groups, len(triplets), config,
+        make_rng(config.seed, "pretrain-shuffle"), step_loss)
 
     ckpt = model.to_checkpoint(extra_meta={
         "objective": "doc",
@@ -249,7 +255,7 @@ def pretrain(model: DocumentModel, corpus: Corpus, triplets: list[Triplet],
                   "lora_rank": config.lora_rank,
                   "lora_targets": list(config.lora_targets)},
     })
-    return PretrainResult(ckpt, tracker.report, loss_curve, total_steps)
+    return PretrainResult(ckpt, drift, loss_curve, total_steps)
 
 
 def pretrain_mlm(model: DocumentModel, corpus: Corpus,
@@ -282,52 +288,36 @@ def pretrain_mlm(model: DocumentModel, corpus: Corpus,
         if g.name.startswith("embed.") or g.name == "heads":
             g.frozen = True
     groups.append(ParamGroup("mlm_head", [mlm_head_w, mlm_head_b]))
-    optimizer = AdamW(groups, lr=config.initial_lr, betas=config.betas,
-                      eps=config.eps, weight_decay=config.weight_decay)
-    tracker = _DriftTracker(groups)
     rng = make_rng(config.seed, "pretrain-mlm")
 
-    total_steps = total_step_count(len(sequences), config.batch_size,
-                                   config.epochs)
-    loss_curve: list[dict] = []
-    step = 0
-    for _ in range(config.epochs):
-        order = rng.permutation(len(sequences))
-        for lo, hi in _batches(len(sequences), config.batch_size):
-            seqs = []
-            mask_rows = []
-            target_rows = []
-            for i in order[lo:hi]:
-                ids = sequences[i]
-                n_mask = max(1, int(round(config.mlm_mask_rate * len(ids))))
-                mask_pos = np.sort(rng.choice(len(ids), size=n_mask,
-                                              replace=False))
-                masked = list(ids)
-                for pos in mask_pos:
-                    masked[pos] = MASK_ID
-                seqs.append(masked)
-                mask_rows.append(mask_pos)
-                target_rows.append(np.array(ids)[mask_pos])
-            # one padded pass; masked rows are gathered from the flat outputs
-            out = model.encode_token_batch(seqs)
-            b, s, d = out.shape
-            picked = T.embedding(T.reshape(out, (b * s, d)), np.concatenate(
-                [k * s + pos for k, pos in enumerate(mask_rows)]))
-            logits = T.matmul(picked, mlm_head_w) + mlm_head_b
-            targets = np.concatenate(target_rows)
-            loss = T.cross_entropy_rows(logits, targets, reduction="mean")
-            if not np.isfinite(loss.data).all():
-                raise NumericError(f"non-finite loss at step {step}")
-            backward(loss)
-            lr = linear_lr(config.initial_lr, step, total_steps)
-            optimizer.step(lr)
-            optimizer.zero_grad()
-            loss_curve.append({"step": step, "lr": lr,
-                               "loss": float(loss.item())})
-            step += 1
-            if step % config.log_every == 0 and step < total_steps:
-                tracker.record(step)
-    tracker.record(None)
+    def step_loss(indices) -> Tensor:
+        seqs = []
+        mask_rows = []
+        target_rows = []
+        for i in indices:
+            ids = sequences[i]
+            n_mask = max(1, int(round(MLM_MASK_RATE * len(ids))))
+            # masks share the shuffling generator, so each epoch's draws
+            # follow its permutation
+            mask_pos = np.sort(rng.choice(len(ids), size=n_mask,
+                                          replace=False))
+            masked = list(ids)
+            for pos in mask_pos:
+                masked[pos] = MASK_ID
+            seqs.append(masked)
+            mask_rows.append(mask_pos)
+            target_rows.append(np.array(ids)[mask_pos])
+        # one padded pass; masked rows are gathered from the flat outputs
+        out = model.encode_token_batch(seqs)
+        b, s, d = out.shape
+        picked = T.embedding(T.reshape(out, (b * s, d)), np.concatenate(
+            [k * s + pos for k, pos in enumerate(mask_rows)]))
+        logits = T.matmul(picked, mlm_head_w) + mlm_head_b
+        return T.cross_entropy_rows(logits, np.concatenate(target_rows),
+                                    reduction="mean")
+
+    loss_curve, drift, total_steps = _train(groups, len(sequences), config,
+                                            rng, step_loss)
 
     ckpt = model.to_checkpoint(extra_meta={
         "objective": "mlm",
@@ -335,7 +325,7 @@ def pretrain_mlm(model: DocumentModel, corpus: Corpus,
                   "initial_lr": config.initial_lr, "epochs": config.epochs,
                   "seed": config.seed, "total_steps": total_steps},
     })
-    return PretrainResult(ckpt, tracker.report, loss_curve, total_steps)
+    return PretrainResult(ckpt, drift, loss_curve, total_steps)
 
 
 def track_drift(before: Checkpoint, after: Checkpoint) -> DriftReport:

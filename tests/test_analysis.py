@@ -60,7 +60,7 @@ class TestWlMetric:
                       [0, 0, 1.0, 0], [1.0, 0, 0, 0]])
         doc_a, doc_b = ["x"] * 3, ["y"] * 4
         monkeypatch.setattr(
-            analysis, "_sentence_inputs",
+            DocumentModel, "embed_sentences",
             lambda _model, sents: a if sents is doc_a else b)
         assert wl_metric(model, doc_a, doc_b) == pytest.approx(1 + 1 / 3)
 
@@ -71,7 +71,7 @@ class TestWlMetric:
         b = np.array([[1.0, 0], [0, 1.0], [1.0, 0]])
         doc_a, doc_b = ["x"] * 2, ["y"] * 3
         monkeypatch.setattr(
-            analysis, "_sentence_inputs",
+            DocumentModel, "embed_sentences",
             lambda _model, sents: a if sents is doc_a else b)
         assert wl_metric(model, doc_a, doc_b) == pytest.approx(1 + 1.0)
 

@@ -12,6 +12,7 @@ import os
 import numpy as np
 import pytest
 
+from doctrain import cli
 from doctrain.checkpoint import load_checkpoint, save_checkpoint
 from doctrain.cli import _resolved_config, build_parser, main
 from doctrain.encoder import ModelConfig
@@ -238,6 +239,27 @@ class TestReplay:
         assert "replay changed outputs" in capsys.readouterr().err
         assert manifest.read_bytes() == tampered
         assert main(["--replay", str(manifest)]) == 3
+
+    def test_interrupted_replay_keeps_the_recorded_outputs(self, tmp_path,
+                                                           monkeypatch):
+        out = tmp_path / "tri.jsonl"
+        assert main(["mine", "--corpus", CORPUS, "--out", str(out),
+                     "--mode", "customer_support", "--count", "4",
+                     "--seed", "2"]) == 0
+        manifest = tmp_path / "tri.jsonl.manifest.json"
+        recorded = out.read_bytes(), manifest.read_bytes()
+        real_save = cli.save_triplets
+
+        def save_then_interrupt(*args, **kwargs):
+            real_save(*args, **kwargs)
+            raise KeyboardInterrupt
+
+        with monkeypatch.context() as patch:
+            patch.setattr(cli, "save_triplets", save_then_interrupt)
+            with pytest.raises(KeyboardInterrupt):
+                main(["--replay", str(manifest)])
+        assert (out.read_bytes(), manifest.read_bytes()) == recorded
+        assert main(["--replay", str(manifest)]) == 0
 
     def test_replay_refuses_changed_inputs_before_running(self, tmp_path,
                                                          capsys):

@@ -1,6 +1,9 @@
 """Pre-training loop behavior: freeze contracts, schedules, drift, arms."""
 
+import hashlib
+import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -8,10 +11,11 @@ import pytest
 from doctrain import tensor as T
 from doctrain import trainer
 from doctrain.checkpoint import checkpoint_bytes
-from doctrain.corpus import Corpus
-from doctrain.encoder import UpperEncoder
+from doctrain.corpus import Corpus, load_corpus
+from doctrain.encoder import ModelConfig, UpperEncoder
 from doctrain.errors import ConfigError, ValidationError
 from doctrain.losses import hierarchical_loss_rows, triplet_loss
+from doctrain.mining import mine_triplets_metadata
 from doctrain.model import DocumentModel
 from doctrain.optim import linear_lr
 from doctrain.taxonomy import Taxonomy, pad_hierarchy
@@ -73,7 +77,7 @@ class TestTrainConfig:
     @pytest.mark.parametrize("overrides", [
         dict(batch_size=0), dict(epochs=0), dict(max_triplets=0),
         dict(initial_lr=-1.0), dict(loss="contrastive"),
-        dict(mlm_mask_rate=0.0), dict(mlm_mask_rate=1.0),
+        dict(loss="mlm"), dict(batch_size=-1),
         dict(log_every=0), dict(lora_rank=-1),
     ])
     def test_invalid(self, overrides):
@@ -190,17 +194,23 @@ class TestPretrain:
         pretrain(model, corpus, triplets, labels,
                  quick_config(batch_size=len(triplets)))
 
+        # reference: each document encoded alone as a [1, d] row; the batched
+        # losses are sums over triplets and documents scaled by 1/B
         ref = model_with_heads()
-        vec = lambda doc_id: ref.encode_document(
-            list(corpus.get(doc_id).sentences))
+        vec = lambda doc_id: ref.encode_matrices(
+            [ref.embed_sentences(list(corpus.get(doc_id).sentences))])
         members = ("anchor_id", "positive_id", "negative_id")
-        a, p, n = (T.stack([vec(getattr(t, m)) for t in triplets])
-                   for m in members)
-        rows = T.stack([vec(getattr(t, m)) for t in triplets for m in members])
-        targets = [np.array([labels[getattr(t, m)].indices[0]
-                             for t in triplets for m in members])]
-        loss = triplet_loss(a, p, n) + hierarchical_loss_rows(
-            ref.heads.logits_matrix(rows), targets, num_sets=len(triplets))
+        loss = None
+        for t in triplets:
+            a, p, n = (vec(getattr(t, m)) for m in members)
+            parts = [triplet_loss(a, p, n)]
+            for v, m in zip((a, p, n), members):
+                target = np.array([labels[getattr(t, m)].indices[0]])
+                parts.append(hierarchical_loss_rows(
+                    ref.heads.logits_matrix(v), [target], num_sets=1))
+            for part in parts:
+                loss = part if loss is None else loss + part
+        loss = loss * (1.0 / len(triplets))
         T.backward(loss)
         assert loss.item() == pytest.approx(grads["loss"], rel=0, abs=1e-12)
         for k, t in ref.upper.named_params().items():
@@ -493,3 +503,66 @@ class TestLoraArm:
         base_names = set(DocumentModel(model.config).named_params())
         assert set(result.checkpoint.tensors) == base_names
         assert result.checkpoint.meta["train"]["lora_rank"] == 2
+
+
+FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
+
+
+def _digest(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def _pinned_model(**overrides):
+    return DocumentModel(ModelConfig(d_model=16, num_layers=1, num_heads=2,
+                                     ffn_dim=32, vocab_size=512,
+                                     lower_layers=1, seed=0, **overrides))
+
+
+class TestPinnedLoops:
+    """Both pre-training loops, bit for bit.
+
+    MLM and LoRA pre-training run in no benchmark workload, so these runs pin
+    every loss-curve row, every drift row and the checkpoint bytes of a fixed
+    fixture run. A change that moves these numbers on purpose updates them
+    here and says so in CHANGES.md.
+    """
+
+    CONFIG = dict(batch_size=4, epochs=2, log_every=1, initial_lr=1e-3,
+                  seed=0)
+
+    def check(self, result, steps, last_loss, rows_digest, ckpt_digest):
+        assert result.total_steps == len(result.loss_curve) == steps
+        assert result.loss_curve[-1]["loss"] == last_loss
+        rows = json.dumps([result.loss_curve, result.drift.rows()],
+                          sort_keys=True)
+        assert _digest(rows.encode()) == rows_digest
+        assert _digest(checkpoint_bytes(result.checkpoint)) == ckpt_digest
+
+    @pytest.mark.parametrize("lora_rank, last_loss, rows_digest, ckpt_digest", [
+        (0, 10.40317772047548,
+         "6eea90134087b717691ac85deb246da726811c35acddd1513ec4f2653715a984",
+         "e0684753527dfa0a95ec7e918da2af7accc58bf37794f4b82762afce253f4e16"),
+        (2, 10.411547940001684,
+         "a9d937f88554ce5da23c88b76ff66f8a1ec1bdfa3a8fc03ff74ca01a4826124d",
+         "f92c175609e9add1d206379dee4f39c033a0c8b9256b863a93b9a92b92d16dfb"),
+    ], ids=["base", "lora"])
+    def test_doc_objective(self, lora_rank, last_loss, rows_digest,
+                           ckpt_digest):
+        corpus = load_corpus(os.path.join(FIXTURES, "sample_corpus.jsonl"),
+                             "customer_support")
+        tax = Taxonomy.load(os.path.join(FIXTURES, "support_taxonomy.txt"))
+        labels = {d.id: pad_hierarchy(d.hierarchy_path, tax) for d in corpus}
+        result = pretrain(_pinned_model(level_sizes=tax.level_sizes), corpus,
+                          mine_triplets_metadata(corpus, 12, seed=0), labels,
+                          TrainConfig(lora_rank=lora_rank, **self.CONFIG))
+        self.check(result, 6, last_loss, rows_digest, ckpt_digest)
+
+    def test_mlm_arm(self):
+        corpus = load_corpus(os.path.join(FIXTURES, "sample_corpus.jsonl"),
+                             "derived")
+        result = pretrain_mlm(_pinned_model(max_positions=64), corpus,
+                              TrainConfig(**self.CONFIG))
+        self.check(
+            result, 14, 6.1129033886645106,
+            "ca78ee4a4dc7aa4866e57bbfafb3c36ef3a716b02f9af9c3b4154c42479eb133",
+            "5f643c223e9685e7d6887ed37347473fdb894a8f909ed01cf8474dbab5c77053")
