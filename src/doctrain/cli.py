@@ -22,7 +22,7 @@ from .finetune import (FinetuneConfig, finetune_pair_classification,
                        finetune_span_qa, finetune_token_classification,
                        load_pairs, load_span_qa, load_token_class)
 from .manifest import (RunRecorder, argv_from_manifest, file_digest,
-                       load_manifest, verify_replay, write_manifest)
+                       load_manifest, verify_replay)
 from .mining import load_triplets, mine_triplets_metadata, mine_triplets_rouge, save_triplets
 from .model import DocumentModel
 from .taxonomy import (Taxonomy, WordVectors, derive_taxonomy,
@@ -239,8 +239,7 @@ def cmd_mine(args: argparse.Namespace, rec: RunRecorder) -> None:
             neg_threshold=args.neg_threshold,
             truncate_tokens=args.truncate_tokens)
     rec.phase("mine")
-    rec.add_output(args.out)
-    save_triplets(triplets, args.out)
+    save_triplets(triplets, rec.add_output(args.out))
     rec.phase("write")
     log.info("wrote %d triplets to %s", len(triplets), args.out)
 
@@ -252,10 +251,8 @@ def cmd_derive_taxonomy(args: argparse.Namespace, rec: RunRecorder) -> None:
     taxonomy, doc_paths = derive_taxonomy(
         corpus, levels=args.levels, branching=args.branching, seed=args.seed)
     rec.phase("derive")
-    rec.add_output(args.out)
-    taxonomy.save(args.out)
-    rec.add_output(args.assignments)
-    _write_jsonl(args.assignments,
+    taxonomy.save(rec.add_output(args.out))
+    _write_jsonl(rec.add_output(args.assignments),
                  [{"id": doc_id, "path": list(doc_paths[doc_id])}
                   for doc_id in sorted(doc_paths)])
     rec.phase("write")
@@ -349,14 +346,11 @@ def cmd_pretrain(args: argparse.Namespace, rec: RunRecorder) -> None:
         result = pretrain(model, corpus, triplets, labels, train_config)
     rec.phase("train")
 
-    rec.add_output(args.out)
-    save_checkpoint(result.checkpoint, args.out)
-    losses_path = args.out + ".losses.jsonl"
-    rec.add_output(losses_path)
-    _write_jsonl(losses_path, result.loss_curve)
-    drift_path = args.out + ".drift.jsonl"
-    rec.add_output(drift_path)
-    _write_jsonl(drift_path, result.drift.rows())
+    save_checkpoint(result.checkpoint, rec.add_output(args.out))
+    _write_jsonl(rec.add_output(args.out + ".losses.jsonl"),
+                 result.loss_curve)
+    _write_jsonl(rec.add_output(args.out + ".drift.jsonl"),
+                 result.drift.rows())
     rec.phase("write")
     log.info("trained %d steps; final loss %.6f", result.total_steps,
              result.loss_curve[-1]["loss"])
@@ -389,8 +383,7 @@ def cmd_finetune(args: argparse.Namespace, rec: RunRecorder) -> None:
         task, result = finetune_pair_classification(model, train, dev, config)
     rec.phase("train")
 
-    rec.add_output(args.metrics_out)
-    _write_json(args.metrics_out, {
+    _write_json(rec.add_output(args.metrics_out), {
         "task": args.task,
         "metrics": result.metrics,
         "history": result.history,
@@ -402,8 +395,7 @@ def cmd_finetune(args: argparse.Namespace, rec: RunRecorder) -> None:
         ckpt = model.to_checkpoint(extra_meta={"finetuned_task": args.task})
         for i, t in enumerate(task.head_tensors()):
             ckpt.tensors[f"task_head.{i}"] = t.data.astype("<f4")
-        rec.add_output(args.out)
-        save_checkpoint(ckpt, args.out)
+        save_checkpoint(ckpt, rec.add_output(args.out))
     rec.phase("write")
     log.info("fine-tuned %s: %s", args.task, result.metrics)
 
@@ -443,8 +435,7 @@ def cmd_analyze(args: argparse.Namespace, rec: RunRecorder) -> None:
             vecs = np.stack([model.encode_document(list(d.sentences)).data
                              for d in corpus])
         res = pca_project(vecs, k=args.components, seed=args.seed)
-        rec.add_output(args.csv_out)
-        with open(args.csv_out, "w", encoding="utf-8") as fh:
+        with open(rec.add_output(args.csv_out), "w", encoding="utf-8") as fh:
             fh.write("id," + ",".join(f"c{i}" for i in range(args.components))
                      + "\n")
             for doc_id, row in zip(ids, res.coordinates):
@@ -469,8 +460,7 @@ def cmd_analyze(args: argparse.Namespace, rec: RunRecorder) -> None:
                   "histogram": [int(v) for v in rep.histogram]}
     rec.phase("analyze")
 
-    rec.add_output(args.out)
-    _write_json(args.out, report)
+    _write_json(rec.add_output(args.out), report)
     rec.phase("write")
 
 
@@ -492,14 +482,6 @@ def cmd_inspect(args: argparse.Namespace, rec: RunRecorder) -> None:
                      indent=2, sort_keys=True))
 
 
-def _cleanup(rec: RunRecorder) -> None:
-    for path in rec.created:
-        try:
-            os.remove(path)
-        except OSError:
-            pass
-
-
 def _materialize_defaults(args: argparse.Namespace) -> None:
     """Resolve defaults that depend on other flags, so the manifest records
     concrete values."""
@@ -516,10 +498,10 @@ def _manifest_path(args: argparse.Namespace) -> str:
 
 
 def _run_subcommand(args: argparse.Namespace):
-    """Run one handler; on failure remove partial outputs before re-raising.
+    """Run one handler, then commit its staged outputs and manifest.
 
-    A replay's outputs are the recorded artifacts it verifies, so a failed
-    replay leaves them in place.
+    A replay never commits: its rerun is only digested, so the recorded
+    outputs and manifest it is checked against stay as they were.
     """
     _materialize_defaults(args)
     rec = RunRecorder(args.subcommand, _resolved_config(args))
@@ -527,16 +509,12 @@ def _run_subcommand(args: argparse.Namespace):
         args.func(args, rec)
         if args.subcommand != "inspect-checkpoint":
             rec.finish()
-            # a replay is checked against the manifest it reran, which must
-            # stay as recorded
             if args.replay is None:
                 manifest_path = _manifest_path(args)
-                write_manifest(rec.manifest, manifest_path)
+                rec.commit(manifest_path)
                 log.info("manifest written to %s", manifest_path)
-    except BaseException:
-        if args.replay is None:
-            _cleanup(rec)
-        raise
+    finally:
+        rec.discard()
     return rec.manifest
 
 
@@ -553,8 +531,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if args.replay is not None:
             recorded = load_manifest(args.replay)
-            # a changed input would make the rerun overwrite the recorded
-            # outputs with different ones, so check inputs before running
+            # name a changed input before paying for a rerun whose outputs
+            # would only show up as changed
             changed = sorted(path for path, digest in recorded.inputs.items()
                              if file_digest(path) != digest)
             if changed:

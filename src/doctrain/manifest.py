@@ -5,12 +5,17 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import time
 from dataclasses import dataclass, field
 
 from .errors import DataError, ParseError, StorageError
 
 MANIFEST_VERSION = 1
+# the JSON type of each manifest field that load_manifest converts
+_FIELD_KINDS = {"subcommand": str, "config": dict, "inputs": dict,
+                "outputs": list, "output_digests": dict, "timings": dict,
+                "version": int}
 
 
 def file_digest(path) -> str:
@@ -57,9 +62,15 @@ def load_manifest(path) -> RunManifest:
         raise StorageError(f"cannot read manifest {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ParseError(f"manifest {path} is not valid JSON: {exc}") from exc
+    if not isinstance(raw, dict):
+        raise ParseError(f"manifest {path} is not a JSON object")
     missing = [k for k in ("subcommand", "config") if k not in raw]
     if missing:
         raise ParseError(f"manifest {path} lacks fields {missing}")
+    malformed = [k for k, kind in _FIELD_KINDS.items()
+                 if not isinstance(raw.get(k, kind()), kind)]
+    if malformed:
+        raise ParseError(f"manifest {path} has malformed fields {malformed}")
     return RunManifest(
         subcommand=raw["subcommand"],
         config=dict(raw["config"]),
@@ -107,22 +118,34 @@ def verify_replay(recorded: RunManifest, fresh: RunManifest) -> None:
 
 
 class RunRecorder:
-    """Collects inputs, outputs and phase timings while a subcommand runs."""
+    """Collects inputs, outputs and phase timings while a subcommand runs.
+
+    Outputs are written to staging files beside their final paths; only
+    `commit` moves them into place, so a failed run or a replay, which never
+    commits, leaves every final path as it was.
+    """
 
     def __init__(self, subcommand: str, config: dict):
         self.manifest = RunManifest(subcommand=subcommand, config=config)
         self._t0 = time.monotonic()
         self._phase_start = self._t0
-        self.created: list[str] = []  # files written so far, for cleanup
+        self._staged: list[str] = []
 
     def add_input(self, path) -> None:
         self.manifest.inputs[str(path)] = file_digest(path)
 
-    def add_output(self, path) -> None:
+    def _stage(self, path: str) -> str:
+        staged = path + ".partial"  # fixed, so the next run overwrites it
+        if staged not in self._staged:
+            self._staged.append(staged)
+        return staged
+
+    def add_output(self, path) -> str:
+        """Record `path` as an output; returns the path to write it to."""
         p = str(path)
         if p not in self.manifest.outputs:
             self.manifest.outputs.append(p)
-            self.created.append(p)
+        return self._stage(p)
 
     def phase(self, name: str) -> None:
         now = time.monotonic()
@@ -131,7 +154,23 @@ class RunRecorder:
 
     def finish(self) -> RunManifest:
         for p in self.manifest.outputs:
-            self.manifest.output_digests[p] = file_digest(p)
+            self.manifest.output_digests[p] = file_digest(self._stage(p))
         self.manifest.timings["wall_total"] = round(
             time.monotonic() - self._t0, 6)
         return self.manifest
+
+    def commit(self, manifest_path) -> None:
+        """Move the staged outputs into place, then the manifest last."""
+        for p in self.manifest.outputs:
+            os.replace(self._stage(p), p)
+        staged = self._stage(str(manifest_path))
+        write_manifest(self.manifest, staged)
+        os.replace(staged, manifest_path)
+
+    def discard(self) -> None:
+        """Remove every staged file that `commit` did not move into place."""
+        for staged in self._staged:
+            try:
+                os.remove(staged)
+            except OSError:
+                pass

@@ -9,6 +9,10 @@ import numpy as np
 from .errors import ConfigError, ContractError
 from .tensor import Tensor
 
+BETA1, BETA2 = 0.9, 0.999
+EPS = 1e-8
+WEIGHT_DECAY = 0.01
+
 
 def snap32(arr: np.ndarray) -> np.ndarray:
     """Round float64 values onto the float32-representable grid.
@@ -58,28 +62,14 @@ class AdamW:
     when `step` is called; a missing gradient is a contract violation.
     """
 
-    def __init__(
-        self,
-        groups: list[ParamGroup],
-        lr: float = 5e-5,
-        betas: tuple[float, float] = (0.9, 0.999),
-        eps: float = 1e-8,
-        weight_decay: float = 0.01,
-    ):
+    def __init__(self, groups: list[ParamGroup], lr: float = 5e-5):
         if lr < 0:
             raise ConfigError(f"lr must be non-negative, got {lr}")
-        if not (0.0 <= betas[0] < 1.0 and 0.0 <= betas[1] < 1.0):
-            raise ConfigError(f"betas must sit in [0, 1), got {betas}")
-        if eps <= 0:
-            raise ConfigError(f"eps must be positive, got {eps}")
         names = [g.name for g in groups]
         if len(set(names)) != len(names):
             raise ConfigError(f"duplicate group names: {names}")
         self.groups = groups
         self.lr = lr
-        self.beta1, self.beta2 = betas
-        self.eps = eps
-        self.weight_decay = weight_decay
         self.step_count = 0
         self._slots: dict[int, _Slot] = {}
 
@@ -92,8 +82,8 @@ class AdamW:
         lr = self.lr if lr is None else lr
         self.step_count += 1
         t = self.step_count
-        bias1 = 1.0 - self.beta1**t
-        bias2 = 1.0 - self.beta2**t
+        bias1 = 1.0 - BETA1**t
+        bias2 = 1.0 - BETA2**t
         for group in self.groups:
             if group.frozen:
                 continue
@@ -107,11 +97,10 @@ class AdamW:
                     slot = _Slot(np.zeros_like(p.data), np.zeros_like(p.data))
                     self._slots[id(p)] = slot
                 g = p.grad
-                slot.m = self.beta1 * slot.m + (1.0 - self.beta1) * g
-                slot.v = self.beta2 * slot.v + (1.0 - self.beta2) * (g * g)
+                slot.m = BETA1 * slot.m + (1.0 - BETA1) * g
+                slot.v = BETA2 * slot.v + (1.0 - BETA2) * (g * g)
                 m_hat = slot.m / bias1
                 v_hat = slot.v / bias2
-                if self.weight_decay:
-                    p.data *= 1.0 - lr * self.weight_decay
-                p.data -= lr * m_hat / (np.sqrt(v_hat) + self.eps)
+                p.data *= 1.0 - lr * WEIGHT_DECAY
+                p.data -= lr * m_hat / (np.sqrt(v_hat) + EPS)
                 p.data = snap32(p.data)

@@ -18,6 +18,7 @@ _GRAD_ENABLED = [True]
 
 # guard used wherever a backward rule would divide by a vanishing quantity
 _EPS_DIV = 1e-12
+LAYER_NORM_EPS = 1e-5
 
 
 class no_grad:
@@ -226,19 +227,13 @@ def transpose(a, axes) -> Tensor:
 # -- reductions -----------------------------------------------------------
 
 
-def tmean(a, axis=None, keepdims: bool = False) -> Tensor:
+def tmean(a) -> Tensor:
+    """Mean over every element."""
     a = as_tensor(a)
-    out = a.data.mean(axis=axis, keepdims=keepdims)
-    if axis is None:
-        count = a.data.size
-    else:
-        count = a.data.shape[axis]
+    out = a.data.mean()
 
     def bw(g):
-        g = np.asarray(g)
-        if axis is not None and not keepdims:
-            g = np.expand_dims(g, axis)
-        _accum(a, np.broadcast_to(g, a.shape) / count)
+        _accum(a, np.broadcast_to(g, a.shape) / a.data.size)
 
     return _make(out, (a,), bw)
 
@@ -307,7 +302,7 @@ def softmax(a, axis: int = -1) -> Tensor:
     return _make(out, (a,), bw)
 
 
-def layer_norm(x, gain, bias, eps: float = 1e-5) -> Tensor:
+def layer_norm(x, gain, bias) -> Tensor:
     """Normalize the last axis to zero mean / unit variance, then affine."""
     x, gain, bias = as_tensor(x), as_tensor(gain), as_tensor(bias)
     d = x.data.shape[-1]
@@ -315,11 +310,9 @@ def layer_norm(x, gain, bias, eps: float = 1e-5) -> Tensor:
         raise ShapeError(
             f"layer_norm affine shapes {gain.shape}/{bias.shape} do not match width {d}"
         )
-    if eps <= 0.0:
-        raise ShapeError("layer_norm eps must be positive")
     mu = x.data.mean(axis=-1, keepdims=True)
     var = x.data.var(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + LAYER_NORM_EPS)
     xhat = (x.data - mu) * inv
     out = xhat * gain.data + bias.data
 

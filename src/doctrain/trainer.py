@@ -82,6 +82,18 @@ class DriftReport:
         ]
 
 
+def _drift_record(step: int | None, group: str, pairs) -> DriftRecord:
+    """Relative L1 change of one group from its `(now, reference)` arrays,
+    summed in the order given; an all-zero reference reads 0."""
+    num = den = 0.0
+    for now, ref in pairs:
+        num += float(np.abs(now - ref).sum())
+        den += float(np.abs(ref).sum())
+    if den == 0.0:
+        return DriftRecord(step, group, 0.0, zero_reference=True)
+    return DriftRecord(step, group, num / den)
+
+
 class _DriftTracker:
     """Relative L1 change of each parameter group against its start state."""
 
@@ -94,16 +106,9 @@ class _DriftTracker:
 
     def record(self, step: int | None) -> None:
         for g in self.groups:
-            ref = self.before[g.name]
-            denom = float(sum(np.abs(b).sum() for b in ref))
-            num = float(sum(np.abs(t.data - b).sum()
-                            for t, b in zip(g.tensors, ref)))
-            if denom == 0.0:
-                self.report.records.append(
-                    DriftRecord(step, g.name, 0.0, zero_reference=True))
-            else:
-                self.report.records.append(
-                    DriftRecord(step, g.name, num / denom))
+            self.report.records.append(_drift_record(
+                step, g.name,
+                zip((t.data for t in g.tensors), self.before[g.name])))
 
 
 @dataclass
@@ -333,22 +338,16 @@ def track_drift(before: Checkpoint, after: Checkpoint) -> DriftReport:
     names = sorted(before.tensors)
     if names != sorted(after.tensors):
         raise ValidationError("checkpoints hold different tensor sets")
-    by_group: dict[str, tuple[float, float]] = {}
+    by_group: dict[str, list[str]] = {}
     for name in names:
-        b = before.tensors[name].astype(np.float64)
-        a = after.tensors[name].astype(np.float64)
+        b, a = before.tensors[name], after.tensors[name]
         if a.shape != b.shape:
             raise ValidationError(f"tensor {name!r} changed shape: "
                                   f"{b.shape} -> {a.shape}")
-        group = group_of(name)
-        num, den = by_group.get(group, (0.0, 0.0))
-        by_group[group] = (num + float(np.abs(a - b).sum()),
-                           den + float(np.abs(b).sum()))
+        by_group.setdefault(group_of(name), []).append(name)
     report = DriftReport()
     for group in sorted(by_group):
-        num, den = by_group[group]
-        if den == 0.0:
-            report.records.append(DriftRecord(None, group, 0.0, True))
-        else:
-            report.records.append(DriftRecord(None, group, num / den))
+        report.records.append(_drift_record(None, group, (
+            (after.tensors[n].astype(np.float64),
+             before.tensors[n].astype(np.float64)) for n in by_group[group])))
     return report

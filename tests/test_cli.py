@@ -278,12 +278,103 @@ class TestReplay:
         assert str(corpus) in capsys.readouterr().err
         assert (out.read_bytes(), manifest.read_bytes()) == recorded
 
+    def test_mismatching_replay_keeps_the_recorded_outputs(self, tmp_path,
+                                                           monkeypatch,
+                                                           capsys):
+        out = tmp_path / "tri.jsonl"
+        assert main(["mine", "--corpus", CORPUS, "--out", str(out),
+                     "--mode", "customer_support", "--count", "4",
+                     "--seed", "2"]) == 0
+        manifest = tmp_path / "tri.jsonl.manifest.json"
+        recorded = out.read_bytes(), manifest.read_bytes()
+        real_mine = cli.mine_triplets_metadata
+        monkeypatch.setattr(cli, "mine_triplets_metadata",
+                            lambda *a, **k: real_mine(*a, **k)[1:])
+        capsys.readouterr()
+        assert main(["--replay", str(manifest)]) == 3
+        assert "replay changed outputs" in capsys.readouterr().err
+        assert (out.read_bytes(), manifest.read_bytes()) == recorded
+        assert not list(tmp_path.glob("*.partial"))
+
+    @pytest.mark.parametrize("body", [
+        5,
+        {"subcommand": "mine", "config": 5},
+        {"subcommand": "mine", "config": {}, "inputs": [1]},
+    ], ids=["top-level", "config", "inputs"])
+    def test_malformed_manifest_exits_3(self, tmp_path, body, capsys):
+        manifest = tmp_path / "bad.manifest.json"
+        manifest.write_text(json.dumps(body))
+        assert main(["--replay", str(manifest)]) == 3
+        assert "manifest" in capsys.readouterr().err
+
     def test_argv_round_trip_recovers_the_config(self, pretrained):
         manifest = load_manifest(str(pretrained) + ".manifest.json")
         argv = argv_from_manifest(manifest)
         assert argv[0] == "pretrain"
         args = build_parser().parse_args(argv)
         assert _resolved_config(args) == manifest.config
+
+
+def _writing_runs(out, inputs, mined, pretrained):
+    """One argv per subcommand that writes files, all outputs under `out`."""
+    train = tagging_file(inputs / "train.jsonl", 4)
+    return {
+        "mine": ["mine", "--corpus", CORPUS, "--out", str(out / "tri.jsonl"),
+                 "--mode", "customer_support", "--count", "4"],
+        "derive-taxonomy": ["derive-taxonomy", "--corpus", CORPUS,
+                            "--mode", "customer_support",
+                            "--out", str(out / "tax.txt"), "--levels", "2"],
+        "pretrain": ["pretrain", "--corpus", CORPUS,
+                     "--out", str(out / "m.ckpt"),
+                     "--mode", "customer_support", "--triplets", str(mined),
+                     "--loss", "triplet", "--batch", "4",
+                     "--max-triplets", "4", *SMALL_MODEL_FLAGS],
+        "finetune": ["finetune", "--checkpoint", str(pretrained),
+                     "--task", "token-classification", "--num-classes", "2",
+                     "--train", train, "--dev", train,
+                     "--metrics-out", str(out / "metrics.json"),
+                     "--out", str(out / "tuned.ckpt"), "--epochs", "1"],
+        "analyze": ["analyze", "--kind", "pca", "--corpus", CORPUS,
+                    "--mode", "customer_support",
+                    "--out", str(out / "pca.json"),
+                    "--checkpoint", str(pretrained)],
+    }
+
+
+class TestCommit:
+    @pytest.mark.parametrize("name", ["mine", "derive-taxonomy", "pretrain",
+                                      "finetune", "analyze"])
+    def test_a_run_leaves_only_its_recorded_outputs(self, name, tmp_path,
+                                                    mined, pretrained):
+        """Every file a run leaves is a recorded output or its manifest, so
+        no writer bypasses the recorder's staging."""
+        out, inputs = tmp_path / "out", tmp_path / "in"
+        out.mkdir()
+        inputs.mkdir()
+        argv = _writing_runs(out, inputs, mined, pretrained)[name]
+        assert main(argv) == 0
+        [manifest] = out.glob("*.manifest.json")
+        outputs = load_manifest(manifest).outputs
+        assert {str(p) for p in out.iterdir()} == {*outputs, str(manifest)}
+
+    def test_failed_rerun_keeps_the_earlier_output(self, tmp_path,
+                                                   monkeypatch):
+        out = tmp_path / "tri.jsonl"
+        argv = ["mine", "--corpus", CORPUS, "--out", str(out),
+                "--mode", "customer_support", "--count", "4", "--seed", "2"]
+        assert main(argv) == 0
+        manifest = tmp_path / "tri.jsonl.manifest.json"
+        recorded = out.read_bytes(), manifest.read_bytes()
+        real_save = cli.save_triplets
+
+        def save_then_fail(triplets, path):
+            real_save(triplets[1:], path)
+            raise OSError("disk full")
+
+        monkeypatch.setattr(cli, "save_triplets", save_then_fail)
+        assert main(argv) == 5
+        assert (out.read_bytes(), manifest.read_bytes()) == recorded
+        assert not list(tmp_path.glob("*.partial"))
 
 
 class TestFinetune:
