@@ -16,8 +16,8 @@ from .analysis import (EMBEDDING_MODES, paragraph_similarity, pca_project,
 from .checkpoint import load_checkpoint, save_checkpoint
 from .corpus import DOMAIN_MODES, load_corpus
 from .encoder import LORA_TARGETS, ModelConfig
-from .errors import (ConfigError, DataError, DocTrainError, ValidationError,
-                     exit_code_for)
+from .errors import (ConfigError, DataError, DocTrainError, ParseError,
+                     ValidationError, exit_code_for)
 from .finetune import (FinetuneConfig, finetune_pair_classification,
                        finetune_span_qa, finetune_token_classification,
                        load_pairs, load_span_qa, load_token_class)
@@ -531,6 +531,12 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if args.replay is not None:
             recorded = load_manifest(args.replay)
+            try:
+                replay_args = parser.parse_args(
+                    ["--replay", args.replay, *argv_from_manifest(recorded)])
+            except SystemExit:
+                raise ParseError(f"manifest {args.replay} records a config "
+                                 f"that does not parse") from None
             # name a changed input before paying for a rerun whose outputs
             # would only show up as changed
             changed = sorted(path for path, digest in recorded.inputs.items()
@@ -538,9 +544,6 @@ def main(argv: list[str] | None = None) -> int:
             if changed:
                 raise DataError(f"replay inputs changed since the manifest "
                                 f"was recorded: {changed}")
-            replay_argv = argv_from_manifest(recorded)
-            replay_args = parser.parse_args(["--replay", args.replay,
-                                             *replay_argv])
             fresh = _run_subcommand(replay_args)
             verify_replay(recorded, fresh)
             print(f"replay verified: {len(fresh.output_digests)} outputs "

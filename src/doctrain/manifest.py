@@ -160,17 +160,42 @@ class RunRecorder:
         return self.manifest
 
     def commit(self, manifest_path) -> None:
-        """Move the staged outputs into place, then the manifest last."""
-        for p in self.manifest.outputs:
-            os.replace(self._stage(p), p)
-        staged = self._stage(str(manifest_path))
-        write_manifest(self.manifest, staged)
-        os.replace(staged, manifest_path)
+        """Move the staged outputs into place, then the manifest last.
+
+        All or nothing: each final path that exists is first hard-linked
+        aside as `<path>.prev`. If any move fails, every path already moved
+        gets its earlier file back, or is removed if it had none.
+        """
+        finals = [*self.manifest.outputs, str(manifest_path)]
+        write_manifest(self.manifest, self._stage(finals[-1]))
+        earlier = [p for p in finals if os.path.exists(p)]
+        moved: list[str] = []
+        try:
+            for p in earlier:
+                _remove_if_present(p + ".prev")  # left by a killed commit
+                os.link(p, p + ".prev")
+            for p in finals:
+                os.replace(self._stage(p), p)
+                moved.append(p)
+        except BaseException:
+            for p in moved:
+                if p in earlier:
+                    os.replace(p + ".prev", p)
+                else:
+                    os.remove(p)
+            raise
+        finally:
+            for p in earlier:
+                _remove_if_present(p + ".prev")
 
     def discard(self) -> None:
         """Remove every staged file that `commit` did not move into place."""
         for staged in self._staged:
-            try:
-                os.remove(staged)
-            except OSError:
-                pass
+            _remove_if_present(staged)
+
+
+def _remove_if_present(path: str) -> None:
+    try:
+        os.remove(path)
+    except OSError:
+        pass

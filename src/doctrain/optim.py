@@ -53,6 +53,7 @@ def linear_lr(initial_lr: float, step: int, total_steps: int) -> float:
 class _Slot:
     m: np.ndarray
     v: np.ndarray
+    touched: np.ndarray  # per row: has its gradient ever been non-zero
 
 
 class AdamW:
@@ -60,6 +61,12 @@ class AdamW:
 
     Frozen groups are never touched. Trainable tensors must carry gradients
     when `step` is called; a missing gradient is a contract violation.
+
+    The Adam term is computed only on rows (first axis; a 0-d tensor is one
+    row) whose gradient has ever been non-zero. Any other row has
+    m = v = g = 0, so its term is exactly lr*0/(0+eps) = 0 and the decay and
+    float32 snap, applied to the whole tensor in place, are its whole update:
+    every parameter is bit-identical to a dense step.
     """
 
     def __init__(self, groups: list[ParamGroup], lr: float = 5e-5):
@@ -92,15 +99,21 @@ class AdamW:
                     raise ContractError(
                         f"missing gradient on trainable tensor in group {group.name!r}"
                     )
+                # views, so a 0-d tensor is one row and updates land in p.data
+                data, g = np.atleast_1d(p.data, p.grad)
                 slot = self._slots.get(id(p))
                 if slot is None:
-                    slot = _Slot(np.zeros_like(p.data), np.zeros_like(p.data))
+                    slot = _Slot(np.zeros_like(data), np.zeros_like(data),
+                                 np.zeros(len(data), dtype=bool))
                     self._slots[id(p)] = slot
-                g = p.grad
-                slot.m = BETA1 * slot.m + (1.0 - BETA1) * g
-                slot.v = BETA2 * slot.v + (1.0 - BETA2) * (g * g)
-                m_hat = slot.m / bias1
-                v_hat = slot.v / bias2
-                p.data *= 1.0 - lr * WEIGHT_DECAY
-                p.data -= lr * m_hat / (np.sqrt(v_hat) + EPS)
-                p.data = snap32(p.data)
+                slot.touched |= g.any(axis=tuple(range(1, g.ndim)))
+                rows = (... if slot.touched.all()
+                        else np.flatnonzero(slot.touched))
+                g = g[rows]
+                slot.m[rows] = BETA1 * slot.m[rows] + (1.0 - BETA1) * g
+                slot.v[rows] = BETA2 * slot.v[rows] + (1.0 - BETA2) * (g * g)
+                m_hat = slot.m[rows] / bias1
+                v_hat = slot.v[rows] / bias2
+                data *= 1.0 - lr * WEIGHT_DECAY
+                data[rows] -= lr * m_hat / (np.sqrt(v_hat) + EPS)
+                data[...] = data.astype(np.float32)

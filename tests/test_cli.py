@@ -307,6 +307,16 @@ class TestReplay:
         assert main(["--replay", str(manifest)]) == 3
         assert "manifest" in capsys.readouterr().err
 
+    def test_unparsable_recorded_config_exits_3(self, tmp_path, capsys):
+        """The recorded argv is parsed before any input is digested: the
+        missing input here would otherwise exit 5."""
+        manifest = tmp_path / "bad.manifest.json"
+        manifest.write_text(json.dumps({
+            "subcommand": "mine", "config": {},
+            "inputs": {str(tmp_path / "gone.jsonl"): "0" * 64}}))
+        assert main(["--replay", str(manifest)]) == 3
+        assert "does not parse" in capsys.readouterr().err
+
     def test_argv_round_trip_recovers_the_config(self, pretrained):
         manifest = load_manifest(str(pretrained) + ".manifest.json")
         argv = argv_from_manifest(manifest)
@@ -375,6 +385,35 @@ class TestCommit:
         assert main(argv) == 5
         assert (out.read_bytes(), manifest.read_bytes()) == recorded
         assert not list(tmp_path.glob("*.partial"))
+
+    @pytest.mark.parametrize("rerun", [True, False], ids=["rerun", "first"])
+    def test_a_commit_failing_partway_keeps_every_earlier_file(
+            self, rerun, tmp_path, mined, monkeypatch):
+        """A move that fails on the second output rolls back the first: a
+        rerun leaves the earlier run's files, a first run leaves none."""
+        out = tmp_path / "m.ckpt"
+        argv = ["pretrain", "--corpus", CORPUS, "--out", str(out),
+                "--mode", "customer_support", "--triplets", str(mined),
+                "--loss", "triplet", "--batch", "4", "--max-triplets", "4",
+                *SMALL_MODEL_FLAGS]
+        if rerun:
+            assert main([*argv, "--seed", "1"]) == 0
+        recorded = {p: p.read_bytes() for p in tmp_path.iterdir()}
+        assert len(recorded) == (4 if rerun else 0)  # 3 outputs, manifest
+        real_replace = os.replace
+        calls = []
+
+        def fail_on_second_output(src, dst):
+            calls.append(dst)
+            if len(calls) == 2:
+                raise OSError("disk full")
+            real_replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", fail_on_second_output)
+        assert main([*argv, "--seed", "2"]) == 5
+        assert calls[:2] == [str(out), str(out) + ".losses.jsonl"]
+        # same files, same bytes: no .partial or .prev is left beside them
+        assert {p: p.read_bytes() for p in tmp_path.iterdir()} == recorded
 
 
 class TestFinetune:

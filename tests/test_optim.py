@@ -1,9 +1,12 @@
 """Optimizer and schedule tests with hand-computed update oracles."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from doctrain.errors import ConfigError, ContractError
 from doctrain.optim import AdamW, ParamGroup, linear_lr, snap32
@@ -149,3 +152,78 @@ class TestAdamW:
     def test_group_helpers(self):
         g = ParamGroup("w", [param(np.ones((2, 3))), param([-2.0])])
         assert g.num_params() == 7
+
+
+def dense_adamw(theta, grads, lrs):
+    """The dense update every row took before AdamW skipped idle rows."""
+    m = np.zeros_like(theta)
+    v = np.zeros_like(theta)
+    for t, (g, lr) in enumerate(zip(grads, lrs), start=1):
+        m = 0.9 * m + (1.0 - 0.9) * g
+        v = 0.999 * v + (1.0 - 0.999) * (g * g)
+        theta = theta * (1.0 - lr * 0.01)
+        theta = theta - lr * (m / (1.0 - 0.9**t)) / (
+            np.sqrt(v / (1.0 - 0.999**t)) + 1e-8)
+        theta = snap32(theta)
+    return theta
+
+
+class TestTouchedRows:
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**16), rows=st.integers(3, 10),
+           cols=st.integers(1, 4), steps=st.integers(5, 8),
+           lr0=st.sampled_from([1e-3, 0.05, 0.5]),
+           idle_zero=st.sampled_from([0.0, -0.0]))
+    def test_bit_identical_to_the_dense_step(self, seed, rows, cols, steps,
+                                             lr0, idle_zero):
+        """A table with never-touched rows, rows touched once and then idle,
+        and busy rows, plus 1-D and 0-d parameters, ends where the dense
+        update puts it, byte for byte; no gradient is written."""
+        rng = np.random.default_rng(seed)
+        # row kinds: 0 never touched, 1 touched at one step only, 2 random
+        kinds = np.concatenate([[0, 1, 2], rng.integers(0, 3, rows - 3)])
+        once = rng.integers(0, steps, rows)
+        shapes = [(rows, cols), (cols,), ()]
+        thetas = [snap32(rng.normal(size=s)) for s in shapes]
+        grads = []
+        for step in range(steps):
+            table = rng.normal(size=(rows, cols))
+            idle = (kinds == 0) | ((kinds == 1) & (once != step)) | (
+                (kinds == 2) & (rng.random(rows) < 0.3))
+            table[idle] = idle_zero
+            vector = rng.normal(size=cols) * (rng.random(cols) < 0.5)
+            scalar = np.asarray(rng.normal() if rng.random() < 0.5 else 0.0)
+            grads.append([table, vector, scalar])
+        lrs = [linear_lr(lr0, step, steps) for step in range(steps)]
+
+        params = [param(theta.copy()) for theta in thetas]
+        opt = AdamW([ParamGroup("w", params)], lr=lr0)
+        for step_grads, lr in zip(grads, lrs):
+            for p, g in zip(params, step_grads):
+                p.grad = g
+            before = [g.tobytes() for g in step_grads]
+            opt.step(lr=lr)
+            assert [p.grad.tobytes() for p in params] == before
+            assert all(p.grad is g for p, g in zip(params, step_grads))
+        for i, (p, theta) in enumerate(zip(params, thetas)):
+            want = dense_adamw(theta, [g[i] for g in grads], lrs)
+            assert p.shape == theta.shape
+            assert p.data.tobytes() == want.tobytes()  # atol=0, sign of zero
+
+    def test_idle_rows_cost_no_table_sized_allocation(self):
+        """With 8 of 8192 rows touched, a step allocates less than one
+        float64 copy of the table (a dense step allocates several)."""
+        rng = np.random.default_rng(0)
+        table = param(snap32(rng.normal(size=(8192, 128))))
+        grad = np.zeros_like(table.data)
+        grad[rng.choice(8192, 8, replace=False)] = rng.normal(size=(8, 128))
+        table.grad = grad
+        opt = AdamW([ParamGroup("tokens", [table])], lr=1e-3)
+        opt.step()  # creates the slots
+        tracemalloc.start()
+        try:
+            opt.step()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < table.data.nbytes
