@@ -25,6 +25,7 @@ from .manifest import (RunRecorder, argv_from_manifest, file_digest,
                        load_manifest, verify_replay)
 from .mining import load_triplets, mine_triplets_metadata, mine_triplets_rouge, save_triplets
 from .model import DocumentModel
+from .records import read_jsonl, write_json, write_jsonl
 from .taxonomy import (Taxonomy, WordVectors, derive_taxonomy,
                        map_category_to_hierarchy, pad_hierarchy)
 from .tensor import no_grad
@@ -214,18 +215,6 @@ def _resolved_config(args: argparse.Namespace) -> dict:
     return out
 
 
-def _write_json(path, payload: dict) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def _write_jsonl(path, rows: list[dict]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for row in rows:
-            fh.write(json.dumps(row, sort_keys=True) + "\n")
-
-
 def cmd_mine(args: argparse.Namespace, rec: RunRecorder) -> None:
     rec.add_input(args.corpus)
     corpus = load_corpus(args.corpus, args.mode)
@@ -252,26 +241,15 @@ def cmd_derive_taxonomy(args: argparse.Namespace, rec: RunRecorder) -> None:
         corpus, levels=args.levels, branching=args.branching, seed=args.seed)
     rec.phase("derive")
     taxonomy.save(rec.add_output(args.out))
-    _write_jsonl(rec.add_output(args.assignments),
-                 [{"id": doc_id, "path": list(doc_paths[doc_id])}
-                  for doc_id in sorted(doc_paths)])
+    write_jsonl(rec.add_output(args.assignments),
+                [{"id": doc_id, "path": list(doc_paths[doc_id])}
+                 for doc_id in sorted(doc_paths)])
     rec.phase("write")
 
 
 def _load_assignments(path) -> dict[str, tuple[str, ...]]:
-    assigned: dict[str, tuple[str, ...]] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-                assigned[str(obj["id"])] = tuple(obj["path"])
-            except (json.JSONDecodeError, KeyError, TypeError) as exc:
-                raise ValidationError(
-                    f"{path} line {line_no}: bad assignment row: {exc}")
-    return assigned
+    return dict(read_jsonl(path, lambda obj, _: (str(obj["id"]),
+                                                 tuple(obj["path"]))))
 
 
 def _hierarchy_labels(corpus, taxonomy: Taxonomy, word_vectors_path,
@@ -347,10 +325,10 @@ def cmd_pretrain(args: argparse.Namespace, rec: RunRecorder) -> None:
     rec.phase("train")
 
     save_checkpoint(result.checkpoint, rec.add_output(args.out))
-    _write_jsonl(rec.add_output(args.out + ".losses.jsonl"),
-                 result.loss_curve)
-    _write_jsonl(rec.add_output(args.out + ".drift.jsonl"),
-                 result.drift.rows())
+    write_jsonl(rec.add_output(args.out + ".losses.jsonl"),
+                result.loss_curve)
+    write_jsonl(rec.add_output(args.out + ".drift.jsonl"),
+                result.drift.rows())
     rec.phase("write")
     log.info("trained %d steps; final loss %.6f", result.total_steps,
              result.loss_curve[-1]["loss"])
@@ -383,7 +361,7 @@ def cmd_finetune(args: argparse.Namespace, rec: RunRecorder) -> None:
         task, result = finetune_pair_classification(model, train, dev, config)
     rec.phase("train")
 
-    _write_json(rec.add_output(args.metrics_out), {
+    write_json(rec.add_output(args.metrics_out), {
         "task": args.task,
         "metrics": result.metrics,
         "history": result.history,
@@ -460,7 +438,7 @@ def cmd_analyze(args: argparse.Namespace, rec: RunRecorder) -> None:
                   "histogram": [int(v) for v in rep.histogram]}
     rec.phase("analyze")
 
-    _write_json(rec.add_output(args.out), report)
+    write_json(rec.add_output(args.out), report)
     rec.phase("write")
 
 
@@ -554,10 +532,7 @@ def main(argv: list[str] | None = None) -> int:
             return 2
         _run_subcommand(args)
         return 0
-    except DocTrainError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return exit_code_for(exc)
-    except OSError as exc:
+    except (DocTrainError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exit_code_for(exc)
 

@@ -9,11 +9,11 @@ need `category`, legal needs `concepts`.
 
 from __future__ import annotations
 
-import json
 import logging
 from dataclasses import dataclass, field
 
-from .errors import EmptyDocumentError, ParseError, ValidationError
+from .errors import ParseError, ValidationError
+from .records import read_jsonl, write_jsonl
 from .text import split_sentences
 
 log = logging.getLogger(__name__)
@@ -70,41 +70,38 @@ _MODE_REQUIRED = {
 }
 
 
-def _parse_record(obj: dict, line_no: int) -> Document:
+def _parse_record(obj: dict) -> Document:
     if not isinstance(obj, dict):
-        raise ParseError(f"line {line_no}: record is not an object")
+        raise ParseError("record is not an object")
     doc_id = obj.get("id")
     if not isinstance(doc_id, str) or not doc_id:
-        raise ParseError(f"line {line_no}: missing or non-string 'id'")
+        raise ParseError("missing or non-string 'id'")
     text = obj.get("text")
     raw_sentences = obj.get("sentences")
     if raw_sentences is not None:
         if (not isinstance(raw_sentences, list)
                 or not all(isinstance(s, str) and s.strip() for s in raw_sentences)):
-            raise ParseError(f"line {line_no}: 'sentences' must be non-empty strings")
+            raise ParseError("'sentences' must be non-empty strings")
         sentences = tuple(s.strip() for s in raw_sentences)
     elif isinstance(text, str):
-        try:
-            sentences = tuple(split_sentences(text))
-        except EmptyDocumentError as exc:
-            raise ParseError(f"line {line_no}: {exc}") from exc
+        sentences = tuple(split_sentences(text))
     else:
-        raise ParseError(f"line {line_no}: record needs 'text' or 'sentences'")
+        raise ParseError("record needs 'text' or 'sentences'")
     if not sentences:
-        raise ParseError(f"line {line_no}: document has no sentences")
+        raise ParseError("document has no sentences")
 
     category = obj.get("category")
     if category is not None and not isinstance(category, str):
-        raise ParseError(f"line {line_no}: 'category' must be a string")
+        raise ParseError("'category' must be a string")
     hierarchy = obj.get("hierarchy")
     if hierarchy is not None:
         if not isinstance(hierarchy, list) or not all(isinstance(x, str) for x in hierarchy):
-            raise ParseError(f"line {line_no}: 'hierarchy' must be a string list")
+            raise ParseError("'hierarchy' must be a string list")
         hierarchy = tuple(hierarchy)
     concepts = obj.get("concepts")
     if concepts is not None:
         if not isinstance(concepts, list) or not all(isinstance(x, str) for x in concepts):
-            raise ParseError(f"line {line_no}: 'concepts' must be a string list")
+            raise ParseError("'concepts' must be a string list")
         concepts = frozenset(concepts)
     return Document(id=doc_id, sentences=sentences, category=category,
                     hierarchy_path=hierarchy, concepts=concepts,
@@ -117,55 +114,37 @@ def load_corpus(path, domain_mode: str = "derived") -> Corpus:
         raise ValidationError(
             f"unknown domain mode {domain_mode!r}; valid: {DOMAIN_MODES}"
         )
-    documents: list[Document] = []
     seen_ids: dict[str, int] = {}
-    problems: list[str] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                problems.append(f"line {line_no}: invalid JSON ({exc.msg})")
-                continue
-            try:
-                doc = _parse_record(obj, line_no)
-            except ParseError as exc:
-                problems.append(str(exc))
-                continue
-            if doc.id in seen_ids:
-                problems.append(
-                    f"line {line_no}: duplicate id {doc.id!r} "
-                    f"(first seen on line {seen_ids[doc.id]})"
-                )
-                continue
-            missing = [f for f in _MODE_REQUIRED[domain_mode]
-                       if getattr(doc, "concepts" if f == "concepts" else f) is None]
-            if missing:
-                problems.append(
-                    f"line {line_no}: mode {domain_mode!r} requires {missing}"
-                )
-                continue
-            seen_ids[doc.id] = line_no
-            documents.append(doc)
-    if problems:
-        raise ParseError("; ".join(problems))
+
+    def build(obj, line_no: int) -> Document:
+        doc = _parse_record(obj)
+        if doc.id in seen_ids:
+            raise ParseError(f"duplicate id {doc.id!r} "
+                             f"(first seen on line {seen_ids[doc.id]})")
+        missing = [f for f in _MODE_REQUIRED[domain_mode]
+                   if getattr(doc, f) is None]
+        if missing:
+            raise ParseError(f"mode {domain_mode!r} requires {missing}")
+        seen_ids[doc.id] = line_no
+        return doc
+
+    documents = read_jsonl(path, build)
     if not documents:
         log.warning("corpus %s is empty", path)
     return Corpus(documents, domain_mode)
 
 
 def save_corpus(corpus: Corpus, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for doc in corpus:
-            obj: dict = {"id": doc.id, "sentences": list(doc.sentences)}
-            if doc.text is not None:
-                obj["text"] = doc.text
-            if doc.category is not None:
-                obj["category"] = doc.category
-            if doc.hierarchy_path is not None:
-                obj["hierarchy"] = list(doc.hierarchy_path)
-            if doc.concepts is not None:
-                obj["concepts"] = sorted(doc.concepts)
-            fh.write(json.dumps(obj, sort_keys=True) + "\n")
+    rows = []
+    for doc in corpus:
+        obj: dict = {"id": doc.id, "sentences": list(doc.sentences)}
+        if doc.text is not None:
+            obj["text"] = doc.text
+        if doc.category is not None:
+            obj["category"] = doc.category
+        if doc.hierarchy_path is not None:
+            obj["hierarchy"] = list(doc.hierarchy_path)
+        if doc.concepts is not None:
+            obj["concepts"] = sorted(doc.concepts)
+        rows.append(obj)
+    write_jsonl(path, rows)

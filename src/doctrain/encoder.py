@@ -371,9 +371,6 @@ class LoraAdapter:
                     out.extend((pair.a, pair.b))
         return out
 
-    def num_params(self) -> int:
-        return sum(t.size for t in self.trainable_tensors())
-
     def merged_deltas(self) -> dict[str, np.ndarray]:
         """Upper-encoder weight name -> A·B, the update that merging the
         adapter into its base weight adds (W x + B(A x) = (W + A·B) x)."""

@@ -1,6 +1,5 @@
 """Exception taxonomy and the process exit-code partition used by the CLI."""
 
-EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_DATA = 3
 EXIT_NUMERIC = 4

@@ -3,7 +3,6 @@ and sentence-pair classification, with their task metrics."""
 
 from __future__ import annotations
 
-import json
 import logging
 from dataclasses import dataclass, field
 
@@ -11,9 +10,10 @@ import numpy as np
 
 from . import tensor as T
 from .encoder import key_padding_bias
-from .errors import ConfigError, NumericError, ParseError, ValidationError
+from .errors import ConfigError, NumericError, ValidationError
 from .model import DocumentModel
 from .optim import AdamW, ParamGroup
+from .records import read_jsonl
 from .seeding import make_rng
 from .tensor import Tensor, backward, no_grad
 from .text import CLS_ID, SEP_ID, encode_tokens
@@ -436,43 +436,25 @@ def finetune(task, train: list, dev: list,
                           best_epoch=best_epoch, epochs_run=epochs_run)
 
 
-def _load_jsonl(path, build):
-    examples = []
-    problems = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                examples.append(build(json.loads(line)))
-            except (json.JSONDecodeError, ValidationError, KeyError,
-                    TypeError) as exc:
-                problems.append(f"line {line_no}: {exc}")
-    if problems:
-        raise ParseError(f"{path}:\n" + "\n".join(problems))
-    return examples
-
-
 def load_span_qa(path) -> list[SpanQaExample]:
     """JSONL: {"question": [...], "context": [...], "answer": [s, e] | null}"""
-    def build(obj):
+    def build(obj, _):
         answer = obj["answer"]
         return SpanQaExample(tuple(obj["question"]), tuple(obj["context"]),
                              None if answer is None else (int(answer[0]),
                                                           int(answer[1])))
-    return _load_jsonl(path, build)
+    return read_jsonl(path, build)
 
 
 def load_token_class(path) -> list[TokenClassExample]:
     """JSONL: {"tokens": [...], "labels": [int per token]}"""
-    return _load_jsonl(path, lambda obj: TokenClassExample(
+    return read_jsonl(path, lambda obj, _: TokenClassExample(
         tuple(obj["tokens"]), tuple(int(v) for v in obj["labels"])))
 
 
 def load_pairs(path) -> list[PairExample]:
     """JSONL: {"first": [...], "second": [...], "label": 0 | 1}"""
-    return _load_jsonl(path, lambda obj: PairExample(
+    return read_jsonl(path, lambda obj, _: PairExample(
         tuple(obj["first"]), tuple(obj["second"]), int(obj["label"])))
 
 

@@ -10,6 +10,7 @@ import time
 from dataclasses import dataclass, field
 
 from .errors import DataError, ParseError, StorageError
+from .records import write_json
 
 MANIFEST_VERSION = 1
 # the JSON type of each manifest field that load_manifest converts
@@ -46,12 +47,6 @@ class RunManifest:
             "output_digests": self.output_digests,
             "timings": self.timings,
         }
-
-
-def write_manifest(manifest: RunManifest, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(manifest.to_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
 
 
 def load_manifest(path) -> RunManifest:
@@ -108,12 +103,10 @@ def argv_from_manifest(manifest: RunManifest) -> list[str]:
 
 def verify_replay(recorded: RunManifest, fresh: RunManifest) -> None:
     """Digest-check a rerun against the manifest it was replayed from."""
-    if fresh.output_digests != recorded.output_digests:
-        changed = sorted(
-            set(fresh.output_digests) ^ set(recorded.output_digests)
-            | {k for k in fresh.output_digests
-               if recorded.output_digests.get(k) not in (None, fresh.output_digests[k])}
-        )
+    new, old = fresh.output_digests, recorded.output_digests
+    changed = sorted(k for k in new.keys() | old.keys()
+                     if new.get(k) != old.get(k))
+    if changed:
         raise DataError(f"replay changed outputs: {changed}")
 
 
@@ -167,7 +160,7 @@ class RunRecorder:
         gets its earlier file back, or is removed if it had none.
         """
         finals = [*self.manifest.outputs, str(manifest_path)]
-        write_manifest(self.manifest, self._stage(finals[-1]))
+        write_json(self._stage(finals[-1]), self.manifest.to_dict())
         earlier = [p for p in finals if os.path.exists(p)]
         moved: list[str] = []
         try:

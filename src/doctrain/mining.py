@@ -2,12 +2,11 @@
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .corpus import Corpus
-from .errors import (ConfigError, DataError, MiningExhausted,
-                     NoNegativeAvailable, ParseError)
+from .errors import ConfigError, DataError, MiningExhausted, NoNegativeAvailable
+from .records import read_jsonl, write_jsonl
 from .rouge import rouge_l
 from .seeding import make_rng
 from .text import tokenize
@@ -21,28 +20,12 @@ class Triplet:
 
 
 def save_triplets(triplets: list[Triplet], path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for t in triplets:
-            fh.write(json.dumps({
-                "anchor_id": t.anchor_id,
-                "positive_id": t.positive_id,
-                "negative_id": t.negative_id,
-            }, sort_keys=True) + "\n")
+    write_jsonl(path, [asdict(t) for t in triplets])
 
 
 def load_triplets(path) -> list[Triplet]:
-    out: list[Triplet] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-                out.append(Triplet(obj["anchor_id"], obj["positive_id"],
-                                   obj["negative_id"]))
-            except (json.JSONDecodeError, KeyError, TypeError) as exc:
-                raise ParseError(f"line {line_no}: bad triplet record") from exc
-    return out
+    return read_jsonl(path, lambda obj, _: Triplet(
+        obj["anchor_id"], obj["positive_id"], obj["negative_id"]))
 
 
 def _validate_count(count: int) -> None:

@@ -31,9 +31,6 @@ class ParamGroup:
     tensors: list[Tensor]
     frozen: bool = False
 
-    def num_params(self) -> int:
-        return int(sum(t.size for t in self.tensors))
-
 
 def linear_lr(initial_lr: float, step: int, total_steps: int) -> float:
     """Linear decay from `initial_lr` at step 0 to exactly 0 at the last step.

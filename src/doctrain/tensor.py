@@ -71,9 +71,6 @@ class Tensor:
             raise ShapeError(f"item() needs a single element, shape is {self.shape}")
         return float(self.data.reshape(-1)[0])
 
-    def zero_grad(self) -> None:
-        self.grad = None
-
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
@@ -394,7 +391,7 @@ def backward(loss: Tensor) -> None:
     """Accumulate d(loss)/d(tensor) into `.grad` over the recorded graph.
 
     Each call contributes exactly one unit of seed gradient, so repeated calls
-    without `zero_grad` add up. Raises on non-scalar or untaped inputs.
+    without clearing `.grad` add up. Raises on non-scalar or untaped inputs.
     """
     if not isinstance(loss, Tensor):
         raise ContractError("backward() expects a Tensor")

@@ -67,13 +67,6 @@ class DriftRecord:
 class DriftReport:
     records: list[DriftRecord] = field(default_factory=list)
 
-    def final_by_group(self) -> dict[str, DriftRecord]:
-        out: dict[str, DriftRecord] = {}
-        for rec in self.records:
-            if rec.step is None:
-                out[rec.group] = rec
-        return out
-
     def rows(self) -> list[dict]:
         return [
             {"step": "final" if r.step is None else r.step, "group": r.group,

@@ -317,7 +317,7 @@ class TestLora:
     def test_rank_zero_is_noop_view_with_no_params(self, rng):
         enc = UpperEncoder(small_config(), np.random.default_rng(0))
         adapter = LoraAdapter(enc.config, 0, ("query", "value"), seed=0)
-        assert adapter.num_params() == 0
+        assert sum(t.size for t in adapter.trainable_tensors()) == 0
         assert adapter.trainable_tensors() == []
         x = rng.normal(size=(2, 16))
         assert np.array_equal(enc.forward(Tensor(x), None, adapter).data,
@@ -339,12 +339,14 @@ class TestLora:
         r = 4
         square = LoraAdapter(enc.config, r, ("query", "value"), seed=0)
         # each square target costs 2*r*d per layer
-        assert square.num_params() == 3 * 2 * (2 * r * 16)
+        assert (sum(t.size for t in square.trainable_tensors())
+                == 3 * 2 * (2 * r * 16))
         ffn = LoraAdapter(enc.config, r, ("ffn",), seed=0)
         # both feed-forward matrices factor to r*(d+ffn) each
-        assert ffn.num_params() == 3 * 2 * (r * (16 + 32))
+        assert (sum(t.size for t in ffn.trainable_tensors())
+                == 3 * 2 * (r * (16 + 32)))
         everything = LoraAdapter(enc.config, r, LORA_TARGETS, seed=0)
-        assert everything.num_params() == (
+        assert sum(t.size for t in everything.trainable_tensors()) == (
             3 * (4 * 2 * r * 16 + 2 * r * (16 + 32)))
 
     def test_adapter_tensors_are_trainable_base_unaffected(self):

@@ -409,7 +409,7 @@ def test_ragged_batch_loss_is_the_mean_of_example_losses(make, rng):
     backward(task.batch_loss(batch))
     batched = [t.grad.copy() for t in tensors]
     for t in tensors:
-        t.zero_grad()
+        t.grad = None
     losses = []
     for ex in batch:
         loss = task.batch_loss([ex]) * (1.0 / len(batch))

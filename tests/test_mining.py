@@ -206,6 +206,9 @@ class TestTripletIo:
         triplets = [Triplet("a", "b", "c"), Triplet("x", "y", "z")]
         path = tmp_path / "t.jsonl"
         save_triplets(triplets, path)
+        assert path.read_bytes() == (
+            b'{"anchor_id": "a", "negative_id": "c", "positive_id": "b"}\n'
+            b'{"anchor_id": "x", "negative_id": "z", "positive_id": "y"}\n')
         assert load_triplets(path) == triplets
 
     def test_bad_record_names_line(self, tmp_path):

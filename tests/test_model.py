@@ -45,7 +45,8 @@ class TestParamGroups:
         names = [g.name for g in groups]
         assert names[0] == "lower"
         assert len(set(names)) == len(names)
-        grouped = sum(g.num_params() for g in groups if g.name != "lower")
+        grouped = sum(t.size for g in groups if g.name != "lower"
+                      for t in g.tensors)
         total = sum(t.size for t in model.named_params().values())
         assert grouped == total
 
@@ -99,7 +100,7 @@ class TestForwardPaths:
         backward(T.tmean(batched * probe))
         batched_grads = {k: t.grad.copy() for k, t in params.items()}
         for t in params.values():
-            t.zero_grad()
+            t.grad = None
         for i, m in enumerate(matrices):
             vec = model.encode_matrices([m])
             assert np.allclose(batched.data[i], vec.data[0], rtol=0, atol=1e-12)

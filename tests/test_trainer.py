@@ -98,13 +98,15 @@ class TestPretrain:
 
     def test_frozen_groups_never_move(self):
         _, result = self.run()
-        final = result.drift.final_by_group()
+        final = {r.group: r for r in result.drift.records
+                 if r.step is None}
         for name in ("lower", "embed.token", "embed.position"):
             assert final[name].value == 0.0, name
 
     def test_trainable_groups_do_move(self):
         model, result = self.run()
-        final = result.drift.final_by_group()
+        final = {r.group: r for r in result.drift.records
+                 if r.step is None}
         for name in ("upper.attention.query", "upper.ffn"):
             assert final[name].value > 0.0, name
         # heads drift reads 0 against the zero reference; confirm movement
@@ -129,14 +131,17 @@ class TestPretrain:
 
     def test_triplet_only_leaves_heads_untouched(self):
         model, result = self.run(loss="triplet")
-        final = result.drift.final_by_group()
+        final = {r.group: r for r in result.drift.records
+                 if r.step is None}
         assert final["heads"].value == 0.0
         for w in model.heads.weights:
             assert np.array_equal(w.data, np.zeros(w.shape))
 
     def test_hier_only_runs_and_moves_heads(self):
         model, result = self.run(loss="hier")
-        assert result.drift.final_by_group()["heads"].zero_reference is True
+        final = {r.group: r for r in result.drift.records
+                 if r.step is None}
+        assert final["heads"].zero_reference is True
         assert np.abs(model.heads.weights[0].data).sum() > 0.0
 
     def test_loss_curve_follows_linear_schedule(self):
@@ -271,7 +276,8 @@ class TestPretrain:
         steps = sorted({r.step for r in result.drift.records
                         if r.step is not None})
         assert steps == [2]  # log_every=2, final step excluded (it is None)
-        finals = result.drift.final_by_group()
+        finals = {r.group: r for r in result.drift.records
+                  if r.step is None}
         group_names = {r.group for r in result.drift.records}
         assert set(finals) == group_names
 
@@ -315,7 +321,8 @@ class TestPretrainMlm:
         corpus = separable_corpus(per_category=3)
         model = fresh_model()
         result = pretrain_mlm(model, corpus, quick_config(epochs=2))
-        final = result.drift.final_by_group()
+        final = {r.group: r for r in result.drift.records
+                 if r.step is None}
         assert final["embed.token"].value == 0.0
         assert final["embed.position"].value == 0.0
         assert final["heads"].value == 0.0
@@ -325,7 +332,9 @@ class TestPretrainMlm:
     def test_mlm_head_group_present_and_zero_referenced(self):
         corpus = separable_corpus(per_category=3)
         result = pretrain_mlm(fresh_model(), corpus, quick_config())
-        head = result.drift.final_by_group()["mlm_head"]
+        final = {r.group: r for r in result.drift.records
+                 if r.step is None}
+        head = final["mlm_head"]
         assert head.zero_reference is True
 
     def test_step_gathers_each_sequence_masked_rows(self, monkeypatch, rng):
@@ -439,7 +448,9 @@ class TestTrackDrift:
                           labels_for(corpus), quick_config())
         offline = {r.group: r.value
                    for r in track_drift(before, result.checkpoint).records}
-        for group, rec in result.drift.final_by_group().items():
+        final = {r.group: r for r in result.drift.records
+                 if r.step is None}
+        for group, rec in final.items():
             if group in offline:  # offline sees checkpoint groups only
                 assert offline[group] == pytest.approx(rec.value, abs=1e-9)
 
@@ -455,7 +466,8 @@ class TestLoraArm:
 
     def test_base_groups_frozen_adapters_move(self):
         _, result = self.run_lora()
-        final = result.drift.final_by_group()
+        final = {r.group: r for r in result.drift.records
+                 if r.step is None}
         for name in ("upper.attention.query", "upper.attention.value",
                      "upper.ffn", "upper.layer_norm", "embed.token", "lower"):
             assert final[name].value == 0.0, name
