@@ -25,7 +25,7 @@ from .manifest import (RunRecorder, argv_from_manifest, file_digest,
                        load_manifest, verify_replay)
 from .mining import load_triplets, mine_triplets_metadata, mine_triplets_rouge, save_triplets
 from .model import DocumentModel
-from .records import read_jsonl, write_json, write_jsonl
+from .records import list_field, read_jsonl, write_json, write_jsonl
 from .taxonomy import (Taxonomy, WordVectors, derive_taxonomy,
                        map_category_to_hierarchy, pad_hierarchy)
 from .tensor import no_grad
@@ -249,7 +249,7 @@ def cmd_derive_taxonomy(args: argparse.Namespace, rec: RunRecorder) -> None:
 
 def _load_assignments(path) -> dict[str, tuple[str, ...]]:
     return dict(read_jsonl(path, lambda obj, _: (str(obj["id"]),
-                                                 tuple(obj["path"]))))
+                                                 list_field(obj, "path"))))
 
 
 def _hierarchy_labels(corpus, taxonomy: Taxonomy, word_vectors_path,
@@ -367,7 +367,6 @@ def cmd_finetune(args: argparse.Namespace, rec: RunRecorder) -> None:
         "history": result.history,
         "best_epoch": result.best_epoch,
         "epochs_run": result.epochs_run,
-        "config": rec.manifest.config,
     })
     if args.out is not None:
         ckpt = model.to_checkpoint(extra_meta={"finetuned_task": args.task})

@@ -13,7 +13,7 @@ from .encoder import key_padding_bias
 from .errors import ConfigError, NumericError, ValidationError
 from .model import DocumentModel
 from .optim import AdamW, ParamGroup
-from .records import read_jsonl
+from .records import list_field, read_jsonl
 from .seeding import make_rng
 from .tensor import Tensor, backward, no_grad
 from .text import CLS_ID, SEP_ID, encode_tokens
@@ -440,22 +440,26 @@ def load_span_qa(path) -> list[SpanQaExample]:
     """JSONL: {"question": [...], "context": [...], "answer": [s, e] | null}"""
     def build(obj, _):
         answer = obj["answer"]
-        return SpanQaExample(tuple(obj["question"]), tuple(obj["context"]),
-                             None if answer is None else (int(answer[0]),
-                                                          int(answer[1])))
+        if answer is not None:
+            start, end = list_field(obj, "answer")
+            answer = (int(start), int(end))
+        return SpanQaExample(list_field(obj, "question"),
+                             list_field(obj, "context"), answer)
     return read_jsonl(path, build)
 
 
 def load_token_class(path) -> list[TokenClassExample]:
     """JSONL: {"tokens": [...], "labels": [int per token]}"""
     return read_jsonl(path, lambda obj, _: TokenClassExample(
-        tuple(obj["tokens"]), tuple(int(v) for v in obj["labels"])))
+        list_field(obj, "tokens"),
+        tuple(int(v) for v in list_field(obj, "labels"))))
 
 
 def load_pairs(path) -> list[PairExample]:
     """JSONL: {"first": [...], "second": [...], "label": 0 | 1}"""
     return read_jsonl(path, lambda obj, _: PairExample(
-        tuple(obj["first"]), tuple(obj["second"]), int(obj["label"])))
+        list_field(obj, "first"), list_field(obj, "second"),
+        int(obj["label"])))
 
 
 def finetune_span_qa(model: DocumentModel, train: list[SpanQaExample],

@@ -157,10 +157,14 @@ class RunRecorder:
 
         All or nothing: each final path that exists is first hard-linked
         aside as `<path>.prev`. If any move fails, every path already moved
-        gets its earlier file back, or is removed if it had none.
+        gets its earlier file back, or is removed if it had none. Durable:
+        each staged file is flushed before the first move, and each
+        directory that received one after the last.
         """
         finals = [*self.manifest.outputs, str(manifest_path)]
         write_json(self._stage(finals[-1]), self.manifest.to_dict())
+        for p in finals:
+            _fsync(self._stage(p))
         earlier = [p for p in finals if os.path.exists(p)]
         moved: list[str] = []
         try:
@@ -180,11 +184,21 @@ class RunRecorder:
         finally:
             for p in earlier:
                 _remove_if_present(p + ".prev")
+        for d in {os.path.dirname(os.path.abspath(p)) for p in finals}:
+            _fsync(d)
 
     def discard(self) -> None:
         """Remove every staged file that `commit` did not move into place."""
         for staged in self._staged:
             _remove_if_present(staged)
+
+
+def _fsync(path: str) -> None:
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)
 
 
 def _remove_if_present(path: str) -> None:

@@ -2,12 +2,13 @@
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import asdict, dataclass
 
 from .corpus import Corpus
 from .errors import ConfigError, DataError, MiningExhausted, NoNegativeAvailable
 from .records import read_jsonl, write_jsonl
-from .rouge import rouge_l
+from .rouge import rouge_from_lcs, rouge_l
 from .seeding import make_rng
 from .text import tokenize
 
@@ -137,6 +138,8 @@ def mine_triplets_rouge(corpus: Corpus, count: int, seed: int = 0,
 
     positive: f1(anchor, candidate) >= pos_threshold; negative: f1 <=
     neg_threshold. Sampling is seed-deterministic; scores are cached per pair.
+    The multiset token overlap bounds the LCS from above, so a pair whose
+    overlap F1 already settles a test never needs its LCS.
     """
     _validate_count(count)
     if not 0.0 <= neg_threshold <= pos_threshold <= 1.0:
@@ -153,13 +156,19 @@ def mine_triplets_rouge(corpus: Corpus, count: int, seed: int = 0,
         doc_id: tokenize(" ".join(corpus.get(doc_id).sentences))[:truncate_tokens]
         for doc_id in ids
     }
-    cache: dict[tuple[str, str], float] = {}
+    counts = {doc_id: Counter(tokens[doc_id]) for doc_id in ids}
+    cache: dict[tuple[str, str, bool], float] = {}
 
-    def f1(a: str, b: str) -> float:
-        key = (a, b) if a <= b else (b, a)
+    def f1(a: str, b: str, bound: bool = False) -> float:
+        key = (a, b, bound) if a <= b else (b, a, bound)
         hit = cache.get(key)
         if hit is None:
-            hit = rouge_l(tokens[key[0]], tokens[key[1]]).f1
+            x, y = tokens[key[0]], tokens[key[1]]
+            if bound:
+                overlap = sum((counts[key[0]] & counts[key[1]]).values())
+                hit = rouge_from_lcs(overlap, len(x), len(y)).f1
+            else:
+                hit = rouge_l(x, y).f1
             cache[key] = hit
         return hit
 
@@ -179,6 +188,9 @@ def mine_triplets_rouge(corpus: Corpus, count: int, seed: int = 0,
         n = ids[rng.integers(len(ids))]
         if len({a, p, n}) != 3:
             continue
-        if f1(a, p) >= pos_threshold and f1(a, n) <= neg_threshold:
+        if (f1(a, p, bound=True) >= pos_threshold
+                and f1(a, p) >= pos_threshold
+                and (f1(a, n, bound=True) <= neg_threshold
+                     or f1(a, n) <= neg_threshold)):
             out.append(Triplet(a, p, n))
     return out

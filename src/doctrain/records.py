@@ -38,6 +38,13 @@ def read_jsonl(path, build) -> list:
     return out
 
 
+def list_field(obj: dict, name: str) -> tuple:
+    """`obj[name]` as a tuple; a string there is rejected, not split."""
+    if not isinstance(obj[name], list):
+        raise DataError(f"{name} must be a list")
+    return tuple(obj[name])
+
+
 def write_jsonl(path, rows) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         for row in rows:

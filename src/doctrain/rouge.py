@@ -1,38 +1,32 @@
-"""ROUGE-L similarity via dynamic-programming longest common subsequence."""
+"""ROUGE-L similarity via a bit-parallel longest common subsequence."""
 
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
 
-import numpy as np
-
 log = logging.getLogger(__name__)
 
 
 def lcs_length(a: list, b: list) -> int:
-    """Length of the longest common subsequence, by dynamic programming.
+    """Length of the longest common subsequence, bit-parallel.
 
-    Row recurrence cur[j] = max(prev[j], prev[j-1] + eq(i, j), cur[j-1]); the
-    relaxed three-way max is equivalent to the textbook case split, and the
-    cur[j-1] chain then resolves to a running maximum, which lets each row
-    update run vectorized.
+    The recurrence of Allison & Dix (1986) in Hyyrö's (2004) form: one
+    Python-int mask per distinct token of `b`, and one row of the dynamic
+    program per token of `a` as a few word-parallel operations on `v`, whose
+    zero bits mark where the row's LCS grows.
     """
     if not a or not b:
         return 0
-    # map tokens of b onto ints once so row comparisons are array ops
-    lookup: dict = {}
+    masks: dict = {}
+    for j, tok in enumerate(b):
+        masks[tok] = masks.get(tok, 0) | (1 << j)
+    full = (1 << len(b)) - 1
+    v = full
     for tok in a:
-        lookup.setdefault(tok, len(lookup))
-    b_ids = np.array([lookup.get(tok, -1) for tok in b], dtype=np.int64)
-    prev = np.zeros(len(b) + 1, dtype=np.int64)
-    cur = np.zeros(len(b) + 1, dtype=np.int64)
-    for tok in a:
-        eq = b_ids == lookup[tok]
-        np.maximum(prev[1:], prev[:-1] + eq, out=cur[1:])
-        np.maximum.accumulate(cur, out=cur)
-        prev, cur = cur, prev
-    return int(prev[-1])
+        u = v & masks.get(tok, 0)
+        v = ((v + u) | (v - u)) & full
+    return len(b) - v.bit_count()
 
 
 @dataclass(frozen=True)
@@ -42,19 +36,22 @@ class RougeScore:
     f1: float
 
 
-def rouge_l(a_tokens: list[str], b_tokens: list[str]) -> RougeScore:
-    """ROUGE-L of two token sequences.
+def rouge_from_lcs(lcs: int, len_a: int, len_b: int) -> RougeScore:
+    """ROUGE-L of sequences of lengths `len_a` and `len_b` sharing an LCS of
+    length `lcs`: precision = lcs/len_b, recall = lcs/len_a, f1 their
+    harmonic mean (0 when lcs is 0). f1 strictly increases with lcs."""
+    if lcs == 0:
+        return RougeScore(0.0, 0.0, 0.0)
+    p = lcs / len_b
+    r = lcs / len_a
+    return RougeScore(p, r, 2.0 * p * r / (p + r))
 
-    With L the LCS length: precision = L/|b|, recall = L/|a|, f1 their
-    harmonic mean (0 when the LCS is empty). An empty side scores all zeros
-    and records a warning.
-    """
+
+def rouge_l(a_tokens: list[str], b_tokens: list[str]) -> RougeScore:
+    """ROUGE-L of two token sequences; an empty side scores all zeros and
+    records a warning."""
     if not a_tokens or not b_tokens:
         log.warning("rouge_l called with an empty token sequence")
         return RougeScore(0.0, 0.0, 0.0)
-    lcs = lcs_length(a_tokens, b_tokens)
-    if lcs == 0:
-        return RougeScore(0.0, 0.0, 0.0)
-    p = lcs / len(b_tokens)
-    r = lcs / len(a_tokens)
-    return RougeScore(p, r, 2.0 * p * r / (p + r))
+    return rouge_from_lcs(lcs_length(a_tokens, b_tokens), len(a_tokens),
+                          len(b_tokens))

@@ -415,6 +415,37 @@ class TestCommit:
         # same files, same bytes: no .partial or .prev is left beside them
         assert {p: p.read_bytes() for p in tmp_path.iterdir()} == recorded
 
+    def test_commit_flushes_files_before_moves_and_directories_after(
+            self, tmp_path, monkeypatch):
+        out = tmp_path / "sub" / "tri.jsonl"
+        out.parent.mkdir()
+        events, opened = [], {}
+        real_open, real_fsync, real_replace = os.open, os.fsync, os.replace
+
+        def open_(path, flags, *args, **kwargs):
+            fd = real_open(path, flags, *args, **kwargs)
+            opened[fd] = str(path)
+            return fd
+
+        def fsync(fd):
+            events.append(("fsync", opened[fd]))
+            real_fsync(fd)
+
+        def replace(src, dst):
+            events.append(("replace", str(dst)))
+            real_replace(src, dst)
+
+        monkeypatch.setattr(os, "open", open_)
+        monkeypatch.setattr(os, "fsync", fsync)
+        monkeypatch.setattr(os, "replace", replace)
+        assert main(["mine", "--corpus", CORPUS, "--out", str(out),
+                     "--mode", "customer_support", "--count", "4"]) == 0
+        finals = [str(out), str(out) + ".manifest.json"]
+        assert events == [
+            *[("fsync", p + ".partial") for p in finals],
+            *[("replace", p) for p in finals],
+            ("fsync", str(out.parent))]
+
 
 class TestFinetune:
     def test_token_classification_end_to_end(self, pretrained, tmp_path):
@@ -431,12 +462,31 @@ class TestFinetune:
         report = json.load(open(metrics_out))
         assert set(report["metrics"]) == {"macro_f1", "accuracy"}
         assert len(report["history"]) == report["epochs_run"]
-        assert report["config"]["task"] == "token-classification"
         tuned = load_checkpoint(out)
         assert tuned.meta["finetuned_task"] == "token-classification"
         assert "task_head.0" in tuned.tensors
-        # --out takes precedence as the manifest anchor
-        assert (tmp_path / "tuned.ckpt.manifest.json").exists()
+        # --out takes precedence as the manifest anchor, and the manifest,
+        # not metrics.json, records the config
+        manifest = load_manifest(tmp_path / "tuned.ckpt.manifest.json")
+        assert manifest.config["task"] == "token-classification"
+
+    def test_metrics_do_not_depend_on_the_output_path(self, pretrained,
+                                                      tmp_path):
+        """Two runs into directories whose names differ in length write the
+        same metrics.json bytes."""
+        train = tagging_file(tmp_path / "train.jsonl", 4)
+        reports = []
+        for name in ("a", "longer-directory-name"):
+            (tmp_path / name).mkdir()
+            metrics_out = tmp_path / name / "metrics.json"
+            assert main(["finetune", "--checkpoint", str(pretrained),
+                         "--task", "token-classification",
+                         "--num-classes", "2", "--train", train,
+                         "--dev", train, "--metrics-out", str(metrics_out),
+                         "--out", str(tmp_path / name / "tuned.ckpt"),
+                         "--epochs", "1", "--seed", "0"]) == 0
+            reports.append(metrics_out.read_bytes())
+        assert reports[0] == reports[1]
 
     def test_token_classification_needs_num_classes(self, pretrained,
                                                     tmp_path):

@@ -9,6 +9,7 @@ Pinned mining facts exercised below:
 """
 
 import json
+from collections import Counter
 
 import pytest
 
@@ -17,7 +18,7 @@ from doctrain.errors import (ConfigError, DataError, MiningExhausted,
                              NoNegativeAvailable, ParseError)
 from doctrain.mining import (Triplet, load_triplets, mine_triplets_metadata,
                              mine_triplets_rouge, save_triplets)
-from doctrain.rouge import rouge_l
+from doctrain.rouge import rouge_from_lcs, rouge_l
 from doctrain.text import tokenize
 
 
@@ -199,6 +200,40 @@ class TestRougeMining:
         a = mine_triplets_rouge(corpus, count=10, seed=8, pos_threshold=0.5)
         assert a == mine_triplets_rouge(corpus, count=10, seed=8,
                                         pos_threshold=0.5)
+
+    def test_mined_triplets_are_pinned(self):
+        """A fixed corpus and seed mine these triplets, recorded before the
+        overlap prefilter and the bit-parallel LCS existed. Reversed word
+        orders share every token but one in order, so some negatives are
+        settled only by the LCS; disjoint vocabularies settle others on the
+        overlap bound alone."""
+        words = {
+            "a1": "alpha beta gamma delta epsilon zeta",
+            "a2": "alpha beta gamma delta epsilon eta",
+            "r1": "zeta epsilon delta gamma beta alpha",
+            "r2": "eta epsilon delta gamma beta alpha",
+            "b1": "one two three four five six",
+            "b2": "one two three four five seven",
+        }
+        corpus = Corpus([doc(k, words=v) for k, v in words.items()],
+                        "derived")
+        out = mine_triplets_rouge(corpus, count=12, seed=3,
+                                  pos_threshold=0.5, neg_threshold=0.3)
+        assert [(t.anchor_id, t.positive_id, t.negative_id) for t in out] == [
+            ("a2", "a1", "b1"), ("b1", "b2", "a1"), ("a2", "a1", "b2"),
+            ("b2", "b1", "a2"), ("r2", "r1", "b1"), ("b2", "b1", "a1"),
+            ("a1", "a2", "b1"), ("a1", "a2", "b1"), ("r2", "r1", "a2"),
+            ("a1", "a2", "b2"), ("r1", "r2", "a2"), ("a1", "a2", "r2")]
+        toks = {d.id: tokenize(" ".join(d.sentences)) for d in corpus}
+
+        def overlap_f1(a, b):
+            overlap = sum((Counter(toks[a]) & Counter(toks[b])).values())
+            return rouge_from_lcs(overlap, len(toks[a]), len(toks[b])).f1
+
+        settled_by = {
+            "bound" if overlap_f1(t.anchor_id, t.negative_id) <= 0.3
+            else "lcs" for t in out}
+        assert settled_by == {"bound", "lcs"}
 
 
 class TestTripletIo:

@@ -28,18 +28,22 @@ LOADERS = {
 
 
 def _bad_file(path, good: dict):
-    """Line 1 valid, line 2 blank, line 3 not JSON, line 4 lacks a field."""
+    """Line 1 valid, line 2 blank, line 3 not JSON, line 4 lacks a field,
+    and line 5 gives its first list field, if it has one, as a string."""
     first = next(iter(good))
     lacking = {k: v for k, v in good.items() if k != first}
-    path.write_text(json.dumps(good) + "\n\nnot json\n"
-                    + json.dumps(lacking) + "\n")
-    return path
+    lines = [json.dumps(good), "", "not json", json.dumps(lacking)]
+    listed = [k for k, v in good.items() if isinstance(v, list)]
+    if listed:
+        lines.append(json.dumps({**good, listed[0]: "hello"}))
+    path.write_text("\n".join(lines) + "\n")
+    return path, (listed[0] if listed else None)
 
 
 @pytest.mark.parametrize("name", sorted(LOADERS))
 def test_every_bad_line_is_reported_in_one_parse_error(tmp_path, name):
     load, good = LOADERS[name]
-    path = _bad_file(tmp_path / "bad.jsonl", good)
+    path, string_field = _bad_file(tmp_path / "bad.jsonl", good)
     with pytest.raises(ParseError) as exc:
         load(path)
     msg = str(exc.value)
@@ -47,10 +51,13 @@ def test_every_bad_line_is_reported_in_one_parse_error(tmp_path, name):
     rest = msg.replace(str(path), "")
     assert "line 3" in rest and "line 4" in rest
     assert "line 1" not in rest and "line 2" not in rest
+    if string_field is not None:
+        # a string is not split into one-character list items
+        assert f"line 5: {string_field} must be a list" in rest
 
 
 def test_bad_assignments_exit_3(tmp_path, capsys):
-    bad = _bad_file(tmp_path / "assign.jsonl", LOADERS["assignments"][1])
+    bad, _ = _bad_file(tmp_path / "assign.jsonl", LOADERS["assignments"][1])
     rc = main(["pretrain", "--corpus",
                os.path.join(FIXTURES, "sample_corpus.jsonl"),
                "--out", str(tmp_path / "m.ckpt"), "--mode", "customer_support",

@@ -1,13 +1,14 @@
 """Sequence-overlap scoring against a textbook dynamic program."""
 
 import logging
+from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from doctrain.rouge import RougeScore, lcs_length, rouge_l
+from doctrain.rouge import RougeScore, lcs_length, rouge_from_lcs, rouge_l
 
 
 def classic_lcs(a, b):
@@ -57,6 +58,23 @@ class TestLcsLength:
         lcs = lcs_length(a, b)
         assert 0 <= lcs <= min(len(a), len(b))
         assert lcs == lcs_length(b, a)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.sampled_from("abcde"), max_size=200),
+           st.lists(st.sampled_from("abcde"), max_size=200))
+    def test_multiword_masks_match_classic_dp(self, a, b):
+        # five symbols over up to 200 tokens: heavy repeats, and masks that
+        # span several 64-bit words
+        assert lcs_length(a, b) == classic_lcs(a, b)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.sampled_from("abcdefgh"), min_size=1, max_size=120),
+           st.lists(st.sampled_from("abcdefgh"), min_size=1, max_size=120))
+    def test_multiset_overlap_bounds_lcs_and_f1(self, a, b):
+        overlap = sum((Counter(a) & Counter(b)).values())
+        assert overlap >= lcs_length(a, b)
+        assert (rouge_from_lcs(overlap, len(a), len(b)).f1
+                >= rouge_l(a, b).f1)
 
 
 class TestRougeL:
