@@ -42,6 +42,8 @@ def _token_inputs(model: DocumentModel, sentences: list[str]) -> np.ndarray:
 
 
 def _cosine_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    # float64 whatever the model's dtype: reports compare close cosines
+    a, b = np.asarray(a, np.float64), np.asarray(b, np.float64)
     an = np.linalg.norm(a, axis=1, keepdims=True)
     bn = np.linalg.norm(b, axis=1, keepdims=True)
     an = np.where(an == 0, 1.0, an)

@@ -18,7 +18,6 @@ import numpy as np
 
 from . import tensor as T
 from .errors import ConfigError, LengthError, ShapeError, VocabularyError
-from .optim import snap32
 from .seeding import make_rng
 from .tensor import Tensor
 from .text import NUM_RESERVED, subword_ids
@@ -70,8 +69,9 @@ class ModelConfig:
         return self
 
 
+# parameters are float32 arrays; see AdamW for the float64 optimizer state
 def _init(rng: np.random.Generator, *shape: int) -> np.ndarray:
-    return snap32(rng.normal(0.0, 0.02, shape))
+    return rng.normal(0.0, 0.02, shape).astype(np.float32)
 
 
 def key_padding_bias(lengths: list[int]) -> np.ndarray:
@@ -89,8 +89,10 @@ class TransformerLayer:
         self.d_model = d_model
         self.num_heads = num_heads
         mk = lambda *shape: Tensor(_init(rng, *shape), requires_grad=trainable)
-        zeros = lambda *shape: Tensor(np.zeros(shape), requires_grad=trainable)
-        ones = lambda *shape: Tensor(np.ones(shape), requires_grad=trainable)
+        zeros = lambda *shape: Tensor(np.zeros(shape, np.float32),
+                                      requires_grad=trainable)
+        ones = lambda *shape: Tensor(np.ones(shape, np.float32),
+                                     requires_grad=trainable)
         self.wq, self.bq = mk(d_model, d_model), zeros(d_model)
         self.wk, self.bk = mk(d_model, d_model), zeros(d_model)
         self.wv, self.bv = mk(d_model, d_model), zeros(d_model)
@@ -146,7 +148,7 @@ class TransformerLayer:
         scores = T.matmul(split(q, (0, 2, 1, 3)),
                           split(k, (0, 2, 3, 1))) * (dh**-0.5)
         if key_bias is not None:
-            bias = np.asarray(key_bias, dtype=np.float64)
+            bias = np.asarray(key_bias, dtype=self.wq.data.dtype)
             if bias.shape != (b, s):
                 raise ShapeError(f"key_bias shape {bias.shape}, expected {(b, s)}")
             scores = scores + bias.reshape(b, 1, 1, s)
@@ -296,8 +298,10 @@ class ClassificationHeads:
         self.weights: list[Tensor] = []
         self.biases: list[Tensor] = []
         for c in self.level_sizes:
-            self.weights.append(Tensor(np.zeros((d_model, c + 1)), requires_grad=True))
-            self.biases.append(Tensor(np.zeros(c + 1), requires_grad=True))
+            self.weights.append(Tensor(np.zeros((d_model, c + 1), np.float32),
+                                       requires_grad=True))
+            self.biases.append(Tensor(np.zeros(c + 1, np.float32),
+                                      requires_grad=True))
 
     @property
     def depth(self) -> int:
@@ -354,7 +358,8 @@ class LoraAdapter:
                     pairs = []
                     for d_in, d_out in shapes:
                         a = Tensor(_init(rng, d_in, rank), requires_grad=True)
-                        b = Tensor(np.zeros((rank, d_out)), requires_grad=True)
+                        b = Tensor(np.zeros((rank, d_out), np.float32),
+                                   requires_grad=True)
                         pairs.append(LoraPair(a, b))
                     per_layer[target] = pairs
             self._adapters.append(per_layer)

@@ -152,9 +152,11 @@ def span_token_f1(pred: tuple[int, int] | None,
     return 2 * precision * recall / (precision + recall)
 
 
-def _zero_head(rows: int, cols: int) -> tuple[Tensor, Tensor]:
-    w = Tensor(np.zeros((rows, cols)), requires_grad=True)
-    b = Tensor(np.zeros(cols), requires_grad=True)
+def _zero_head(model: DocumentModel, cols: int) -> tuple[Tensor, Tensor]:
+    """A zero [d_model, cols] head and bias in the model's dtype."""
+    w = Tensor(np.zeros((model.config.d_model, cols), model.dtype),
+               requires_grad=True)
+    b = Tensor(np.zeros(cols, model.dtype), requires_grad=True)
     return w, b
 
 
@@ -169,9 +171,8 @@ class SpanQaModel:
 
     def __init__(self, model: DocumentModel):
         self.model = model
-        d = model.config.d_model
-        self.w_start, self.b_start = _zero_head(d, 1)
-        self.w_end, self.b_end = _zero_head(d, 1)
+        self.w_start, self.b_start = _zero_head(model, 1)
+        self.w_end, self.b_end = _zero_head(model, 1)
 
     def head_tensors(self) -> list[Tensor]:
         return [self.w_start, self.b_start, self.w_end, self.b_end]
@@ -263,7 +264,7 @@ class TokenTaggerModel:
             raise ConfigError(f"num_classes must be >= 2, got {num_classes}")
         self.model = model
         self.num_classes = num_classes
-        self.w, self.b = _zero_head(model.config.d_model, num_classes)
+        self.w, self.b = _zero_head(model, num_classes)
 
     def head_tensors(self) -> list[Tensor]:
         return [self.w, self.b]
@@ -324,7 +325,7 @@ class PairClassifierModel:
 
     def __init__(self, model: DocumentModel):
         self.model = model
-        self.w, self.b = _zero_head(model.config.d_model, 2)
+        self.w, self.b = _zero_head(model, 2)
 
     def head_tensors(self) -> list[Tensor]:
         return [self.w, self.b]

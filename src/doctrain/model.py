@@ -12,7 +12,7 @@ from .checkpoint import Checkpoint
 from .encoder import (ClassificationHeads, EmbeddingTable, LoraAdapter,
                       LowerEncoder, ModelConfig, UpperEncoder, key_padding_bias)
 from .errors import CorruptCheckpoint, LengthError, ShapeError
-from .optim import ParamGroup, snap32
+from .optim import ParamGroup
 from .seeding import make_rng
 from .tensor import Tensor
 
@@ -64,6 +64,11 @@ class DocumentModel:
         # low-rank adapters both input paths run through, when attached
         self.adapter: LoraAdapter | None = None
 
+    @property
+    def dtype(self) -> np.dtype:
+        """The parameters' dtype: float32 as built and as loaded."""
+        return self.embed.token.data.dtype
+
     def attach_adapter(self, rank: int, targets: tuple[str, ...] = ("query", "value"),
                        seed: int = 0) -> LoraAdapter:
         """Route both input paths through fresh low-rank adapters."""
@@ -95,8 +100,8 @@ class DocumentModel:
             if m.ndim != 2 or m.shape[0] < 1 or m.shape[1] != d:
                 raise ShapeError(f"expected [S, {d}] matrix, got {m.shape}")
         lengths = [m.shape[0] for m in matrices]
-        x = np.zeros((len(matrices), max(lengths), d))
-        pool = np.zeros((len(matrices), 1, max(lengths)))
+        x = np.zeros((len(matrices), max(lengths), d), self.dtype)
+        pool = np.zeros((len(matrices), 1, max(lengths)), self.dtype)
         for i, m in enumerate(matrices):
             x[i, :len(m)] = m
             pool[i, 0, :len(m)] = 1.0 / len(m)
@@ -155,7 +160,7 @@ class DocumentModel:
             meta.update(extra_meta)
         # trained LoRA adapters travel merged into their base weights
         deltas = self.adapter.merged_deltas() if self.adapter is not None else {}
-        tensors = {name: (snap32(t.data + deltas[name]) if name in deltas
+        tensors = {name: (t.data + deltas[name] if name in deltas
                           else t.data).astype(np.float32)
                    for name, t in self.named_params().items()}
         return Checkpoint(meta=meta, tensors=tensors)
@@ -181,5 +186,5 @@ class DocumentModel:
                 raise CorruptCheckpoint(
                     f"tensor {name!r} has shape {arr.shape}, expected {t.shape}"
                 )
-            t.data = snap32(arr.astype(np.float64))
+            t.data = arr.astype(np.float32)
         return model

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -12,15 +12,6 @@ from .tensor import Tensor
 BETA1, BETA2 = 0.9, 0.999
 EPS = 1e-8
 WEIGHT_DECAY = 0.01
-
-
-def snap32(arr: np.ndarray) -> np.ndarray:
-    """Round float64 values onto the float32-representable grid.
-
-    Parameters live on this grid so the float32 checkpoint payload is a
-    lossless encoding of the in-memory model.
-    """
-    return arr.astype(np.float32).astype(np.float64)
 
 
 @dataclass
@@ -48,9 +39,31 @@ def linear_lr(initial_lr: float, step: int, total_steps: int) -> float:
 
 @dataclass
 class _Slot:
-    m: np.ndarray
+    m: np.ndarray  # float64, like v, whatever the parameter's dtype
     v: np.ndarray
     touched: np.ndarray  # per row: has its gradient ever been non-zero
+
+
+def _adam(theta, g, m, v, lr: float, bias1: float, bias2: float) -> np.ndarray:
+    """Advance the moments `m` and `v` in place by gradient `g` and return
+    the decayed and updated `theta`, all in float64 whatever the dtypes of
+    `theta` and `g`. Two float64 buffers serve every operation."""
+    buf = np.multiply(g, 1.0 - BETA1, dtype=np.float64)
+    m *= BETA1
+    m += buf
+    np.multiply(g, g, out=buf, dtype=np.float64)
+    buf *= 1.0 - BETA2
+    v *= BETA2
+    v += buf
+    np.divide(v, bias2, out=buf)
+    np.sqrt(buf, out=buf)
+    buf += EPS
+    step = np.divide(m, bias1)
+    step *= lr
+    step /= buf
+    np.multiply(theta, 1.0 - lr * WEIGHT_DECAY, out=buf, dtype=np.float64)
+    buf -= step
+    return buf
 
 
 class AdamW:
@@ -59,11 +72,16 @@ class AdamW:
     Frozen groups are never touched. Trainable tensors must carry gradients
     when `step` is called; a missing gradient is a contract violation.
 
+    The moments and the update are float64; the result is stored in the
+    parameter's own dtype, so a float32 parameter gets the float32 rounding
+    of the float64 update (mixed precision as in Micikevicius et al., arXiv
+    1710.03740, with float32 in place of float16).
+
     The Adam term is computed only on rows (first axis; a 0-d tensor is one
     row) whose gradient has ever been non-zero. Any other row has
-    m = v = g = 0, so its term is exactly lr*0/(0+eps) = 0 and the decay and
-    float32 snap, applied to the whole tensor in place, are its whole update:
-    every parameter is bit-identical to a dense step.
+    m = v = g = 0, so its term is exactly lr*0/(0+eps) = 0 and the decay,
+    applied to the whole tensor in place, is its whole update: every
+    parameter is bit-identical to a dense step.
     """
 
     def __init__(self, groups: list[ParamGroup], lr: float = 5e-5):
@@ -100,17 +118,19 @@ class AdamW:
                 data, g = np.atleast_1d(p.data, p.grad)
                 slot = self._slots.get(id(p))
                 if slot is None:
-                    slot = _Slot(np.zeros_like(data), np.zeros_like(data),
+                    slot = _Slot(np.zeros(data.shape), np.zeros(data.shape),
                                  np.zeros(len(data), dtype=bool))
                     self._slots[id(p)] = slot
                 slot.touched |= g.any(axis=tuple(range(1, g.ndim)))
-                rows = (... if slot.touched.all()
-                        else np.flatnonzero(slot.touched))
-                g = g[rows]
-                slot.m[rows] = BETA1 * slot.m[rows] + (1.0 - BETA1) * g
-                slot.v[rows] = BETA2 * slot.v[rows] + (1.0 - BETA2) * (g * g)
-                m_hat = slot.m[rows] / bias1
-                v_hat = slot.v[rows] / bias2
-                data *= 1.0 - lr * WEIGHT_DECAY
-                data[rows] -= lr * m_hat / (np.sqrt(v_hat) + EPS)
-                data[...] = data.astype(np.float32)
+                if slot.touched.all():
+                    data[...] = _adam(data, g, slot.m, slot.v, lr, bias1, bias2)
+                    continue
+                rows = np.flatnonzero(slot.touched)
+                m, v = slot.m[rows], slot.v[rows]
+                new = _adam(data[rows], g[rows], m, v, lr, bias1, bias2)
+                slot.m[rows], slot.v[rows] = m, v
+                # the idle rows' whole update, computed in float64 through
+                # the ufunc's small buffers: no table-sized temporary
+                np.multiply(data, 1.0 - lr * WEIGHT_DECAY, out=data,
+                            dtype=np.float64)
+                data[rows] = new

@@ -3,9 +3,15 @@
 Every operation that touches a gradient-requiring tensor records itself on an
 implicit tape (the `_parents` / `_backward` links of its output). `backward()`
 walks that graph once, in reverse topological order, and accumulates gradients
-into `.grad`. Arithmetic runs in float64; parameter storage is snapped to
-float32-representable values by the optimizer so checkpoints serialize to raw
-float32 losslessly.
+into `.grad`.
+
+The dtype follows the data: a tensor built from float32 data stays float32,
+and anything else becomes float64. An op computes in its operands' dtype and
+stages every gradient in the dtype of the tensor it belongs to; a constant
+operand (a Python scalar or a bare array) takes the dtype of the tensor it
+meets. Model parameters are float32, so training computes in float32; tests
+cast parameters to float64 to check gradients at float64 precision. The one
+exception is `cross_entropy_rows`, whose log-sum-exp and loss are float64.
 """
 
 from __future__ import annotations
@@ -34,8 +40,11 @@ class no_grad:
         return False
 
 
-def _as_f64(value) -> np.ndarray:
-    arr = np.asarray(value, dtype=np.float64)
+def _as_array(value) -> np.ndarray:
+    """float32 data stays float32; anything else becomes float64."""
+    arr = np.asarray(value)
+    if arr.dtype != np.float32:
+        arr = arr.astype(np.float64, copy=False)
     # keep row-major storage without promoting 0-d scalars to 1-d
     if arr.ndim >= 1 and not arr.flags.c_contiguous:
         arr = np.ascontiguousarray(arr)
@@ -48,7 +57,7 @@ class Tensor:
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
 
     def __init__(self, data, requires_grad: bool = False):
-        self.data = _as_f64(data)
+        self.data = _as_array(data)
         self.grad: np.ndarray | None = None
         self.requires_grad = bool(requires_grad)
         self._parents: tuple[Tensor, ...] = ()
@@ -94,6 +103,17 @@ def as_tensor(value) -> Tensor:
     return value if isinstance(value, Tensor) else Tensor(value)
 
 
+def _pair(a, b) -> tuple[Tensor, Tensor]:
+    """Both operands as tensors. A constant takes the dtype of the tensor it
+    meets, so `x * 0.5` stays in x's precision (NumPy would promote a 0-d
+    float64 array)."""
+    if isinstance(a, Tensor) and not isinstance(b, Tensor):
+        return a, Tensor(np.asarray(b, dtype=a.data.dtype))
+    if isinstance(b, Tensor) and not isinstance(a, Tensor):
+        return Tensor(np.asarray(a, dtype=b.data.dtype)), b
+    return as_tensor(a), as_tensor(b)
+
+
 def _make(out_data: np.ndarray, parents: tuple[Tensor, ...], backward_fn) -> Tensor:
     out = Tensor(out_data)
     if _GRAD_ENABLED[0] and any(p.requires_grad for p in parents):
@@ -109,6 +129,7 @@ _WALK: list[dict[int, np.ndarray] | None] = [None]
 
 
 def _accum(t: Tensor, g: np.ndarray) -> None:
+    """Stage `g` into t's gradient, in t's dtype."""
     walk = _WALK[0]
     if walk is None or not t.requires_grad:
         return
@@ -116,7 +137,7 @@ def _accum(t: Tensor, g: np.ndarray) -> None:
     if key in walk:
         walk[key] += g
     else:
-        walk[key] = np.array(g, dtype=np.float64, copy=True)
+        walk[key] = np.array(g, dtype=t.data.dtype, copy=True)
 
 
 def _sum_to(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -133,7 +154,7 @@ def _sum_to(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 
 def add(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
+    a, b = _pair(a, b)
     out = a.data + b.data
 
     def bw(g):
@@ -144,7 +165,7 @@ def add(a, b) -> Tensor:
 
 
 def sub(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
+    a, b = _pair(a, b)
     out = a.data - b.data
 
     def bw(g):
@@ -155,7 +176,7 @@ def sub(a, b) -> Tensor:
 
 
 def mul(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
+    a, b = _pair(a, b)
     out = a.data * b.data
 
     def bw(g):
@@ -182,11 +203,17 @@ def gelu(a) -> Tensor:
     """tanh-approximation GELU."""
     a = as_tensor(a)
     x = a.data
-    # products, not `**`: NumPy's float power is about 100x slower
+    # products, not `**`: NumPy's float power is about 100x slower; each
+    # in-place step rounds exactly as _GELU_C * (x + 0.044715 * x2 * x) and
+    # 0.5 * x * (1 + t) would
     x2 = x * x
-    inner = _GELU_C * (x + 0.044715 * x2 * x)
-    t = np.tanh(inner)
-    out = 0.5 * x * (1.0 + t)
+    t = x2 * 0.044715
+    t *= x
+    t += x
+    t *= _GELU_C
+    np.tanh(t, out=t)
+    out = x * 0.5
+    out *= 1.0 + t
 
     def bw(g):
         d_inner = _GELU_C * (1.0 + 3.0 * 0.044715 * x2)
@@ -240,7 +267,7 @@ def tmean(a) -> Tensor:
 
 def matmul(a, b) -> Tensor:
     """Matrix product; both 2-D, or identical leading batch dimensions."""
-    a, b = as_tensor(a), as_tensor(b)
+    a, b = _pair(a, b)
     if a.ndim < 2 or b.ndim < 2:
         raise ShapeError(f"matmul needs >=2-D operands, got {a.shape} @ {b.shape}")
     if a.data.shape[-1] != b.data.shape[-2]:
@@ -288,9 +315,9 @@ def softmax(a, axis: int = -1) -> Tensor:
     a = as_tensor(a)
     if a.data.shape == () or a.data.shape[axis] == 0:
         raise ShapeError(f"softmax needs a non-empty axis, shape is {a.shape}")
-    shifted = a.data - a.data.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    out = e / e.sum(axis=axis, keepdims=True)
+    out = a.data - a.data.max(axis=axis, keepdims=True)
+    np.exp(out, out=out)
+    out /= out.sum(axis=axis, keepdims=True)
 
     def bw(g):
         inner = (g * out).sum(axis=axis, keepdims=True)
@@ -308,9 +335,10 @@ def layer_norm(x, gain, bias) -> Tensor:
             f"layer_norm affine shapes {gain.shape}/{bias.shape} do not match width {d}"
         )
     mu = x.data.mean(axis=-1, keepdims=True)
-    var = x.data.var(axis=-1, keepdims=True)
+    xhat = x.data - mu
+    var = (xhat * xhat).mean(axis=-1, keepdims=True)  # as np.var computes it
     inv = 1.0 / np.sqrt(var + LAYER_NORM_EPS)
-    xhat = (x.data - mu) * inv
+    xhat *= inv
     out = xhat * gain.data + bias.data
 
     def bw(g):
@@ -330,6 +358,9 @@ def cross_entropy_rows(logits, targets, reduction: str = "mean",
     """Row-wise cross entropy for [N, C] logits and N integer targets.
 
     Optional per-row `weights` scale each row's loss before the reduction.
+    The loss and its gradient are computed in float64 whatever the logits'
+    dtype, so uniform logits give exactly ln(C); the gradient is staged in
+    the logits' dtype.
     """
     logits = as_tensor(logits)
     if logits.ndim != 2:
@@ -350,16 +381,17 @@ def cross_entropy_rows(logits, targets, reduction: str = "mean",
         if w.shape != (n,):
             raise ShapeError(f"weights shape {w.shape} does not match {n} rows")
         scale = scale * w
-    m = logits.data.max(axis=1, keepdims=True)
-    lse = m + np.log(np.exp(logits.data - m).sum(axis=1, keepdims=True))
-    rows = lse[:, 0] - logits.data[np.arange(n), idx]
+    x = np.asarray(logits.data, dtype=np.float64)
+    m = x.max(axis=1, keepdims=True)
+    lse = m + np.log(np.exp(x - m).sum(axis=1, keepdims=True))
+    rows = lse[:, 0] - x[np.arange(n), idx]
     if weights is None:
         out = rows.mean() if reduction == "mean" else rows.sum()
     else:
         out = (rows * scale).sum()
 
     def bw(g):
-        p = np.exp(logits.data - lse)
+        p = np.exp(x - lse)
         p[np.arange(n), idx] -= 1.0
         _accum(logits, g * scale[:, None] * p)
 
@@ -368,7 +400,7 @@ def cross_entropy_rows(logits, targets, reduction: str = "mean",
 
 def euclidean_distance(a, b, axis: int = -1) -> Tensor:
     """L2 distance along `axis`; backward guarded where the distance is 0."""
-    a, b = as_tensor(a), as_tensor(b)
+    a, b = _pair(a, b)
     if a.shape != b.shape:
         raise ShapeError(f"distance operands differ in shape: {a.shape} vs {b.shape}")
     diff = a.data - b.data

@@ -77,11 +77,12 @@ class DriftReport:
 
 def _drift_record(step: int | None, group: str, pairs) -> DriftRecord:
     """Relative L1 change of one group from its `(now, reference)` arrays,
-    summed in the order given; an all-zero reference reads 0."""
+    summed in float64 in the order given; an all-zero reference reads 0."""
     num = den = 0.0
     for now, ref in pairs:
-        num += float(np.abs(now - ref).sum())
-        den += float(np.abs(ref).sum())
+        diff = np.subtract(now, ref, dtype=np.float64)
+        num += float(np.abs(diff, out=diff).sum())
+        den += float(np.abs(ref).sum(dtype=np.float64))
     if den == 0.0:
         return DriftRecord(step, group, 0.0, zero_reference=True)
     return DriftRecord(step, group, num / den)
@@ -278,9 +279,9 @@ def pretrain_mlm(model: DocumentModel, corpus: Corpus,
     if not sequences:
         raise ValidationError("no document yields a 2+ token sequence")
 
-    mlm_head_w = Tensor(np.zeros((model.config.d_model, vocab)),
+    mlm_head_w = Tensor(np.zeros((model.config.d_model, vocab), model.dtype),
                         requires_grad=True)
-    mlm_head_b = Tensor(np.zeros(vocab), requires_grad=True)
+    mlm_head_b = Tensor(np.zeros(vocab, model.dtype), requires_grad=True)
     groups = model.param_groups()
     for g in groups:
         if g.name.startswith("embed.") or g.name == "heads":
@@ -341,6 +342,5 @@ def track_drift(before: Checkpoint, after: Checkpoint) -> DriftReport:
     report = DriftReport()
     for group in sorted(by_group):
         report.records.append(_drift_record(None, group, (
-            (after.tensors[n].astype(np.float64),
-             before.tensors[n].astype(np.float64)) for n in by_group[group])))
+            (after.tensors[n], before.tensors[n]) for n in by_group[group])))
     return report

@@ -24,6 +24,24 @@ def small_config(**overrides) -> ModelConfig:
     return ModelConfig(**base)
 
 
+def as_float64(model):
+    """Cast every parameter of `model` to float64 in place, the frozen
+    featurizer and an attached adapter included, and return the model.
+
+    Models compute in float32; contract tests call this to check gradients
+    and batch equivalence at float64 precision. The featurizer's cache is
+    emptied so no float32 vector outlives the cast.
+    """
+    tensors = [*model.lower.named_params().values(),
+               *model.named_params().values()]
+    if model.adapter is not None:
+        tensors += model.adapter.trainable_tensors()
+    for t in tensors:
+        t.data = t.data.astype(np.float64)
+    model.lower._cache.clear()
+    return model
+
+
 def make_document(doc_id: str, category: str, rng: np.random.Generator,
                   num_sentences: int = 3, words_per: int = 5,
                   hierarchy=(), concepts=()) -> Document:

@@ -43,8 +43,8 @@ from doctrain.taxonomy import Taxonomy, pad_hierarchy
 from doctrain.tensor import Tensor, backward, no_grad
 from doctrain.trainer import TrainConfig, pretrain, pretrain_mlm
 
-from conftest import (CATEGORY_WORDS, make_document, separable_corpus,
-                      triplets_for)
+from conftest import (CATEGORY_WORDS, as_float64, make_document,
+                      separable_corpus, triplets_for)
 
 CATS = ("astro", "law", "bio")
 
@@ -95,7 +95,7 @@ def test_c01_gradients_match_finite_differences():
     config = ModelConfig(d_model=8, num_layers=2, num_heads=2, ffn_dim=16,
                          vocab_size=256, max_positions=32, max_sentences=4,
                          lower_layers=1, level_sizes=(2, 3), seed=5)
-    model = DocumentModel(config)
+    model = as_float64(DocumentModel(config))
     rng = np.random.default_rng(3)
     docs = [make_document(f"d{i}", cat, rng, num_sentences=3)
             for i, cat in enumerate(CATS)]

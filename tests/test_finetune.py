@@ -23,7 +23,7 @@ from doctrain.finetune import (FinetuneConfig, PairClassifierModel,
 from doctrain.model import DocumentModel
 from doctrain.tensor import Tensor, backward
 
-from conftest import small_config
+from conftest import as_float64, small_config
 
 
 def oracle_macro_f1(y_true, y_pred, num_classes):
@@ -399,7 +399,7 @@ def _pair_batch(model, rng):
 def test_ragged_batch_loss_is_the_mean_of_example_losses(make, rng):
     """One padded pass gives the mean of the one-example losses, and the
     same gradients, within 1e-12."""
-    model = DocumentModel(small_config())
+    model = as_float64(DocumentModel(small_config()))
     task, batch = make(model, rng)
     for t in task.head_tensors():
         t.data = rng.normal(size=t.shape)

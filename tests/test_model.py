@@ -11,7 +11,7 @@ from doctrain.model import GROUPS, DocumentModel, group_of
 from doctrain import tensor as T
 from doctrain.tensor import Tensor, backward
 
-from conftest import small_config
+from conftest import as_float64, small_config
 
 
 class TestGroupOf:
@@ -89,7 +89,7 @@ class TestForwardPaths:
         """One padded pass gives each document's vector and every parameter
         gradient of the per-document passes, within 1e-12 in float64."""
         rng = np.random.default_rng(seed)
-        model = DocumentModel(small_config(num_layers=2))
+        model = as_float64(DocumentModel(small_config(num_layers=2)))
         for t in model.upper.named_params().values():
             t.data = rng.normal(0.0, 0.5, t.shape)
         matrices = [rng.normal(size=(n, 16)) for n in lengths]
@@ -111,7 +111,7 @@ class TestForwardPaths:
                                atol=1e-12), k
 
     def test_token_batch_matches_single_sequences(self):
-        model = DocumentModel(small_config())
+        model = as_float64(DocumentModel(small_config()))
         seqs = [[3, 10, 20, 7], [5], [9, 9, 4]]
         out = model.encode_token_batch(seqs).data
         assert out.shape == (3, 4, 16)
@@ -170,11 +170,9 @@ class TestAdapters:
 
 class TestPersistence:
     def test_checkpoint_round_trip_is_forward_exact(self, tmp_path):
-        from doctrain.optim import snap32
         model = DocumentModel(small_config(level_sizes=(3,)))
-        # move weights off their init so the restore is doing real work;
-        # snapping keeps them exactly float32-encodable like trained weights
-        model.upper.layers[0].wq.data = snap32(model.upper.layers[0].wq.data + 0.25)
+        # move weights off their init so the restore is doing real work
+        model.upper.layers[0].wq.data += 0.25
         model.heads.weights[0].data += 0.125
         sent = model.encode_document(["Persist me.", "Twice."]).data
         tok = model.encode_token_batch([[4, 5, 6]]).data

@@ -9,12 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from doctrain.errors import ConfigError, ContractError
-from doctrain.optim import AdamW, ParamGroup, linear_lr, snap32
+from doctrain.optim import AdamW, ParamGroup, linear_lr
 from doctrain.tensor import Tensor
 
 
 def param(values):
-    return Tensor(np.asarray(values, dtype=np.float64), requires_grad=True)
+    return Tensor(np.asarray(values, dtype=np.float32), requires_grad=True)
 
 
 class TestLinearSchedule:
@@ -47,54 +47,44 @@ class TestLinearSchedule:
             linear_lr(1.0, -1, 10)
 
 
-class TestSnap32:
-    def test_idempotent(self):
-        x = np.array([1 / 3, math.pi, 1e-20, -7.25])
-        once = snap32(x)
-        assert np.array_equal(snap32(once), once)
-
-    def test_exact_for_float32_values(self):
-        x = np.array([0.5, -2.0, 1.25], dtype=np.float64)
-        assert np.array_equal(snap32(x), x)
-
-    def test_returns_float64(self):
-        assert snap32(np.array([1.1])).dtype == np.float64
-
-
 class TestAdamW:
     def test_single_step_matches_hand_formula(self):
-        """One step from fresh state, compared against the written-out update."""
+        """One step from fresh state, compared against the written-out
+        update: float64 arithmetic on the float32 gradient, stored as the
+        float32 rounding."""
         theta0 = np.array([1.0, -2.0, 0.5])
-        g = np.array([0.3, -0.1, 0.0])
-        p = param(theta0.copy())
+        g = np.array([0.3, -0.1, 0.0], dtype=np.float32)
+        p = param(theta0)
         p.grad = g.copy()
         opt = AdamW([ParamGroup("w", [p])], lr=1e-3)
         opt.step()
 
+        g = g.astype(np.float64)
         m_hat = (0.1 * g) / (1 - 0.9)          # == g after bias correction
         v_hat = (0.001 * g * g) / (1 - 0.999)  # == g*g
         want = theta0 * (1 - 1e-3 * 0.01)
         want -= 1e-3 * m_hat / (np.sqrt(v_hat) + 1e-8)
-        assert np.allclose(p.data, snap32(want), atol=0, rtol=0)
+        assert p.data.dtype == np.float32
+        assert np.array_equal(p.data, want.astype(np.float32))
 
     def test_two_steps_match_hand_recursion(self):
-        theta = np.array([0.7])
-        grads = [np.array([0.2]), np.array([-0.4])]
-        p = param(theta.copy())
+        grads = [np.array([0.2], np.float32), np.array([-0.4], np.float32)]
+        p = param([0.7])
         opt = AdamW([ParamGroup("w", [p])], lr=0.01)
 
         m = np.zeros(1)
         v = np.zeros(1)
-        ref = theta.copy()
+        ref = p.data.copy()  # float32: each step starts from what was stored
         for i, g in enumerate(grads, start=1):
             p.grad = g.copy()
             opt.step()
+            g = g.astype(np.float64)
             m = 0.9 * m + 0.1 * g
             v = 0.999 * v + 0.001 * g * g
-            ref = ref * (1 - 0.01 * 0.01) - 0.01 * (m / (1 - 0.9**i)) / (
-                np.sqrt(v / (1 - 0.999**i)) + 1e-8)
-            ref = snap32(ref)
-            assert np.allclose(p.data, ref, atol=0, rtol=0)
+            ref = (ref.astype(np.float64) * (1 - 0.01 * 0.01)
+                   - 0.01 * (m / (1 - 0.9**i)) / (
+                       np.sqrt(v / (1 - 0.999**i)) + 1e-8)).astype(np.float32)
+            assert np.array_equal(p.data, ref)
 
     def test_zero_grad_clears_all_groups(self):
         a, b = param([1.0]), param([2.0])
@@ -145,9 +135,22 @@ class TestAdamW:
         p = param([1 / 3])
         opt = AdamW([ParamGroup("w", [p])], lr=0.01)
         for _ in range(3):
-            p.grad = np.array([0.1])
+            p.grad = np.array([0.1], np.float32)
             opt.step()
-        assert np.array_equal(snap32(p.data), p.data)
+        assert p.data.dtype == np.float32
+        slot = opt._slots[id(p)]
+        assert slot.m.dtype == slot.v.dtype == np.float64
+
+    def test_float64_parameter_is_updated_in_float64(self):
+        """The update is stored in the parameter's own dtype: a float64
+        parameter (a test's cast model) keeps every float64 digit."""
+        p = Tensor(np.array([1 / 3]), requires_grad=True)
+        p.grad = np.array([0.1])
+        AdamW([ParamGroup("w", [p])], lr=0.01).step()
+        want = 1 / 3 * (1 - 0.01 * 0.01) - 0.01 * 0.1 / (0.1 + 1e-8)
+        assert p.data.dtype == np.float64
+        assert p.data[0] == pytest.approx(want, rel=1e-15)
+        assert p.data[0] != np.float32(p.data[0])
 
     def test_group_helpers(self):
         g = ParamGroup("w", [param(np.ones((2, 3))), param([-2.0])])
@@ -155,16 +158,19 @@ class TestAdamW:
 
 
 def dense_adamw(theta, grads, lrs):
-    """The dense update every row took before AdamW skipped idle rows."""
-    m = np.zeros_like(theta)
-    v = np.zeros_like(theta)
+    """The dense update every row took before AdamW skipped idle rows:
+    float64 arithmetic from the float32 parameter and gradient, stored as
+    float32 after each step."""
+    m = np.zeros(theta.shape)
+    v = np.zeros(theta.shape)
     for t, (g, lr) in enumerate(zip(grads, lrs), start=1):
+        g = g.astype(np.float64)
         m = 0.9 * m + (1.0 - 0.9) * g
         v = 0.999 * v + (1.0 - 0.999) * (g * g)
-        theta = theta * (1.0 - lr * 0.01)
-        theta = theta - lr * (m / (1.0 - 0.9**t)) / (
+        new = theta.astype(np.float64) * (1.0 - lr * 0.01)
+        new = new - lr * (m / (1.0 - 0.9**t)) / (
             np.sqrt(v / (1.0 - 0.999**t)) + 1e-8)
-        theta = snap32(theta)
+        theta = new.astype(np.float32)
     return theta
 
 
@@ -184,7 +190,7 @@ class TestTouchedRows:
         kinds = np.concatenate([[0, 1, 2], rng.integers(0, 3, rows - 3)])
         once = rng.integers(0, steps, rows)
         shapes = [(rows, cols), (cols,), ()]
-        thetas = [snap32(rng.normal(size=s)) for s in shapes]
+        thetas = [rng.normal(size=s).astype(np.float32) for s in shapes]
         grads = []
         for step in range(steps):
             table = rng.normal(size=(rows, cols))
@@ -193,7 +199,8 @@ class TestTouchedRows:
             table[idle] = idle_zero
             vector = rng.normal(size=cols) * (rng.random(cols) < 0.5)
             scalar = np.asarray(rng.normal() if rng.random() < 0.5 else 0.0)
-            grads.append([table, vector, scalar])
+            grads.append([g.astype(np.float32)
+                          for g in (table, vector, scalar)])
         lrs = [linear_lr(lr0, step, steps) for step in range(steps)]
 
         params = [param(theta.copy()) for theta in thetas]
@@ -212,9 +219,10 @@ class TestTouchedRows:
 
     def test_idle_rows_cost_no_table_sized_allocation(self):
         """With 8 of 8192 rows touched, a step allocates less than one
-        float64 copy of the table (a dense step allocates several)."""
+        copy of the float32 table (a dense step allocates several float64
+        ones)."""
         rng = np.random.default_rng(0)
-        table = param(snap32(rng.normal(size=(8192, 128))))
+        table = param(rng.normal(size=(8192, 128)).astype(np.float32))
         grad = np.zeros_like(table.data)
         grad[rng.choice(8192, 8, replace=False)] = rng.normal(size=(8, 128))
         table.grad = grad
@@ -227,3 +235,20 @@ class TestTouchedRows:
         finally:
             tracemalloc.stop()
         assert peak < table.data.nbytes
+
+    def test_all_rows_step_works_in_two_float64_buffers(self):
+        """With every row touched, the moments and the update are written
+        in place: a step allocates two float64 buffers of the table's size
+        and not one temporary per operation."""
+        rng = np.random.default_rng(0)
+        table = param(rng.normal(size=(1024, 128)))
+        table.grad = rng.normal(size=table.shape).astype(np.float32)
+        opt = AdamW([ParamGroup("dense", [table])], lr=1e-3)
+        opt.step()
+        tracemalloc.start()
+        try:
+            opt.step()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * table.size * 8
