@@ -96,8 +96,8 @@ def _doc_vectors(model: DocumentModel, docs: list[list[str]]) -> tuple[np.ndarra
     for sentences in docs:
         with no_grad():
             sent_vecs.append(model.encode_document(sentences).data.copy())
-        # one document per call: a corpus-wide padded batch would hold a
-        # [docs, heads, T, T] attention map per softmax intermediate
+        # one document per call: a corpus-wide padded batch would hold one
+        # [docs, heads, T, T] attention probability array per layer
         with no_grad():
             out = model.encode_token_batch([_token_ids(model, sentences)])
         tok_vecs.append(out.data[0].mean(axis=0))
@@ -110,28 +110,19 @@ def _pairwise_cosines(vecs: np.ndarray) -> np.ndarray:
     return np.array([sims[i, j] for i, j in itertools.combinations(range(n), 2)])
 
 
-def _max_min_normalize(x: np.ndarray) -> tuple[np.ndarray, bool]:
-    lo, hi = x.min(), x.max()
-    if hi == lo:
-        return np.zeros_like(x), True
-    return (x - lo) / (hi - lo), False
-
-
 def representation_correlation(model: DocumentModel,
                                docs: list[list[str]]) -> CorrelationReport:
     """Pearson r between pairwise doc similarities under the two input paths.
 
-    Doc vectors come from the sentence-embedding path and the token-embedding
-    path; each path's C(n,2) cosine vector is max-min normalized before
-    correlating.
+    Doc vectors come from the sentence and token embedding paths; their C(n,2)
+    cosine vectors are correlated as they are (r ignores positive affine maps).
     """
     if len(docs) < 3:
         raise ValidationError(f"need at least 3 documents, got {len(docs)}")
     sent_vecs, tok_vecs = _doc_vectors(model, docs)
-    a, dg_a = _max_min_normalize(_pairwise_cosines(sent_vecs))
-    b, dg_b = _max_min_normalize(_pairwise_cosines(tok_vecs))
+    a, b = _pairwise_cosines(sent_vecs), _pairwise_cosines(tok_vecs)
     num_pairs = len(a)
-    if dg_a or dg_b:
+    if np.ptp(a) == 0 or np.ptp(b) == 0:
         return CorrelationReport(None, num_pairs, True)
     r = float(np.corrcoef(a, b)[0, 1])
     if not np.isfinite(r):

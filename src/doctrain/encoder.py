@@ -137,24 +137,12 @@ class TransformerLayer:
         if d != self.d_model:
             raise ShapeError(f"layer width {self.d_model} got input width {d}")
         b, s = (1, shape[0]) if x.ndim == 2 else shape[:2]
-        h, dh = self.num_heads, d // self.num_heads
         rows = x if x.ndim == 2 else T.reshape(x, (b * s, d))
         ad = adapters or {}
         q = self._adapted(rows, self.wq, self.bq, ad.get("query"))
         k = self._adapted(rows, self.wk, self.bk, ad.get("key"))
         v = self._adapted(rows, self.wv, self.bv, ad.get("value"))
-        # heads move next to the batch axis: [B, h, S, dh], keys [B, h, dh, S]
-        split = lambda t, axes: T.transpose(T.reshape(t, (b, s, h, dh)), axes)
-        scores = T.matmul(split(q, (0, 2, 1, 3)),
-                          split(k, (0, 2, 3, 1))) * (dh**-0.5)
-        if key_bias is not None:
-            bias = np.asarray(key_bias, dtype=self.wq.data.dtype)
-            if bias.shape != (b, s):
-                raise ShapeError(f"key_bias shape {bias.shape}, expected {(b, s)}")
-            scores = scores + bias.reshape(b, 1, 1, s)
-        attn = T.softmax(scores, axis=-1)
-        ctx = T.matmul(attn, split(v, (0, 2, 1, 3)))
-        ctx = T.reshape(T.transpose(ctx, (0, 2, 1, 3)), (b * s, d))
+        ctx = T.attention(q, k, v, b, s, self.num_heads, key_bias)
         ffn_pairs = ad.get("ffn")
         attn_out = self._adapted(ctx, self.wo, self.bo, ad.get("output"))
         rows = T.layer_norm(rows + attn_out, self.norm1_g, self.norm1_b)

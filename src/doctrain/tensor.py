@@ -128,8 +128,8 @@ def _make(out_data: np.ndarray, parents: tuple[Tensor, ...], backward_fn) -> Ten
 _WALK: list[dict[int, np.ndarray] | None] = [None]
 
 
-def _accum(t: Tensor, g: np.ndarray) -> None:
-    """Stage `g` into t's gradient, in t's dtype."""
+def _accum(t: Tensor, g: np.ndarray, owned: bool = False) -> None:
+    """Stage `g` into t's gradient, in t's dtype; adopt an `owned` g uncopied."""
     walk = _WALK[0]
     if walk is None or not t.requires_grad:
         return
@@ -137,7 +137,7 @@ def _accum(t: Tensor, g: np.ndarray) -> None:
     if key in walk:
         walk[key] += g
     else:
-        walk[key] = np.array(g, dtype=t.data.dtype, copy=True)
+        walk[key] = g if owned else np.array(g, dtype=t.data.dtype, copy=True)
 
 
 def _sum_to(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -236,18 +236,6 @@ def reshape(a, shape) -> Tensor:
     return _make(out, (a,), bw)
 
 
-def transpose(a, axes) -> Tensor:
-    a = as_tensor(a)
-    axes = tuple(axes)
-    out = np.ascontiguousarray(a.data.transpose(axes))
-    inverse = tuple(np.argsort(axes))
-
-    def bw(g):
-        _accum(a, g.transpose(inverse))
-
-    return _make(out, (a,), bw)
-
-
 # -- reductions -----------------------------------------------------------
 
 
@@ -302,7 +290,7 @@ def embedding(table, ids) -> Tensor:
             return
         buf = np.zeros_like(table.data)
         np.add.at(buf, idx, g)
-        _accum(table, buf)
+        _accum(table, buf, owned=True)
 
     return _make(out, (table,), bw)
 
@@ -310,20 +298,48 @@ def embedding(table, ids) -> Tensor:
 # -- neural-net primitives --------------------------------------------------
 
 
-def softmax(a, axis: int = -1) -> Tensor:
-    """Numerically stable softmax (max subtraction) along `axis`."""
-    a = as_tensor(a)
-    if a.data.shape == () or a.data.shape[axis] == 0:
-        raise ShapeError(f"softmax needs a non-empty axis, shape is {a.shape}")
-    out = a.data - a.data.max(axis=axis, keepdims=True)
-    np.exp(out, out=out)
-    out /= out.sum(axis=axis, keepdims=True)
+def attention(q, k, v, b: int, s: int, heads: int, key_bias=None) -> Tensor:
+    """Multi-head scaled dot-product attention over b sequences of s rows:
+    [b·s, d] query, key and value rows -> [b·s, d] context rows; `key_bias`
+    adds a [b, s] score per key (0 valid, -inf padding). It keeps only the
+    [b, h, s, s] probabilities P for its backward, FlashAttention's without
+    tiling (Dao et al., 2022): dV = Pᵀ·dO, dQ = dS·K, dK = Qᵀ·dS, and
+    dS = P ∘ (dP − rowsum(dP ∘ P))·scale.
+
+    Layout rule: BLAS gets Q, V and dO as contiguous [b, h, s, dh] copies, K
+    as a contiguous [b, h, dh, s] copy, and dK as Qᵀ·dS. A float32 product's
+    bits depend on operand layout; these reproduce the transpose and matmul
+    nodes this op replaced bit for bit, which a strided Kᵀ or dSᵀ·Q does not.
+    """
+    q, k, v = as_tensor(q), as_tensor(k), as_tensor(v)
+    dh = q.shape[-1] // heads
+    split = lambda x, axes: np.ascontiguousarray(
+        x.reshape(b, s, heads, dh).transpose(axes))
+    merge = lambda x, axes: x.transpose(axes).reshape(b * s, -1)
+    qh, kt, vh = (split(q.data, (0, 2, 1, 3)), split(k.data, (0, 2, 3, 1)),
+                  split(v.data, (0, 2, 1, 3)))
+    p = qh @ kt
+    scale = np.asarray(dh**-0.5, dtype=p.dtype)
+    p *= scale
+    if key_bias is not None:
+        bias = np.asarray(key_bias, dtype=p.dtype)
+        if bias.shape != (b, s):
+            raise ShapeError(f"key_bias shape {bias.shape}, expected {(b, s)}")
+        p += bias.reshape(b, 1, 1, s)
+    p -= p.max(axis=-1, keepdims=True)
+    np.exp(p, out=p)
+    p /= p.sum(axis=-1, keepdims=True)
 
     def bw(g):
-        inner = (g * out).sum(axis=axis, keepdims=True)
-        _accum(a, out * (g - inner))
+        do = split(g, (0, 2, 1, 3))
+        dp = do @ vh.swapaxes(-1, -2)
+        ds = p * (dp - (dp * p).sum(axis=-1, keepdims=True))
+        ds *= scale
+        _accum(q, merge(ds @ kt.swapaxes(-1, -2), (0, 2, 1, 3)))
+        _accum(k, merge(qh.swapaxes(-1, -2) @ ds, (0, 3, 1, 2)))
+        _accum(v, merge(p.swapaxes(-1, -2) @ do, (0, 2, 1, 3)))
 
-    return _make(out, (a,), bw)
+    return _make(merge(p @ vh, (0, 2, 1, 3)), (q, k, v), bw)
 
 
 def layer_norm(x, gain, bias) -> Tensor:

@@ -6,6 +6,7 @@ through sha256 rather than the salted builtin `hash`.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import re
 
@@ -37,6 +38,7 @@ def tokenize(text: str) -> list[str]:
     return [t for t in _WS.split(text.lower()) if t]
 
 
+@functools.lru_cache(maxsize=1 << 16)  # a corpus reuses few words and trigrams
 def hash_token(token: str, vocab_size: int) -> int:
     """Stable token id in [NUM_RESERVED, vocab_size)."""
     digest = hashlib.sha256(token.encode("utf-8")).digest()

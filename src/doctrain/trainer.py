@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -89,20 +89,23 @@ def _drift_record(step: int | None, group: str, pairs) -> DriftRecord:
 
 
 class _DriftTracker:
-    """Relative L1 change of each parameter group against its start state."""
+    """Relative L1 change of each parameter group against its start state;
+    a frozen group cannot move, so its one record is computed up front."""
 
     def __init__(self, groups: list[ParamGroup]):
         self.groups = groups
-        self.before = {
-            g.name: [t.data.copy() for t in g.tensors] for g in groups
-        }
+        self.start = {g.name: [t.data.copy() for t in g.tensors]
+                      for g in groups if not g.frozen}
+        self.still = {g.name: _drift_record(None, g.name,
+                                            [(t.data, t.data) for t in g.tensors])
+                      for g in groups if g.frozen}
         self.report = DriftReport()
 
     def record(self, step: int | None) -> None:
         for g in self.groups:
-            self.report.records.append(_drift_record(
-                step, g.name,
-                zip((t.data for t in g.tensors), self.before[g.name])))
+            self.report.records.append(
+                replace(self.still[g.name], step=step) if g.frozen else _drift_record(
+                    step, g.name, zip((t.data for t in g.tensors), self.start[g.name])))
 
 
 @dataclass

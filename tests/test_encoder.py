@@ -143,6 +143,24 @@ class TestTransformerLayer:
                 fd = (up - down) / (2 * h)
                 assert abs(grad[k] - fd) <= 1e-6 * max(1.0, abs(fd))
 
+    def test_training_forward_records_one_attention_node(self, rng):
+        """Attention is one tape node, and no node keeps a 4-D array."""
+        layer = TransformerLayer(8, 2, 12, np.random.default_rng(8), True)
+        out = layer.forward(Tensor(rng.normal(size=(3, 4, 8))),
+                            key_padding_bias([4, 2, 1]))
+        seen, stack, nodes = {id(out)}, [out], []
+        while stack:
+            node = stack.pop()
+            if node._backward is not None:
+                nodes.append(node)
+            for parent in node._parents:
+                if id(parent) not in seen:
+                    seen.add(id(parent))
+                    stack.append(parent)
+        names = [n._backward.__qualname__.split(".")[0] for n in nodes]
+        assert names.count("attention") == 1
+        assert all(n.ndim <= 3 for n in nodes)
+
     def test_gradients_reach_every_parameter(self, rng):
         layer = TransformerLayer(8, 2, 12, np.random.default_rng(5), True)
         out = layer.forward(Tensor(rng.normal(size=(4, 8))))

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from doctrain import tensor as T
+from doctrain.encoder import key_padding_bias
 from doctrain.errors import ContractError, ShapeError
 from doctrain.tensor import Tensor, backward, no_grad
 
@@ -72,9 +73,9 @@ class TestElementwise:
 
 
 class TestShapes:
-    def test_reshape_transpose_roundtrip_grad(self):
+    def test_reshape_roundtrip_grad(self):
         a = t(np.arange(24.0).reshape(2, 3, 4))
-        out = T.transpose(T.reshape(a, (6, 4)), (1, 0))
+        out = T.reshape(T.reshape(a, (6, 4)), (4, 6))
         backward(T.tmean(out * out))
         assert np.allclose(a.grad, 2 * a.data / a.size)
 
@@ -116,14 +117,20 @@ class TestMatmul:
 
 class TestSoftmaxAndLosses:
     def test_softmax_rows_sum_to_one(self, rng):
-        x = rng.normal(size=(5, 7)) * 10
-        y = T.softmax(t(x)).data
-        assert np.allclose(y.sum(axis=1), 1.0)
+        """Attention weights sum to one per query, so keys that all carry
+        the same value row return exactly that row."""
+        q, k = rng.normal(size=(2, 10, 6)) * 10
+        v = np.tile(rng.normal(size=6), (10, 1))
+        out = T.attention(t(q), t(k), t(v), 2, 5, 3).data
+        assert np.allclose(out, v, rtol=0, atol=1e-12)
 
     def test_softmax_shift_invariance(self, rng):
-        x = rng.normal(size=(4, 6))
-        assert np.allclose(T.softmax(t(x)).data,
-                           T.softmax(t(x + 123.0)).data)
+        """Adding one constant to every key's score bias moves nothing."""
+        q, k, v = rng.normal(size=(3, 8, 6))
+        bias = key_padding_bias([4, 3])
+        out = T.attention(t(q), t(k), t(v), 2, 4, 2, bias).data
+        shifted = T.attention(t(q), t(k), t(v), 2, 4, 2, bias + 123.0).data
+        assert np.allclose(out, shifted, rtol=0, atol=1e-12)
 
     def test_cross_entropy_uniform_is_log_c(self):
         for c in (2, 5, 9):
@@ -206,6 +213,19 @@ class TestSoftmaxAndLosses:
         with pytest.raises(IndexError):
             T.embedding(table, [4])
 
+    def test_embedding_grads_add_to_a_staged_grad(self):
+        """The first gather's scatter buffer is staged as is; a second
+        gather and a matmul read of the same table add into it."""
+        table = t(np.arange(12.0).reshape(4, 3))
+        loss = (T.tmean(T.embedding(table, [0, 2]))
+                + T.tmean(T.embedding(table, [2, 3]))
+                + T.tmean(T.matmul(table, t(np.ones((3, 1)), grad=False))))
+        backward(loss)
+        want = np.full((4, 3), 1 / 4)
+        want[[0, 3]] += 1 / 6
+        want[2] += 2 / 6
+        assert np.allclose(table.grad, want, rtol=0, atol=1e-15)
+
 
 class TestBackwardContract:
     def test_scalar_only(self):
@@ -249,6 +269,72 @@ class TestBackwardContract:
         assert a.grad.shape == ()
 
 
+def attention_oracle(q, k, v, b, s, heads, bias):
+    """Per-sequence, per-head scaled dot-product attention in plain loops."""
+    out = np.zeros_like(q)
+    d = q.shape[1]
+    dh = d // heads
+    for i in range(b):
+        rows = slice(i * s, (i + 1) * s)
+        for j in range(heads):
+            cols = slice(j * dh, (j + 1) * dh)
+            scores = q[rows, cols] @ k[rows, cols].T / np.sqrt(dh) + bias[i]
+            w = np.exp(scores - scores.max(axis=1, keepdims=True))
+            w /= w.sum(axis=1, keepdims=True)
+            out[rows, cols] = w @ v[rows, cols]
+    return out
+
+
+class TestAttention:
+    @pytest.mark.parametrize("lengths", [None, [3, 1]],
+                             ids=["no key_bias", "key_bias"])
+    def test_grads_match_finite_differences(self, rng, lengths):
+        b, s, heads, d = 2, 3, 2, 4
+        bias = None if lengths is None else key_padding_bias(lengths)
+        ref_bias = np.zeros((b, s)) if bias is None else bias
+        q, k, v = rng.normal(size=(3, b * s, d))
+        w = rng.normal(size=(b * s, d))
+        tq, tk, tv = t(q.copy()), t(k.copy()), t(v.copy())
+        out = T.attention(tq, tk, tv, b, s, heads, bias)
+        assert np.allclose(out.data, attention_oracle(q, k, v, b, s, heads,
+                                                      ref_bias), atol=1e-12)
+        backward(T.tmean(out * Tensor(w)))
+
+        def loss(qv, kv, vv):
+            return float(np.mean(attention_oracle(qv, kv, vv, b, s, heads,
+                                                  ref_bias) * w))
+
+        assert rel_err(tq.grad, fd_grad(lambda x: loss(x, k, v), q.copy())) < 1e-6
+        assert rel_err(tk.grad, fd_grad(lambda x: loss(q, x, v), k.copy())) < 1e-6
+        assert rel_err(tv.grad, fd_grad(lambda x: loss(q, k, x), v.copy())) < 1e-6
+
+    def test_zero_queries_average_the_valid_values(self, rng):
+        lengths = [4, 2, 1]
+        v = rng.normal(size=(12, 6))
+        k = rng.normal(size=(12, 6))
+        out = T.attention(t(np.zeros((12, 6))), t(k), t(v), 3, 4, 3,
+                          key_padding_bias(lengths)).data
+        for i, n in enumerate(lengths):
+            mean = v[4 * i:4 * i + n].mean(axis=0)
+            assert np.allclose(out[4 * i:4 * i + 4], mean, rtol=0, atol=1e-12)
+
+    def test_padded_value_rows_change_nothing(self, rng):
+        lengths = [3, 1]
+        q, k, v = rng.normal(size=(3, 6, 4))
+        bias = key_padding_bias(lengths)
+        out = T.attention(t(q), t(k), t(v), 2, 3, 2, bias).data
+        edited = v.copy()
+        edited[4:] = rng.normal(size=(2, 4)) * 100  # sequence 1's padding
+        again = T.attention(t(q), t(k), t(edited), 2, 3, 2, bias).data
+        assert np.array_equal(out, again)
+
+    def test_key_bias_shape_error(self):
+        x = t(np.zeros((6, 4)))
+        with pytest.raises(ShapeError, match=r"key_bias shape \(3, 2\), "
+                                             r"expected \(2, 3\)"):
+            T.attention(x, x, x, 2, 3, 2, np.zeros((3, 2)))
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.lists(st.floats(-10, 10), min_size=1, max_size=8),
        st.lists(st.floats(-10, 10), min_size=1, max_size=8))
@@ -269,7 +355,8 @@ def test_softmax_cross_entropy_consistency(seed):
     x = rng.normal(size=rng.integers(2, 9)) * rng.uniform(0.1, 5)
     target = int(rng.integers(0, x.size))
     ce = T.cross_entropy_rows(t(x.copy()[None, :]), [target]).item()
-    p = T.softmax(t(x.copy()), axis=-1).data
+    p = np.exp(x - x.max())
+    p /= p.sum()
     assert abs(ce + np.log(p[target])) < 1e-9
 
 

@@ -72,6 +72,18 @@ class TestHashing:
             want = 3 + int.from_bytes(digest[:8], "little") % (vocab - 3)
             assert hash_token(token, vocab) == want
 
+    def test_memoized_ids_match_a_fresh_sha256(self):
+        words = tokenize("The pump failed again and the pump was replaced")
+        pieces = words + [m[i:i + 3] for m in (f"<{w}>" for w in words)
+                          for i in range(len(m) - 2)]
+        for vocab in (512, 8192):
+            subword_ids(" ".join(words), vocab)  # fills the memo
+            for piece in pieces:
+                digest = hashlib.sha256(piece.encode("utf-8")).digest()
+                want = 3 + int.from_bytes(digest[:8], "little") % (vocab - 3)
+                assert hash_token(piece, vocab) == want
+        assert hash_token.cache_info().hits > 0
+
     def test_stable_across_calls(self):
         assert hash_token("pump", 8192) == hash_token("pump", 8192)
 

@@ -441,6 +441,21 @@ class TestTrackDrift:
         with pytest.raises(ValidationError, match="shape"):
             track_drift(a, b)
 
+    def test_in_loop_tracker_keeps_no_copy_of_a_frozen_group(self):
+        model = fresh_model()
+        groups = model.param_groups()
+        for g in groups:
+            g.frozen = g.name.startswith("embed.") or g.name == "lower"
+        tracker = trainer._DriftTracker(groups)
+        frozen = {g.name for g in groups if g.frozen}
+        assert frozen == {"lower", "embed.token", "embed.position"}
+        assert frozen.isdisjoint(tracker.start)
+        model.embed.token.data[0, 0] += 1.0  # a frozen group is never read again
+        tracker.record(3)
+        rows = {r.group: r for r in tracker.report.records}
+        assert all(rows[name] == DriftRecord(3, name, 0.0) for name in frozen)
+        assert rows["heads"] == DriftRecord(3, "heads", 0.0, zero_reference=True)
+
     def test_agrees_with_in_loop_tracker(self):
         corpus = separable_corpus(per_category=4)
         model = fresh_model()
