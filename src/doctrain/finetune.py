@@ -152,12 +152,16 @@ def span_token_f1(pred: tuple[int, int] | None,
     return 2 * precision * recall / (precision + recall)
 
 
-def _zero_head(model: DocumentModel, cols: int) -> tuple[Tensor, Tensor]:
-    """A zero [d_model, cols] head and bias in the model's dtype."""
-    w = Tensor(np.zeros((model.config.d_model, cols), model.dtype),
-               requires_grad=True)
-    b = Tensor(np.zeros(cols, model.dtype), requires_grad=True)
-    return w, b
+def best_span(s_log: np.ndarray, e_log: np.ndarray, offset: int,
+              kept: int) -> tuple[int, int] | None:
+    """The context span (s, e), s <= e, with the highest start-plus-end
+    logit, in context coordinates; None unless it beats the no-answer score
+    at position 0. Ties go to the first span in row-major (s, e) order."""
+    ctx = slice(offset, offset + kept)
+    scores = s_log[ctx, None] + e_log[None, ctx]
+    scores[np.tril_indices(kept, -1)] = -np.inf
+    s, e = divmod(int(scores.argmax()), kept)
+    return (s, e) if scores[s, e] > s_log[0] + e_log[0] else None
 
 
 class SpanQaModel:
@@ -171,8 +175,8 @@ class SpanQaModel:
 
     def __init__(self, model: DocumentModel):
         self.model = model
-        self.w_start, self.b_start = _zero_head(model, 1)
-        self.w_end, self.b_end = _zero_head(model, 1)
+        self.w_start, self.b_start = model.zero_head(1)
+        self.w_end, self.b_end = model.zero_head(1)
 
     def head_tensors(self) -> list[Tensor]:
         return [self.w_start, self.b_start, self.w_end, self.b_end]
@@ -229,17 +233,7 @@ class SpanQaModel:
     def predict(self, ex: SpanQaExample) -> tuple[int, int] | None:
         with no_grad():
             start, end, [(offset, kept)] = self._logits([ex])
-        s_log = start.data[0]
-        e_log = end.data[0]
-        best_score = s_log[0] + e_log[0]
-        best: tuple[int, int] | None = None
-        for s in range(offset, offset + kept):
-            for e in range(s, offset + kept):
-                score = s_log[s] + e_log[e]
-                if score > best_score:
-                    best_score = score
-                    best = (s - offset, e - offset)
-        return best
+        return best_span(start.data[0], end.data[0], offset, kept)
 
     def evaluate(self, examples) -> dict[str, float]:
         if not examples:
@@ -264,7 +258,7 @@ class TokenTaggerModel:
             raise ConfigError(f"num_classes must be >= 2, got {num_classes}")
         self.model = model
         self.num_classes = num_classes
-        self.w, self.b = _zero_head(model, num_classes)
+        self.w, self.b = model.zero_head(num_classes)
 
     def head_tensors(self) -> list[Tensor]:
         return [self.w, self.b]
@@ -325,7 +319,7 @@ class PairClassifierModel:
 
     def __init__(self, model: DocumentModel):
         self.model = model
-        self.w, self.b = _zero_head(model, 2)
+        self.w, self.b = model.zero_head(2)
 
     def head_tensors(self) -> list[Tensor]:
         return [self.w, self.b]
@@ -360,18 +354,6 @@ class PairClassifierModel:
                 "f1": binary_f1(y_true, y_pred)}
 
 
-def _trainable_groups(model: DocumentModel,
-                      head: list[Tensor]) -> list[ParamGroup]:
-    # Fine-tuning trains the upper encoder, both embedding tables, and the
-    # task head. The featurizer stays frozen; pre-training heads are dropped.
-    groups = model.param_groups()
-    for g in groups:
-        if g.name == "heads":
-            g.frozen = True
-    groups.append(ParamGroup("task_head", head))
-    return groups
-
-
 def _snapshot(tensors: list[Tensor]) -> list[np.ndarray]:
     return [t.data.copy() for t in tensors]
 
@@ -395,9 +377,12 @@ def finetune(task, train: list, dev: list,
     if config.max_examples is not None:
         train = train[:config.max_examples]
 
-    groups = _trainable_groups(task.model, task.head_tensors())
+    # the upper encoder, both embedding tables and the task head train; the
+    # pre-training heads and an attached adapter stay as they are
+    groups = task.model.param_groups({"heads", "lora"})
+    groups.append(ParamGroup("task_head", task.head_tensors()))
     optimizer = AdamW(groups, lr=config.lr)
-    trainable = [t for g in groups if not g.frozen for t in g.tensors]
+    trainable = [t for g in groups for t in g.tensors if t.requires_grad]
     rng = make_rng(config.seed, "finetune-shuffle")
 
     best_metric = -np.inf

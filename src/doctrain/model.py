@@ -132,23 +132,32 @@ class DocumentModel:
         out.update(self.heads.named_params())
         return out
 
-    def param_groups(self) -> list[ParamGroup]:
-        """All groups, with the always-frozen featurizer marked frozen.
+    def param_groups(self, frozen=()) -> list[ParamGroup]:
+        """Every non-empty group in `GROUPS` order, then the attached adapter
+        as `lora`, with `requires_grad` set on each tensor: False for the
+        featurizer and each group named in `frozen`, True for the rest.
 
-        Callers flip `frozen` on the others per training phase.
+        Each training phase calls this once, so no phase inherits another's
+        freezing.
         """
         buckets: dict[str, list[Tensor]] = {name: [] for name in GROUPS}
+        buckets["lower"] = list(self.lower.named_params().values())
         for name, t in self.named_params().items():
             buckets[group_of(name)].append(t)
-        groups = [ParamGroup("lower",
-                             list(self.lower.named_params().values()),
-                             frozen=True)]
-        for name in GROUPS:
-            if name == "lower":
-                continue
-            if buckets[name]:
-                groups.append(ParamGroup(name, buckets[name]))
+        if self.adapter is not None:
+            buckets["lora"] = self.adapter.trainable_tensors()
+        groups = [ParamGroup(name, tensors)
+                  for name, tensors in buckets.items() if tensors]
+        for g in groups:
+            for t in g.tensors:
+                t.requires_grad = g.name != "lower" and g.name not in frozen
         return groups
+
+    def zero_head(self, cols: int) -> tuple[Tensor, Tensor]:
+        """A trainable zero [d_model, cols] head and bias in the model's dtype."""
+        return (Tensor(np.zeros((self.config.d_model, cols), self.dtype),
+                       requires_grad=True),
+                Tensor(np.zeros(cols, self.dtype), requires_grad=True))
 
     # -- persistence ----------------------------------------------------------
 

@@ -16,11 +16,14 @@ WEIGHT_DECAY = 0.01
 
 @dataclass
 class ParamGroup:
-    """A named set of parameters updated (or skipped) together."""
+    """A named set of parameters; `requires_grad` on each says what trains."""
 
     name: str
     tensors: list[Tensor]
-    frozen: bool = False
+
+    @property
+    def frozen(self) -> bool:
+        return not any(t.requires_grad for t in self.tensors)
 
 
 def linear_lr(initial_lr: float, step: int, total_steps: int) -> float:
@@ -69,8 +72,9 @@ def _adam(theta, g, m, v, lr: float, bias1: float, bias2: float) -> np.ndarray:
 class AdamW:
     """Adam with decoupled weight decay over a list of ParamGroups.
 
-    Frozen groups are never touched. Trainable tensors must carry gradients
-    when `step` is called; a missing gradient is a contract violation.
+    A tensor that does not require grad is never touched. One that does must
+    carry a gradient when `step` is called; a missing one is a contract
+    violation.
 
     The moments and the update are float64; the result is stored in the
     parameter's own dtype, so a float32 parameter gets the float32 rounding
@@ -107,9 +111,9 @@ class AdamW:
         bias1 = 1.0 - BETA1**t
         bias2 = 1.0 - BETA2**t
         for group in self.groups:
-            if group.frozen:
-                continue
             for p in group.tensors:
+                if not p.requires_grad:
+                    continue
                 if p.grad is None:
                     raise ContractError(
                         f"missing gradient on trainable tensor in group {group.name!r}"

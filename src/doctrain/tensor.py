@@ -286,8 +286,6 @@ def embedding(table, ids) -> Tensor:
     out = table.data[idx]
 
     def bw(g):
-        if not table.requires_grad:
-            return
         buf = np.zeros_like(table.data)
         np.add.at(buf, idx, g)
         _accum(table, buf, owned=True)

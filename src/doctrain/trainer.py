@@ -15,7 +15,7 @@ from .corpus import Corpus
 from .errors import ConfigError, NumericError, ValidationError
 from .losses import hierarchical_loss_rows, triplet_loss
 from .mining import Triplet
-from .model import DocumentModel, group_of
+from .model import GROUPS, DocumentModel, group_of
 from .optim import AdamW, ParamGroup, linear_lr
 from .seeding import make_rng
 from .taxonomy import HierarchyLabels
@@ -192,19 +192,15 @@ def pretrain(model: DocumentModel, corpus: Corpus, triplets: list[Triplet],
                 matrices[doc_id] = model.embed_sentences(
                     list(corpus.get(doc_id).sentences))
 
-    groups = model.param_groups()
-    for g in groups:
-        if g.name.startswith("embed."):
-            g.frozen = True  # embeddings never train during pre-training
-        if g.name == "heads" and not use_hier:
-            g.frozen = True
+    # embeddings never train during pre-training; adapters, when asked for,
+    # replace base-weight training
+    frozen = {"embed.token", "embed.position", "lora"}
     if config.lora_rank > 0:
-        adapter = model.attach_adapter(config.lora_rank, config.lora_targets,
-                                       config.seed)
-        for g in groups:
-            if g.name != "heads":
-                g.frozen = True  # adapters replace base-weight training
-        groups.append(ParamGroup("lora", adapter.trainable_tensors()))
+        model.attach_adapter(config.lora_rank, config.lora_targets, config.seed)
+        frozen = set(GROUPS) - {"heads"}
+    if not use_hier:
+        frozen.add("heads")
+    groups = model.param_groups(frozen)
     depth = model.heads.depth
     hier_members = ["anchor_id", "positive_id"]
     if config.hier_negative:
@@ -282,13 +278,9 @@ def pretrain_mlm(model: DocumentModel, corpus: Corpus,
     if not sequences:
         raise ValidationError("no document yields a 2+ token sequence")
 
-    mlm_head_w = Tensor(np.zeros((model.config.d_model, vocab), model.dtype),
-                        requires_grad=True)
-    mlm_head_b = Tensor(np.zeros(vocab, model.dtype), requires_grad=True)
-    groups = model.param_groups()
-    for g in groups:
-        if g.name.startswith("embed.") or g.name == "heads":
-            g.frozen = True
+    mlm_head_w, mlm_head_b = model.zero_head(vocab)
+    groups = model.param_groups({"embed.token", "embed.position", "heads",
+                                 "lora"})
     groups.append(ParamGroup("mlm_head", [mlm_head_w, mlm_head_b]))
     rng = make_rng(config.seed, "pretrain-mlm")
 

@@ -1,8 +1,9 @@
 """The benchmark's hooks into doctrain, checked within the tier-1 suite.
 
-`benchmarks/` has its own tests, outside `testpaths`. These two pin the ways
-the benchmark reaches into the package: its tracer replaces module bindings
-by name, and the `finetune_tokens` workload records each step's loss by
+`testpaths` also runs the benchmark's own tests (`benchmarks/tests`). These
+pin the ways the benchmark reaches into the package: its tracer replaces
+module bindings by name and counts the parameters each optimizer step
+updates, and the `finetune_tokens` workload records each step's loss by
 replacing `finetune.backward`.
 """
 
@@ -10,13 +11,19 @@ import os
 import subprocess
 import sys
 
-from doctrain import finetune
+import pytest
+
+from doctrain import finetune, trainer
 from doctrain.finetune import FinetuneConfig, TokenClassExample, TokenTaggerModel
 from doctrain.model import DocumentModel
+from doctrain.taxonomy import Taxonomy, pad_hierarchy
+from doctrain.trainer import TrainConfig
 
-from conftest import small_config
+from conftest import separable_corpus, small_config, triplets_for
 
 ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
+sys.path.insert(0, os.path.join(ROOT, "benchmarks"))
+import tracing  # noqa: E402
 
 # every doctrain module whose bindings the tracer wraps
 TRACED_MODULES = ("checkpoint", "cli", "corpus", "encoder", "finetune",
@@ -53,3 +60,31 @@ def test_finetune_calls_its_backward_binding_once_per_step(monkeypatch):
                                               batch_size=2))
     assert result.epochs_run == 2
     assert len(calls) == 2 * 3  # ceil(5 / 2) steps per epoch
+
+
+@pytest.mark.parametrize("phase", ["doc", "mlm", "lora"])
+def test_traced_params_are_the_tensors_that_require_grad(phase, monkeypatch):
+    """`optim.params_per_step` counts the groups that are not frozen; it is
+    the number of parameters the step can update."""
+    optimizers = []
+
+    class Recording(trainer.AdamW):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            optimizers.append(self)
+
+    monkeypatch.setattr(trainer, "AdamW", Recording)
+    tax = Taxonomy.from_paths([("astro",), ("law",), ("bio",)])
+    model = DocumentModel(small_config(level_sizes=tax.level_sizes))
+    corpus = separable_corpus(per_category=3)
+    config = TrainConfig(batch_size=64, lora_rank=2 if phase == "lora" else 0)
+    if phase == "mlm":
+        trainer.pretrain_mlm(model, corpus, config)
+    else:
+        trainer.pretrain(model, corpus, triplets_for(corpus, 4),
+                         {d.id: pad_hierarchy(d.hierarchy_path, tax)
+                          for d in corpus}, config)
+    [optimizer] = optimizers
+    assert tracing.Tracer._params(optimizer) == {"params": sum(
+        t.size for g in optimizer.groups for t in g.tensors
+        if t.requires_grad)}

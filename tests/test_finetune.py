@@ -11,19 +11,22 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from doctrain.errors import ConfigError, ParseError, ValidationError
 from doctrain.finetune import (FinetuneConfig, PairClassifierModel,
                                PairExample, SpanQaExample, SpanQaModel,
                                TokenClassExample, TokenTaggerModel, accuracy,
-                               binary_f1, finetune, finetune_span_qa,
+                               best_span, binary_f1, finetune, finetune_span_qa,
                                finetune_token_classification, load_pairs,
                                load_span_qa, load_token_class, macro_f1,
                                span_token_f1)
 from doctrain.model import DocumentModel
 from doctrain.tensor import Tensor, backward
+from doctrain.trainer import TrainConfig, pretrain_mlm
 
-from conftest import as_float64, small_config
+from conftest import as_float64, separable_corpus, small_config
 
 
 def oracle_macro_f1(y_true, y_pred, num_classes):
@@ -262,6 +265,34 @@ class TestFinetuneLoop:
         assert model.lower.state_bytes() == lower_before
         assert np.array_equal(model.heads.weights[0].data, heads_before)
 
+    def test_attached_adapter_stays_put(self, rng):
+        """An adapter is its own group, frozen outside a LoRA pre-training:
+        it neither moves nor keeps a gradient."""
+        model = DocumentModel(small_config())
+        adapter = model.attach_adapter(2, ("query", "value"), seed=3)
+        before = [t.data.tobytes() for t in adapter.trainable_tensors()]
+        train = tagging_examples(rng, 6)
+        finetune_token_classification(
+            model, train, train[:3], num_classes=2,
+            config=FinetuneConfig(lr=1e-3, epochs=2))
+        assert [t.data.tobytes() for t in adapter.trainable_tensors()] == before
+        assert all(t.grad is None for t in adapter.trainable_tensors())
+
+    def test_trains_the_tables_an_earlier_phase_froze(self, rng):
+        """Each phase sets what trains, so the MLM arm's frozen embedding
+        tables train again when the same model object is fine-tuned."""
+        model = DocumentModel(small_config())
+        pretrain_mlm(model, separable_corpus(per_category=3),
+                     TrainConfig(batch_size=4, initial_lr=1e-3))
+        tables = [model.embed.token, model.embed.position]
+        before = [t.data.copy() for t in tables]
+        train = tagging_examples(rng, 6)
+        finetune_token_classification(
+            model, train, train[:3], num_classes=2,
+            config=FinetuneConfig(lr=1e-3, epochs=2))
+        for t, b in zip(tables, before):
+            assert not np.array_equal(t.data, b)
+
     def test_history_rows_carry_epoch_and_metrics(self, rng):
         model = DocumentModel(small_config())
         train = tagging_examples(rng, 6)
@@ -296,6 +327,20 @@ class TestTokenTagger:
         task = TokenTaggerModel(DocumentModel(small_config()), 2)
         with pytest.raises(ValidationError):
             task.evaluate([])
+
+
+def pairwise_scan(s_log, e_log, offset, kept):
+    """Every legal span in row-major (s, e) order; the first strictly best
+    one wins, and it must beat the no-answer score at position 0."""
+    best_score = s_log[0] + e_log[0]
+    best = None
+    for s in range(offset, offset + kept):
+        for e in range(s, offset + kept):
+            score = s_log[s] + e_log[e]
+            if score > best_score:
+                best_score = score
+                best = (s - offset, e - offset)
+    return best
 
 
 class TestSpanQa:
@@ -335,6 +380,35 @@ class TestSpanQa:
         monkeypatch.setattr(task, "_logits",
                             lambda batch: (start, end, [(1, 3)]))
         assert task.predict(SpanQaExample(("q",), ("a", "b", "c"), None)) is None
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_best_span_matches_the_pairwise_scan_on_tied_sums(self, data):
+        """Against the O(kept²) scan it replaced; integer-valued logits give
+        many tied sums."""
+        total = data.draw(st.integers(2, 12))
+        offset = data.draw(st.integers(1, total - 1))
+        kept = data.draw(st.integers(1, total - offset))
+        s_log, e_log = (np.array(data.draw(st.lists(
+            st.integers(-3, 3), min_size=total, max_size=total)),
+            dtype=np.float32) for _ in range(2))
+        assert (best_span(s_log, e_log, offset, kept)
+                == pairwise_scan(s_log, e_log, offset, kept))
+
+    def test_best_span_matches_the_pairwise_scan_on_rounded_sums(self):
+        """float32 logits over many magnitudes give different sums that
+        round equal, about once in 160 draws; a running maximum of the
+        start logits breaks those ties unlike the scan."""
+        rng = np.random.default_rng(0)
+        for _ in range(5000):
+            total = int(rng.integers(2, 13))
+            offset = int(rng.integers(1, total))
+            kept = int(rng.integers(1, total - offset + 1))
+            s_log, e_log = ((rng.choice([-1.0, 1.0], total)
+                             * 2.0 ** rng.uniform(-20, 20, total))
+                            .astype(np.float32) for _ in range(2))
+            assert (best_span(s_log, e_log, offset, kept)
+                    == pairwise_scan(s_log, e_log, offset, kept))
 
     def test_question_crowding_out_context_rejected(self):
         task = SpanQaModel(DocumentModel(small_config(max_positions=6)))

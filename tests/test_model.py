@@ -59,6 +59,30 @@ class TestParamGroups:
         model = DocumentModel(small_config(level_sizes=()))
         assert "heads" not in {g.name for g in model.param_groups()}
 
+    def test_each_call_sets_requires_grad_on_every_group(self):
+        model = DocumentModel(small_config(level_sizes=(3,)))
+        for g in model.param_groups({"embed.token", "heads"}):
+            want = g.name not in ("lower", "embed.token", "heads")
+            assert [t.requires_grad for t in g.tensors] == [want] * len(g.tensors)
+            assert g.frozen is not want
+        # a later phase inherits nothing from an earlier one
+        for g in model.param_groups():
+            assert all(t.requires_grad is (g.name != "lower")
+                       for t in g.tensors)
+
+    def test_frozen_is_read_only(self):
+        group = DocumentModel(small_config()).param_groups()[0]
+        with pytest.raises(AttributeError):
+            group.frozen = False
+
+    def test_attached_adapter_is_the_last_group(self):
+        model = DocumentModel(small_config(level_sizes=(3,)))
+        adapter = model.attach_adapter(2)
+        groups = model.param_groups({"lora"})
+        assert [g.name for g in groups[-2:]] == ["heads", "lora"]
+        assert groups[-1].tensors == adapter.trainable_tensors()
+        assert groups[-1].frozen
+
 
 class TestForwardPaths:
     def test_sentence_path_shapes(self):

@@ -95,10 +95,12 @@ class TestAdamW:
 
     def test_frozen_group_is_bit_identical(self):
         frozen = param([1.0, 2.0, 3.0])
+        frozen.requires_grad = False
         live = param([1.0, 2.0, 3.0])
         before = frozen.data.tobytes()
-        opt = AdamW([ParamGroup("frozen", [frozen], frozen=True),
-                     ParamGroup("live", [live])], lr=0.1)
+        group = ParamGroup("frozen", [frozen])
+        assert group.frozen
+        opt = AdamW([group, ParamGroup("live", [live])], lr=0.1)
         for _ in range(5):
             frozen.grad = np.ones(3)  # even with a grad present it is skipped
             live.grad = np.ones(3)

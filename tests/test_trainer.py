@@ -16,7 +16,7 @@ from doctrain.encoder import ModelConfig, UpperEncoder
 from doctrain.errors import ConfigError, ValidationError
 from doctrain.losses import hierarchical_loss_rows, triplet_loss
 from doctrain.mining import mine_triplets_metadata
-from doctrain.model import DocumentModel
+from doctrain.model import DocumentModel, group_of
 from doctrain.optim import linear_lr
 from doctrain.taxonomy import Taxonomy, pad_hierarchy
 from doctrain.trainer import (DriftRecord, DriftReport, TrainConfig,
@@ -40,17 +40,22 @@ def fresh_model(**overrides):
     return DocumentModel(small_config(**overrides))
 
 
-def tape_nodes(loss) -> int:
-    """Recorded operations reachable from `loss`."""
-    seen, stack, count = {id(loss)}, [loss], 0
+def tape(loss) -> list[Tensor]:
+    """Every tensor reachable from `loss` over the recorded graph."""
+    seen, stack, out = {id(loss)}, [loss], []
     while stack:
         node = stack.pop()
-        count += node._backward is not None
+        out.append(node)
         for parent in node._parents:
             if id(parent) not in seen:
                 seen.add(id(parent))
                 stack.append(parent)
-    return count
+    return out
+
+
+def tape_nodes(loss) -> int:
+    """Recorded operations reachable from `loss`."""
+    return sum(node._backward is not None for node in tape(loss))
 
 
 def quick_config(**overrides):
@@ -378,6 +383,25 @@ class TestPretrainMlm:
             T.matmul(Tensor(np.concatenate(rows)), w), targets, "mean"))
         assert np.allclose(seen["grad"], w.grad, rtol=0, atol=1e-12)
 
+    def test_frozen_tables_stay_off_the_tape(self, monkeypatch):
+        """The frozen embedding tables require no grad, so a step neither
+        tapes their lookups nor stages a table-sized gradient for them."""
+        model = fresh_model()
+        tables = {id(model.embed.token), id(model.embed.position)}
+        seen = []
+        real_backward = trainer.backward
+
+        def spy(loss):
+            real_backward(loss)
+            seen.append((bool(tables & {id(t) for t in tape(loss)}),
+                         model.embed.token.grad is None,
+                         model.embed.position.grad is None))
+
+        monkeypatch.setattr(trainer, "backward", spy)
+        pretrain_mlm(model, separable_corpus(per_category=3),
+                     quick_config(batch_size=64))
+        assert seen == [(False, True, True)]
+
     def test_short_documents_rejected(self):
         from doctrain.corpus import Corpus, Document
         corpus = Corpus([Document(id="a", sentences=("word",))], "derived")
@@ -443,9 +467,7 @@ class TestTrackDrift:
 
     def test_in_loop_tracker_keeps_no_copy_of_a_frozen_group(self):
         model = fresh_model()
-        groups = model.param_groups()
-        for g in groups:
-            g.frozen = g.name.startswith("embed.") or g.name == "lower"
+        groups = model.param_groups({"embed.token", "embed.position"})
         tracker = trainer._DriftTracker(groups)
         frozen = {g.name for g in groups if g.frozen}
         assert frozen == {"lower", "embed.token", "embed.position"}
@@ -489,6 +511,27 @@ class TestLoraArm:
             assert final[name].value == 0.0, name
         assert "lora" in final
         assert final["lora"].zero_reference is False  # A factors are random
+
+    def test_one_step_stages_no_base_gradient(self, monkeypatch):
+        """Only the adapters and the heads require grad, so the frozen base
+        weights get no gradient."""
+        corpus = separable_corpus(per_category=4)
+        model = fresh_model()
+        seen = []
+        real_backward = trainer.backward
+
+        def spy(loss):
+            real_backward(loss)
+            seen.append(({group_of(name) for name, t
+                          in model.named_params().items()
+                          if t.grad is not None},
+                         all(t.grad is not None
+                             for t in model.adapter.trainable_tensors())))
+
+        monkeypatch.setattr(trainer, "backward", spy)
+        pretrain(model, corpus, triplets_for(corpus, 4), labels_for(corpus),
+                 quick_config(lora_rank=2))
+        assert seen == [({"heads"}, True)]
 
     def test_heads_still_train_under_hier_loss(self):
         model, _ = self.run_lora()
