@@ -64,8 +64,11 @@ def wl_metric(model: DocumentModel, doc_a: list[str], doc_b: list[str],
         raise ConfigError(f"embedding_mode must be one of {EMBEDDING_MODES}")
     if not doc_a or not doc_b:
         raise ContractError("wl_metric needs two non-empty documents")
-    embed = (DocumentModel.embed_sentences if embedding_mode == "sentence"
-             else _token_inputs)
+    if embedding_mode == "sentence":
+        model.warn_truncated([doc_a, doc_b])
+        embed = DocumentModel.embed_sentences
+    else:
+        embed = _token_inputs
     a = embed(model, doc_a)
     b = embed(model, doc_b)
     sims = _cosine_rows(a, b)
@@ -91,17 +94,14 @@ class CorrelationReport:
 
 
 def _doc_vectors(model: DocumentModel, docs: list[list[str]]) -> tuple[np.ndarray, np.ndarray]:
-    sent_vecs = []
     tok_vecs = []
     for sentences in docs:
-        with no_grad():
-            sent_vecs.append(model.encode_document(sentences).data.copy())
         # one document per call: a corpus-wide padded batch would hold one
         # [docs, heads, T, T] attention probability array per layer
         with no_grad():
             out = model.encode_token_batch([_token_ids(model, sentences)])
         tok_vecs.append(out.data[0].mean(axis=0))
-    return np.stack(sent_vecs), np.stack(tok_vecs)
+    return model.encode_documents(docs), np.stack(tok_vecs)
 
 
 def _pairwise_cosines(vecs: np.ndarray) -> np.ndarray:

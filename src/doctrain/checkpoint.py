@@ -3,14 +3,17 @@
 Layout: magic, u32 version, u32 meta length + UTF-8 JSON meta, u32 tensor
 count, per-tensor header (u16 name length + name, u8 ndim, u32 dims), then
 the raw little-endian float32 payloads in header order, and a trailing sha256
-digest of everything before it. Saving the result of a load reproduces the
-file byte for byte.
+digest of everything before it. Names are written in strictly increasing
+order, and the meta is a JSON object. Saving the result of a load reproduces
+the file byte for byte; a file that breaks either rule could not, and is
+rejected.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
 import struct
 from dataclasses import dataclass, field
 
@@ -118,18 +121,29 @@ def parse_checkpoint(blob: bytes) -> Checkpoint:
         meta = json.loads(r.read(meta_len).decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise CorruptCheckpoint("unreadable checkpoint metadata") from exc
+    if not isinstance(meta, dict):
+        raise CorruptCheckpoint(
+            f"checkpoint metadata is a JSON {type(meta).__name__}, not an object")
     (count,) = r.unpack("<I")
     headers: list[tuple[str, tuple[int, ...]]] = []
     for _ in range(count):
         (name_len,) = r.unpack("<H")
-        name = r.read(name_len).decode("utf-8")
+        try:
+            name = r.read(name_len).decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise CorruptCheckpoint(
+                f"tensor name at offset {r.pos - name_len} is not UTF-8") from exc
+        if headers and name <= headers[-1][0]:
+            raise CorruptCheckpoint(
+                f"tensor name {name!r} does not follow {headers[-1][0]!r}: "
+                "names must be unique and sorted")
         (ndim,) = r.unpack("<B")
         shape = r.unpack(f"<{ndim}I") if ndim else ()
         headers.append((name, shape))
     tensors: dict[str, np.ndarray] = {}
     for name, shape in headers:
-        n_items = int(np.prod(shape, dtype=np.int64)) if shape else 1
-        raw = r.read(4 * n_items)
+        # Python ints: an int64 product of u32 dims can wrap to a small size
+        raw = r.read(4 * math.prod(shape))
         tensors[name] = np.frombuffer(raw, dtype="<f4").reshape(shape).copy()
     if r.pos != len(body):
         raise CorruptCheckpoint(f"{len(body) - r.pos} trailing bytes after payload")

@@ -9,8 +9,6 @@ import logging
 import os
 import sys
 
-import numpy as np
-
 from .analysis import (EMBEDDING_MODES, paragraph_similarity, pca_project,
                        representation_correlation, wl_metric)
 from .checkpoint import load_checkpoint, save_checkpoint
@@ -28,7 +26,6 @@ from .model import DocumentModel
 from .records import list_field, read_jsonl, write_json, write_jsonl
 from .taxonomy import (Taxonomy, WordVectors, derive_taxonomy,
                        map_category_to_hierarchy, pad_hierarchy)
-from .tensor import no_grad
 from .trainer import LOSS_MODES, TrainConfig, pretrain, pretrain_mlm
 
 log = logging.getLogger(__name__)
@@ -408,9 +405,7 @@ def cmd_analyze(args: argparse.Namespace, rec: RunRecorder) -> None:
                   "num_pairs": rep.num_pairs, "degenerate": rep.degenerate}
     elif args.kind == "pca":
         ids = [d.id for d in corpus]
-        with no_grad():
-            vecs = np.stack([model.encode_document(list(d.sentences)).data
-                             for d in corpus])
+        vecs = model.encode_documents([list(d.sentences) for d in corpus])
         res = pca_project(vecs, k=args.components, seed=args.seed)
         with open(rec.add_output(args.csv_out), "w", encoding="utf-8") as fh:
             fh.write("id," + ",".join(f"c{i}" for i in range(args.components))

@@ -116,7 +116,7 @@ class TransformerLayer:
 
     @staticmethod
     def _adapted(x: Tensor, w: Tensor, b: Tensor, pairs) -> Tensor:
-        out = T.matmul(x, w) + b
+        out = T.linear(x, w, b)
         if pairs:
             for pair in pairs:
                 out = out + T.matmul(T.matmul(x, pair.a), pair.b)
@@ -145,12 +145,12 @@ class TransformerLayer:
         ctx = T.attention(q, k, v, b, s, self.num_heads, key_bias)
         ffn_pairs = ad.get("ffn")
         attn_out = self._adapted(ctx, self.wo, self.bo, ad.get("output"))
-        rows = T.layer_norm(rows + attn_out, self.norm1_g, self.norm1_b)
+        rows = T.add_layer_norm(rows, attn_out, self.norm1_g, self.norm1_b)
         hidden = T.gelu(self._adapted(rows, self.w1, self.b1,
                                       ffn_pairs[:1] if ffn_pairs else None))
         ffn_out = self._adapted(hidden, self.w2, self.b2,
                                 ffn_pairs[1:] if ffn_pairs else None)
-        rows = T.layer_norm(rows + ffn_out, self.norm2_g, self.norm2_b)
+        rows = T.add_layer_norm(rows, ffn_out, self.norm2_g, self.norm2_b)
         return rows if x.ndim == 2 else T.reshape(rows, shape)
 
 
@@ -299,7 +299,7 @@ class ClassificationHeads:
         """[N, d] document vectors -> per level [N, C_level + 1] logits."""
         if doc_vectors.ndim != 2:
             raise ShapeError(f"expected [N, d] vectors, got {doc_vectors.shape}")
-        return [T.matmul(doc_vectors, w) + b
+        return [T.linear(doc_vectors, w, b)
                 for w, b in zip(self.weights, self.biases)]
 
     def named_params(self) -> dict[str, Tensor]:

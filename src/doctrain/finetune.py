@@ -208,9 +208,9 @@ class SpanQaModel:
         b, s, d = out.shape
         rows = T.reshape(out, (b * s, d))
         pad = key_padding_bias([len(q) for q in seqs])
-        start = T.reshape(T.matmul(rows, self.w_start) + self.b_start,
+        start = T.reshape(T.linear(rows, self.w_start, self.b_start),
                           (b, s)) + pad
-        end = T.reshape(T.matmul(rows, self.w_end) + self.b_end, (b, s)) + pad
+        end = T.reshape(T.linear(rows, self.w_end, self.b_end), (b, s)) + pad
         return start, end, [(offset, kept) for _, offset, kept in encoded]
 
     def batch_loss(self, batch: list[SpanQaExample]) -> Tensor:
@@ -279,7 +279,7 @@ class TokenTaggerModel:
         kept = np.concatenate([i * s + np.arange(len(q))
                                for i, q in enumerate(seqs)])
         rows = T.embedding(T.reshape(out, (b * s, d)), kept)
-        return T.matmul(rows, self.w) + self.b, [len(q) for q in seqs]
+        return T.linear(rows, self.w, self.b), [len(q) for q in seqs]
 
     def batch_loss(self, batch: list[TokenClassExample]) -> Tensor:
         """Mean over the examples of each one's mean token cross entropy."""
@@ -333,7 +333,7 @@ class PairClassifierModel:
         out = self.model.encode_token_batch(seqs)
         b, s, d = out.shape
         first = T.embedding(T.reshape(out, (b * s, d)), np.arange(b) * s)
-        return T.matmul(first, self.w) + self.b
+        return T.linear(first, self.w, self.b)
 
     def batch_loss(self, batch: list[PairExample]) -> Tensor:
         return T.cross_entropy_rows(self._logits(batch),

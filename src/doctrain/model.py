@@ -78,15 +78,21 @@ class DocumentModel:
     # -- sentence path ----------------------------------------------------
 
     def embed_sentences(self, sentences: list[str]) -> np.ndarray:
-        """Sentence strings -> frozen [S, d] matrix (truncated with a warning)."""
+        """Sentence strings -> frozen [S, d] matrix of the first
+        `max_sentences` sentences; callers report the cut (`warn_truncated`)."""
         if not sentences:
             raise LengthError("document has no sentences")
-        cap = self.config.max_sentences
-        if len(sentences) > cap:
-            log.warning("truncating document from %d to %d sentences",
-                        len(sentences), cap)
-            sentences = sentences[:cap]
+        sentences = sentences[:self.config.max_sentences]
         return np.stack([self.lower.embed(s) for s in sentences], axis=0)
+
+    def warn_truncated(self, docs: list[list[str]]) -> None:
+        """One warning line for a set of documents: how many of them the
+        sentence path cuts to `max_sentences`."""
+        cap = self.config.max_sentences
+        cut = sum(len(sentences) > cap for sentences in docs)
+        if cut:
+            log.warning("truncated %d of %d documents to max_sentences=%d",
+                        cut, len(docs), cap)
 
     def encode_matrices(self, matrices: list[np.ndarray]) -> Tensor:
         """N [S_i, d] sentence-vector matrices -> [N, d] document vectors.
@@ -111,8 +117,18 @@ class DocumentModel:
 
     def encode_document(self, sentences: list[str]) -> Tensor:
         """Sentence strings -> [d] document vector."""
+        self.warn_truncated([sentences])
         return T.reshape(self.encode_matrices([self.embed_sentences(sentences)]),
                          (self.config.d_model,))
+
+    def encode_documents(self, docs: list[list[str]]) -> np.ndarray:
+        """Documents' sentence strings -> [N, d] document vectors, without
+        taping; one upper-encoder pass per document, as `encode_document`."""
+        self.warn_truncated(docs)
+        with T.no_grad():
+            return np.stack([
+                self.encode_matrices([self.embed_sentences(sentences)]).data[0]
+                for sentences in docs])
 
     # -- token path ---------------------------------------------------------
 

@@ -3,7 +3,14 @@
 Every operation that touches a gradient-requiring tensor records itself on an
 implicit tape (the `_parents` / `_backward` links of its output). `backward()`
 walks that graph once, in reverse topological order, and accumulates gradients
-into `.grad`.
+into the `.grad` of the leaves: the tensors no op produced, such as parameters.
+An op's output keeps no `.grad`; the walk frees its gradient once the op has
+passed it on to its operands.
+
+Ops that a training step runs many times record one node each and keep only
+what their backward reads: `linear` (x·w + b), `add_layer_norm` (the residual
+add and the norm), `gelu` and `attention`. Their backward rules write into
+buffers they own and hand them to the walk uncopied.
 
 The dtype follows the data: a tensor built from float32 data stays float32,
 and anything else becomes float64. An op computes in its operands' dtype and
@@ -129,15 +136,18 @@ _WALK: list[dict[int, np.ndarray] | None] = [None]
 
 
 def _accum(t: Tensor, g: np.ndarray, owned: bool = False) -> None:
-    """Stage `g` into t's gradient, in t's dtype; adopt an `owned` g uncopied."""
+    """Stage `g` into t's gradient, in t's dtype. An `owned` g (a fresh array
+    no one else holds) already in t's dtype is adopted uncopied."""
     walk = _WALK[0]
     if walk is None or not t.requires_grad:
         return
     key = id(t)
     if key in walk:
         walk[key] += g
+    elif owned and g.dtype == t.data.dtype:
+        walk[key] = g
     else:
-        walk[key] = g if owned else np.array(g, dtype=t.data.dtype, copy=True)
+        walk[key] = np.array(g, dtype=t.data.dtype, copy=True)
 
 
 def _sum_to(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -216,9 +226,21 @@ def gelu(a) -> Tensor:
     out *= 1.0 + t
 
     def bw(g):
-        d_inner = _GELU_C * (1.0 + 3.0 * 0.044715 * x2)
-        local = 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * d_inner
-        _accum(a, _sum_to(g * local, a.shape))
+        # d/dx = 0.5 (1 + t) + 0.5 x (1 - t²) · c (1 + 3·0.044715 x²), each
+        # step in place, in the order and with the rounding of that formula
+        d_inner = x2 * (3.0 * 0.044715)
+        d_inner += 1.0
+        d_inner *= _GELU_C
+        local = x * 0.5
+        tail = t * t
+        np.subtract(1.0, tail, out=tail)
+        local *= tail
+        local *= d_inner
+        np.add(t, 1.0, out=tail)
+        tail *= 0.5
+        tail += local
+        tail *= g
+        _accum(a, tail, owned=True)
 
     return _make(out, (a,), bw)
 
@@ -270,6 +292,25 @@ def matmul(a, b) -> Tensor:
         _accum(b, a.data.swapaxes(-1, -2) @ g)
 
     return _make(out, (a, b), bw)
+
+
+def linear(x, w, b) -> Tensor:
+    """Affine map of [N, k] rows: x·w + b with a [k, n] w and an [n] b, as
+    one node."""
+    x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
+    if x.ndim != 2 or w.ndim != 2 or x.shape[1] != w.shape[0]:
+        raise ShapeError(f"linear needs [N, k] @ [k, n], got {x.shape} @ {w.shape}")
+    if b.shape != (w.shape[1],):
+        raise ShapeError(f"linear bias shape {b.shape}, expected {(w.shape[1],)}")
+    out = x.data @ w.data
+    out += b.data
+
+    def bw(g):
+        _accum(x, g @ w.data.swapaxes(-1, -2), owned=True)
+        _accum(w, x.data.swapaxes(-1, -2) @ g, owned=True)
+        _accum(b, g.sum(axis=0), owned=True)
+
+    return _make(out, (x, w, b), bw)
 
 
 def embedding(table, ids) -> Tensor:
@@ -333,38 +374,52 @@ def attention(q, k, v, b: int, s: int, heads: int, key_bias=None) -> Tensor:
         dp = do @ vh.swapaxes(-1, -2)
         ds = p * (dp - (dp * p).sum(axis=-1, keepdims=True))
         ds *= scale
-        _accum(q, merge(ds @ kt.swapaxes(-1, -2), (0, 2, 1, 3)))
-        _accum(k, merge(qh.swapaxes(-1, -2) @ ds, (0, 3, 1, 2)))
-        _accum(v, merge(p.swapaxes(-1, -2) @ do, (0, 2, 1, 3)))
+        _accum(q, merge(ds @ kt.swapaxes(-1, -2), (0, 2, 1, 3)), owned=True)
+        _accum(k, merge(qh.swapaxes(-1, -2) @ ds, (0, 3, 1, 2)), owned=True)
+        _accum(v, merge(p.swapaxes(-1, -2) @ do, (0, 2, 1, 3)), owned=True)
 
     return _make(merge(p @ vh, (0, 2, 1, 3)), (q, k, v), bw)
 
 
-def layer_norm(x, gain, bias) -> Tensor:
-    """Normalize the last axis to zero mean / unit variance, then affine."""
-    x, gain, bias = as_tensor(x), as_tensor(gain), as_tensor(bias)
+def add_layer_norm(x, y, gain, bias) -> Tensor:
+    """Layer norm of the residual sum x + y over the last axis (zero mean,
+    unit variance), then affine; one node for the add and the norm."""
+    x, y, gain, bias = as_tensor(x), as_tensor(y), as_tensor(gain), as_tensor(bias)
     d = x.data.shape[-1]
+    if y.shape != x.shape:
+        raise ShapeError(f"add_layer_norm operands differ: {x.shape} vs {y.shape}")
     if gain.shape != (d,) or bias.shape != (d,):
         raise ShapeError(
-            f"layer_norm affine shapes {gain.shape}/{bias.shape} do not match width {d}"
+            f"add_layer_norm affine shapes {gain.shape}/{bias.shape} do not match width {d}"
         )
-    mu = x.data.mean(axis=-1, keepdims=True)
-    xhat = x.data - mu
+    xhat = x.data + y.data
+    mu = xhat.mean(axis=-1, keepdims=True)
+    xhat -= mu
     var = (xhat * xhat).mean(axis=-1, keepdims=True)  # as np.var computes it
     inv = 1.0 / np.sqrt(var + LAYER_NORM_EPS)
     xhat *= inv
-    out = xhat * gain.data + bias.data
+    out = xhat * gain.data
+    out += bias.data
 
     def bw(g):
-        d_xhat = g * gain.data
-        m1 = d_xhat.mean(axis=-1, keepdims=True)
-        m2 = (d_xhat * xhat).mean(axis=-1, keepdims=True)
-        _accum(x, (d_xhat - m1 - xhat * m2) * inv)
+        # dx = (d_xhat - mean(d_xhat) - xhat·mean(d_xhat·xhat))·inv, in place
+        dx = g * gain.data
+        work = dx * xhat
+        m1 = dx.mean(axis=-1, keepdims=True)
+        m2 = work.mean(axis=-1, keepdims=True)
+        dx -= m1
+        np.multiply(xhat, m2, out=work)
+        dx -= work
+        dx *= inv
         reduce_axes = tuple(range(g.ndim - 1))
-        _accum(gain, (g * xhat).sum(axis=reduce_axes))
-        _accum(bias, g.sum(axis=reduce_axes))
+        np.multiply(g, xhat, out=work)
+        # y gets a copy: the walk may add into the array x adopts
+        _accum(x, dx, owned=True)
+        _accum(y, dx)
+        _accum(gain, work.sum(axis=reduce_axes), owned=True)
+        _accum(bias, g.sum(axis=reduce_axes), owned=True)
 
-    return _make(out, (x, gain, bias), bw)
+    return _make(out, (x, y, gain, bias), bw)
 
 
 def cross_entropy_rows(logits, targets, reduction: str = "mean",
@@ -434,7 +489,9 @@ def euclidean_distance(a, b, axis: int = -1) -> Tensor:
 
 
 def backward(loss: Tensor) -> None:
-    """Accumulate d(loss)/d(tensor) into `.grad` over the recorded graph.
+    """Accumulate d(loss)/d(leaf) into the `.grad` of every leaf that requires
+    grad; a leaf is a tensor no op produced. An op's output gets no `.grad`:
+    its gradient lives only while the walk needs it.
 
     Each call contributes exactly one unit of seed gradient, so repeated calls
     without clearing `.grad` add up. Raises on non-scalar or untaped inputs.
@@ -464,24 +521,27 @@ def backward(loss: Tensor) -> None:
                 pending.append((parent, False))
 
     walk: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
+    leaves: list[Tensor] = []
     _WALK[0] = walk
     try:
         for node in reversed(order):
             if node._backward is None:
+                leaves.append(node)
                 continue
-            g = walk.get(id(node))
-            if g is None:
-                continue
-            node._backward(g)
+            # every consumer has run, so this gradient is complete; drop it
+            # from the walk once the node has passed it on
+            g = walk.pop(id(node), None)
+            if g is not None:
+                node._backward(g)
     finally:
         _WALK[0] = None
 
-    for node in order:
-        g = walk.get(id(node))
-        if g is not None and node.requires_grad:
-            if node.grad is None:
+    for leaf in leaves:
+        g = walk.get(id(leaf))
+        if g is not None and leaf.requires_grad:
+            if leaf.grad is None:
                 # the walk's arrays are private copies (see _accum): adopt
                 # them rather than allocate and add into zeros
-                node.grad = g.reshape(node.data.shape)
+                leaf.grad = g.reshape(leaf.data.shape)
             else:
-                node.grad += g
+                leaf.grad += g

@@ -185,12 +185,12 @@ def pretrain(model: DocumentModel, corpus: Corpus, triplets: list[Triplet],
                  len(triplets), config.max_triplets)
         triplets = triplets[:config.max_triplets]
 
-    matrices = {}
-    for t in triplets:
-        for doc_id in (t.anchor_id, t.positive_id, t.negative_id):
-            if doc_id not in matrices:
-                matrices[doc_id] = model.embed_sentences(
-                    list(corpus.get(doc_id).sentences))
+    doc_ids = dict.fromkeys(doc_id for t in triplets for doc_id in
+                            (t.anchor_id, t.positive_id, t.negative_id))
+    docs = [list(corpus.get(doc_id).sentences) for doc_id in doc_ids]
+    model.warn_truncated(docs)
+    matrices = {doc_id: model.embed_sentences(sentences)
+                for doc_id, sentences in zip(doc_ids, docs)}
 
     # embeddings never train during pre-training; adapters, when asked for,
     # replace base-weight training
@@ -306,7 +306,7 @@ def pretrain_mlm(model: DocumentModel, corpus: Corpus,
         b, s, d = out.shape
         picked = T.embedding(T.reshape(out, (b * s, d)), np.concatenate(
             [k * s + pos for k, pos in enumerate(mask_rows)]))
-        logits = T.matmul(picked, mlm_head_w) + mlm_head_b
+        logits = T.linear(picked, mlm_head_w, mlm_head_b)
         return T.cross_entropy_rows(logits, np.concatenate(target_rows),
                                     reduction="mean")
 

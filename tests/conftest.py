@@ -1,6 +1,11 @@
+import hashlib
+import math
+import struct
+
 import numpy as np
 import pytest
 
+from doctrain.checkpoint import FORMAT_VERSION, MAGIC
 from doctrain.corpus import Corpus, Document
 from doctrain.encoder import ModelConfig
 from doctrain.mining import Triplet
@@ -82,6 +87,22 @@ def triplets_for(corpus: Corpus, count: int, seed: int = 0) -> list[Triplet]:
         n = int(rng.integers(0, len(neg_pool)))
         out.append(Triplet(pool[a].id, pool[p].id, neg_pool[n].id))
     return out
+
+
+def raw_checkpoint(meta_blob: bytes, names: list[bytes], shape=(),
+                   payload: bytes | None = None) -> bytes:
+    """A checkpoint file with one tensor of `shape` per name, in the order
+    given, and a valid digest, so only the structure rules can reject it.
+    The payloads are zeros unless `payload` gives their bytes."""
+    parts = [MAGIC, struct.pack("<II", FORMAT_VERSION, len(meta_blob)),
+             meta_blob, struct.pack("<I", len(names))]
+    for name in names:
+        parts += [struct.pack("<H", len(name)), name,
+                  struct.pack(f"<B{len(shape)}I", len(shape), *shape)]
+    if payload is None:
+        payload = bytes(4 * len(names) * math.prod(shape))
+    body = b"".join(parts) + payload
+    return body + hashlib.sha256(body).digest()
 
 
 @pytest.fixture

@@ -128,6 +128,14 @@ class TestRepresentationCorrelation:
         assert report.pearson_r is None
         assert report.num_pairs == 10
 
+    def test_sentence_truncation_is_one_summary_line(self, rng, caplog):
+        model = DocumentModel(small_config(max_sentences=2))
+        docs = [sentences(rng, n) for n in (1, 3, 2, 5)]
+        with caplog.at_level("WARNING", logger="doctrain.model"):
+            representation_correlation(model, docs)
+        assert [r.message for r in caplog.records] == [
+            "truncated 2 of 4 documents to max_sentences=2"]
+
     def test_needs_three_documents(self, model, rng):
         with pytest.raises(ValidationError, match="3"):
             representation_correlation(model, [sentences(rng, 1)] * 2)

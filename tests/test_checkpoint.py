@@ -1,5 +1,7 @@
 """Checkpoint binary format: round-trips, integrity, and corruption modes."""
 
+import hashlib
+import json
 import struct
 
 import numpy as np
@@ -9,6 +11,8 @@ from doctrain.checkpoint import (FORMAT_VERSION, MAGIC, Checkpoint,
                                  checkpoint_bytes, load_checkpoint,
                                  parse_checkpoint, save_checkpoint)
 from doctrain.errors import CorruptCheckpoint, UnsupportedVersion
+
+from conftest import raw_checkpoint
 
 
 def sample_checkpoint():
@@ -78,13 +82,11 @@ class TestCorruption:
         blob = bytearray(checkpoint_bytes(sample_checkpoint()))
         blob[:4] = b"NOPE"
         # keep the digest honest so the magic check is what fires
-        import hashlib
         body = bytes(blob[:-32])
         with pytest.raises(CorruptCheckpoint, match="magic"):
             parse_checkpoint(body + hashlib.sha256(body).digest())
 
     def test_unsupported_version(self):
-        import hashlib
         blob = bytearray(checkpoint_bytes(sample_checkpoint()))
         struct.pack_into("<I", blob, len(MAGIC), 99)
         body = bytes(blob[:-32])
@@ -92,7 +94,6 @@ class TestCorruption:
             parse_checkpoint(body + hashlib.sha256(body).digest())
 
     def test_trailing_bytes_detected(self):
-        import hashlib
         blob = checkpoint_bytes(sample_checkpoint())
         body = blob[:-32] + b"\x00\x00\x00\x00"
         with pytest.raises(CorruptCheckpoint, match="trailing"):
@@ -102,6 +103,43 @@ class TestCorruption:
         ckpt = sample_checkpoint()
         with pytest.raises(CorruptCheckpoint, match="nothere"):
             ckpt.tensor("nothere")
+
+
+class TestMalformedStructure:
+    META = json.dumps({"config": {"d_model": 4}}).encode()
+
+    def test_well_formed_raw_file_parses(self):
+        ckpt = parse_checkpoint(raw_checkpoint(self.META, [b"a", b"b"], (2, 3)))
+        assert sorted(ckpt.tensors) == ["a", "b"]
+        assert ckpt.tensors["b"].shape == (2, 3)
+
+    def test_name_that_is_not_utf8(self):
+        with pytest.raises(CorruptCheckpoint, match="not UTF-8"):
+            parse_checkpoint(raw_checkpoint(self.META, [b"a", b"\xff\xfe"]))
+
+    def test_duplicate_names(self):
+        """The last payload would silently win, and a save of the load
+        would not reproduce the file."""
+        with pytest.raises(CorruptCheckpoint, match="unique and sorted"):
+            parse_checkpoint(raw_checkpoint(self.META, [b"a", b"a"]))
+
+    def test_names_out_of_order(self):
+        with pytest.raises(CorruptCheckpoint, match="unique and sorted"):
+            parse_checkpoint(raw_checkpoint(self.META, [b"b", b"a"]))
+
+    def test_dims_whose_product_wraps_in_int64(self):
+        """65536⁴ = 2⁶⁴ wraps to 0 in int64; the payload is checked against
+        the exact size, so the file is truncated, not an empty tensor."""
+        blob = raw_checkpoint(self.META, [b"a"], shape=(65536,) * 4,
+                              payload=b"")
+        with pytest.raises(CorruptCheckpoint, match="truncated"):
+            parse_checkpoint(blob)
+
+    @pytest.mark.parametrize("meta", [[1, 2], "text", 3, None],
+                             ids=["list", "string", "number", "null"])
+    def test_meta_that_is_not_an_object(self, meta):
+        with pytest.raises(CorruptCheckpoint, match="not an object"):
+            parse_checkpoint(raw_checkpoint(json.dumps(meta).encode(), [b"a"]))
 
 
 class TestDeterminism:

@@ -20,6 +20,8 @@ from doctrain.manifest import argv_from_manifest, load_manifest
 from doctrain.model import DocumentModel
 from doctrain.taxonomy import Taxonomy
 
+from conftest import raw_checkpoint
+
 CORPUS = os.path.join(os.path.dirname(__file__), "..", "fixtures",
                       "sample_corpus.jsonl")
 TAXONOMY = os.path.join(os.path.dirname(__file__), "..", "fixtures",
@@ -611,6 +613,14 @@ class TestInspect:
         assert report["parameter_count"] > 0
         assert all(isinstance(s, list) for s in report["tensors"].values())
         assert payload["manifest"]["subcommand"] == "inspect-checkpoint"
+
+    @pytest.mark.parametrize("meta, names", [
+        (b"[]", [b"a"]), (b"{}", [b"\xff"]), (b"{}", [b"a", b"a"])],
+        ids=["list meta", "non-UTF-8 name", "duplicate names"])
+    def test_malformed_checkpoint_exits_5(self, tmp_path, meta, names):
+        bad = tmp_path / "bad.ckpt"
+        bad.write_bytes(raw_checkpoint(meta, names))
+        assert main(["inspect-checkpoint", "--checkpoint", str(bad)]) == 5
 
     def test_missing_checkpoint_exits_5(self, tmp_path):
         rc = main(["inspect-checkpoint",

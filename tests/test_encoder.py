@@ -5,6 +5,8 @@ written from the architecture description (post-norm, tanh GELU, scaled dot
 product attention), not by calling back into the library.
 """
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -73,6 +75,24 @@ def randomize_layer(layer: TransformerLayer, rng) -> dict:
         tensor.data = rng.normal(0.0, 0.5, tensor.shape)
         out[key] = tensor.data.copy()
     return out
+
+
+def taped_nodes(out: Tensor) -> list[Tensor]:
+    """Every recorded operation reachable from `out`."""
+    seen, stack, nodes = {id(out)}, [out], []
+    while stack:
+        node = stack.pop()
+        if node._backward is not None:
+            nodes.append(node)
+        for parent in node._parents:
+            if id(parent) not in seen:
+                seen.add(id(parent))
+                stack.append(parent)
+    return nodes
+
+
+def taped_ops(out: Tensor) -> list[str]:
+    return [n._backward.__qualname__.split(".")[0] for n in taped_nodes(out)]
 
 
 class TestTransformerLayer:
@@ -144,22 +164,31 @@ class TestTransformerLayer:
                 assert abs(grad[k] - fd) <= 1e-6 * max(1.0, abs(fd))
 
     def test_training_forward_records_one_attention_node(self, rng):
-        """Attention is one tape node, and no node keeps a 4-D array."""
+        """Attention is one tape node, and no node keeps a 4-D array. A
+        layer tapes 10 nodes: six linear maps, attention, two residual norms
+        and the GELU (plus the reshape back of a batched input)."""
         layer = TransformerLayer(8, 2, 12, np.random.default_rng(8), True)
+        per_layer = {"linear": 6, "attention": 1, "add_layer_norm": 2,
+                     "gelu": 1}
+        out = layer.forward(Tensor(rng.normal(size=(4, 8))))
+        assert Counter(taped_ops(out)) == per_layer
         out = layer.forward(Tensor(rng.normal(size=(3, 4, 8))),
                             key_padding_bias([4, 2, 1]))
-        seen, stack, nodes = {id(out)}, [out], []
-        while stack:
-            node = stack.pop()
-            if node._backward is not None:
-                nodes.append(node)
-            for parent in node._parents:
-                if id(parent) not in seen:
-                    seen.add(id(parent))
-                    stack.append(parent)
-        names = [n._backward.__qualname__.split(".")[0] for n in nodes]
-        assert names.count("attention") == 1
-        assert all(n.ndim <= 3 for n in nodes)
+        assert Counter(taped_ops(out)) == {**per_layer, "reshape": 1}
+        assert all(n.ndim <= 3 for n in taped_nodes(out))
+
+    def test_backward_sets_grad_on_leaves_only(self, rng):
+        """Op outputs keep no gradient after the walk; the input and every
+        parameter, the leaves that require grad, each get one."""
+        layer = TransformerLayer(8, 2, 12, np.random.default_rng(3), True)
+        x = Tensor(rng.normal(size=(2, 3, 8)), requires_grad=True)
+        out = layer.forward(x, key_padding_bias([3, 2]))
+        loss = T.tmean(out * out)
+        T.backward(loss)
+        inner = taped_nodes(loss)  # the layer's 10, two reshapes, mul, tmean
+        assert len(inner) == 14 and all(n.grad is None for n in inner)
+        for name, tensor in {"x": x, **layer.named_params()}.items():
+            assert tensor.grad is not None and tensor.grad.shape == tensor.shape, name
 
     def test_gradients_reach_every_parameter(self, rng):
         layer = TransformerLayer(8, 2, 12, np.random.default_rng(5), True)

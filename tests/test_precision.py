@@ -32,7 +32,8 @@ OPS = {
     "matmul": ([(3, 4), (4, 2)], T.matmul),
     "batched matmul": ([(2, 3, 4), (2, 4, 2)], T.matmul),
     "embedding": ([(5, 4)], lambda a: T.embedding(a, [1, 1, 4])),
-    "layer_norm": ([(3, 4), (4,), (4,)], T.layer_norm),
+    "add_layer_norm": ([(3, 4), (3, 4), (4,), (4,)], T.add_layer_norm),
+    "linear": ([(3, 4), (4, 2), (2,)], T.linear),
     "euclidean_distance": ([(3, 4), (3, 4)], T.euclidean_distance),
     "tensor + float": ([(3, 4)], lambda a: a + 1.5),
     "float + tensor": ([(3, 4)], lambda a: 1.5 + a),

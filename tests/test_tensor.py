@@ -36,6 +36,12 @@ def fd_grad(fn, x: np.ndarray, eps: float = 1e-6) -> np.ndarray:
     return g
 
 
+def norm_oracle(x, gain, bias):
+    mu = x.mean(axis=-1, keepdims=True)
+    var = x.var(axis=-1, keepdims=True)
+    return (x - mu) / np.sqrt(var + 1e-5) * gain + bias
+
+
 def rel_err(a: np.ndarray, b: np.ndarray) -> float:
     denom = np.maximum(np.abs(a) + np.abs(b), 1e-8)
     return float(np.max(np.abs(a - b) / denom))
@@ -115,6 +121,43 @@ class TestMatmul:
             T.matmul(t(np.ones((2, 3))), t(np.ones((4, 2))))
 
 
+class TestLinear:
+    def test_forward_is_product_plus_bias(self, rng):
+        x, w = rng.normal(size=(4, 5)), rng.normal(size=(5, 3))
+        b = rng.normal(size=3)
+        want = np.array([[sum(x[i, k] * w[k, j] for k in range(5)) + b[j]
+                          for j in range(3)] for i in range(4)])
+        assert np.allclose(T.linear(t(x), t(w), t(b)).data, want, atol=1e-12)
+
+    def test_grads_match_finite_differences(self, rng):
+        x, w, r = rng.normal(size=(3, 4, 4))
+        b = rng.normal(size=4)
+
+        def fwd(xv, wv, bv):
+            return float(np.mean((xv @ wv + bv) * r))
+
+        tx, tw, tb = t(x.copy()), t(w.copy()), t(b.copy())
+        backward(T.tmean(T.linear(tx, tw, tb) * Tensor(r)))
+        assert rel_err(tx.grad, fd_grad(lambda v: fwd(v, w, b), x.copy())) < 1e-6
+        assert rel_err(tw.grad, fd_grad(lambda v: fwd(x, v, b), w.copy())) < 1e-6
+        assert rel_err(tb.grad, fd_grad(lambda v: fwd(x, w, v), b.copy())) < 1e-6
+
+    def test_input_that_is_also_the_weight(self, rng):
+        """x·x + b: the input and weight gradients land on one tensor."""
+        x, r = rng.normal(size=(2, 4, 4))
+        b = rng.normal(size=4)
+        tx = t(x.copy())
+        backward(T.tmean(T.linear(tx, tx, t(b)) * Tensor(r)))
+        want = fd_grad(lambda v: float(np.mean((v @ v + b) * r)), x.copy())
+        assert rel_err(tx.grad, want) < 1e-6
+
+    def test_shape_errors(self):
+        with pytest.raises(ShapeError, match=r"\(2, 3\) @ \(4, 2\)"):
+            T.linear(t(np.ones((2, 3))), t(np.ones((4, 2))), t(np.zeros(2)))
+        with pytest.raises(ShapeError, match="bias shape"):
+            T.linear(t(np.ones((2, 3))), t(np.ones((3, 2))), t(np.zeros(3)))
+
+
 class TestSoftmaxAndLosses:
     def test_softmax_rows_sum_to_one(self, rng):
         """Attention weights sum to one per query, so keys that all carry
@@ -162,30 +205,63 @@ class TestSoftmaxAndLosses:
 
     def test_layer_norm_forward_oracle(self, rng):
         x = rng.normal(size=(4, 8)) * 3 + 1
+        y = rng.normal(size=(4, 8))
         gain = rng.normal(size=8)
         bias = rng.normal(size=8)
-        got = T.layer_norm(t(x), t(gain), t(bias)).data
-        mu = x.mean(axis=-1, keepdims=True)
-        var = x.var(axis=-1, keepdims=True)
-        want = (x - mu) / np.sqrt(var + 1e-5) * gain + bias
-        assert np.allclose(got, want, atol=1e-12)
+        got = T.add_layer_norm(t(x), t(y), t(gain), t(bias)).data
+        assert np.allclose(got, norm_oracle(x + y, gain, bias), atol=1e-12)
 
     def test_layer_norm_grads_match_finite_differences(self, rng):
-        x = rng.normal(size=(3, 6))
+        x, y, w = rng.normal(size=(3, 3, 6))
         gain = rng.normal(size=6)
         bias = rng.normal(size=6)
-        w = rng.normal(size=(3, 6))
 
-        def fwd(xv, gv, bv):
-            mu = xv.mean(axis=-1, keepdims=True)
-            var = xv.var(axis=-1, keepdims=True)
-            return float(np.mean(((xv - mu) / np.sqrt(var + 1e-5) * gv + bv) * w))
+        def fwd(xv, yv, gv, bv):
+            return float(np.mean(norm_oracle(xv + yv, gv, bv) * w))
 
-        tx, tg, tb = t(x.copy()), t(gain.copy()), t(bias.copy())
-        backward(T.tmean(T.layer_norm(tx, tg, tb) * Tensor(w)))
-        assert rel_err(tx.grad, fd_grad(lambda v: fwd(v, gain, bias), x.copy())) < 1e-6
-        assert rel_err(tg.grad, fd_grad(lambda v: fwd(x, v, bias), gain.copy())) < 1e-6
-        assert rel_err(tb.grad, fd_grad(lambda v: fwd(x, gain, v), bias.copy())) < 1e-6
+        tx, ty, tg, tb = t(x.copy()), t(y.copy()), t(gain.copy()), t(bias.copy())
+        backward(T.tmean(T.add_layer_norm(tx, ty, tg, tb) * Tensor(w)))
+        assert rel_err(tx.grad, fd_grad(lambda v: fwd(v, y, gain, bias), x.copy())) < 1e-6
+        assert rel_err(ty.grad, fd_grad(lambda v: fwd(x, v, gain, bias), y.copy())) < 1e-6
+        assert rel_err(tg.grad, fd_grad(lambda v: fwd(x, y, v, bias), gain.copy())) < 1e-6
+        assert rel_err(tb.grad, fd_grad(lambda v: fwd(x, y, gain, v), bias.copy())) < 1e-6
+
+    def test_layer_norm_of_a_tensor_plus_itself(self, rng):
+        """x + x: both summands stage into one gradient, which must double
+        rather than alias."""
+        x, w = rng.normal(size=(2, 3, 5))
+        gain, bias = rng.normal(size=(2, 5))
+        tx = t(x.copy())
+        backward(T.tmean(T.add_layer_norm(tx, tx, t(gain), t(bias)) * Tensor(w)))
+        want = fd_grad(lambda v: float(np.mean(norm_oracle(v + v, gain, bias) * w)),
+                       x.copy())
+        assert rel_err(tx.grad, want) < 1e-6
+
+    def test_layer_norm_summand_that_feeds_another_op(self, rng):
+        """x reaches the loss through the norm and through a product: the
+        gradient x adopts from the norm takes the second path's share without
+        changing what the norm staged for y."""
+        x, y, w = rng.normal(size=(3, 3, 5))
+        gain, bias = rng.normal(size=(2, 5))
+        m = rng.normal(size=(5, 5))
+
+        def fwd(xv, yv):
+            return float(np.mean(norm_oracle(xv + yv, gain, bias) * w)
+                         + np.mean((xv @ m) * w))
+
+        tx, ty = t(x.copy()), t(y.copy())
+        loss = (T.tmean(T.add_layer_norm(tx, ty, t(gain), t(bias)) * Tensor(w))
+                + T.tmean(T.matmul(tx, t(m, grad=False)) * Tensor(w)))
+        backward(loss)
+        assert rel_err(tx.grad, fd_grad(lambda v: fwd(v, y), x.copy())) < 1e-6
+        assert rel_err(ty.grad, fd_grad(lambda v: fwd(x, v), y.copy())) < 1e-6
+
+    def test_layer_norm_shape_errors(self):
+        x = t(np.zeros((2, 4)))
+        with pytest.raises(ShapeError, match="operands differ"):
+            T.add_layer_norm(x, t(np.zeros((2, 3))), t(np.ones(4)), t(np.zeros(4)))
+        with pytest.raises(ShapeError, match="affine shapes"):
+            T.add_layer_norm(x, x, t(np.ones(3)), t(np.zeros(4)))
 
     def test_euclidean_distance_value_and_grad(self):
         a = t([1.0, 2.0, 2.0])
@@ -369,7 +445,7 @@ def test_full_graph_finite_difference_sweep(rng):
 
     def build(xv):
         h = T.matmul(Tensor(xv), tw)
-        h = T.layer_norm(h, tg, tb)
+        h = T.add_layer_norm(h, Tensor(xv), tg, tb)
         h = T.gelu(h)
         return T.tmean(h * h)
 
@@ -378,10 +454,7 @@ def test_full_graph_finite_difference_sweep(rng):
     backward(loss)
 
     def scalar(wv):
-        h = x @ wv
-        mu = h.mean(axis=-1, keepdims=True)
-        var = h.var(axis=-1, keepdims=True)
-        h = (h - mu) / np.sqrt(var + 1e-5) * gain + bias
+        h = norm_oracle(x @ wv + x, gain, bias)
         c = np.sqrt(2 / np.pi)
         h = 0.5 * h * (1 + np.tanh(c * (h + 0.044715 * h ** 3)))
         return float(np.mean(h * h))

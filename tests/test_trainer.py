@@ -102,6 +102,22 @@ class TestPretrain:
                           labels, config or quick_config(loss=loss))
         return model, result
 
+    def test_sentence_truncation_is_one_summary_line(self, caplog):
+        rng = np.random.default_rng(2)
+        corpus = Corpus(documents=[
+            make_document(f"{c}{i}", c, rng, hierarchy=(c,),
+                          num_sentences=1 + i)
+            for c in ("astro", "law") for i in range(4)],
+            domain_mode="customer_support")
+        with caplog.at_level("WARNING", logger="doctrain.model"):
+            self.run(corpus=corpus, model=fresh_model(max_sentences=2))
+        used = {d for t in triplets_for(corpus, 12)
+                for d in (t.anchor_id, t.positive_id, t.negative_id)}
+        cut = sum(len(corpus.get(d).sentences) > 2 for d in used)
+        assert 0 < cut < len(used)
+        assert [r.message for r in caplog.records] == [
+            f"truncated {cut} of {len(used)} documents to max_sentences=2"]
+
     def test_frozen_groups_never_move(self):
         _, result = self.run()
         final = {r.group: r for r in result.drift.records
