@@ -10,6 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .encoder import equal_length_chunks
 from .errors import ConfigError, ContractError, ValidationError
 from .model import DocumentModel
 from .seeding import make_rng
@@ -22,23 +23,27 @@ log = logging.getLogger(__name__)
 EMBEDDING_MODES = ("sentence", "token")
 
 
-def _token_ids(model: DocumentModel, sentences: list[str]) -> list[int]:
-    """A document's token ids, truncated to the model's positions."""
-    tokens = tokenize(" ".join(sentences))
-    if not tokens:
-        raise ContractError("document has no tokens")
-    ids = encode_tokens(tokens, model.config.vocab_size)
-    if len(ids) > model.config.max_positions:
-        log.warning("truncating %d tokens to %d positions",
-                    len(ids), model.config.max_positions)
-        ids = ids[:model.config.max_positions]
-    return ids
+def _token_ids(model: DocumentModel, docs: list[list[str]]) -> list[list[int]]:
+    """Each document's token ids, truncated to the model's positions; one
+    warning line says how many documents were cut."""
+    cap = model.config.max_positions
+    out = []
+    for sentences in docs:
+        tokens = tokenize(" ".join(sentences))
+        if not tokens:
+            raise ContractError("document has no tokens")
+        out.append(encode_tokens(tokens, model.config.vocab_size))
+    cut = sum(len(ids) > cap for ids in out)
+    if cut:
+        log.warning("truncated %d of %d documents to max_positions=%d",
+                    cut, len(docs), cap)
+    return [ids[:cap] for ids in out]
 
 
-def _token_inputs(model: DocumentModel, sentences: list[str]) -> np.ndarray:
+def _token_inputs(model: DocumentModel, docs: list[list[str]]) -> list[np.ndarray]:
     with no_grad():
-        rows = model.embed.batch_rows([_token_ids(model, sentences)])
-    return rows.data[0].copy()
+        return [model.embed.batch_rows([ids]).data[0]
+                for ids in _token_ids(model, docs)]
 
 
 def _cosine_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -65,12 +70,9 @@ def wl_metric(model: DocumentModel, doc_a: list[str], doc_b: list[str],
     if not doc_a or not doc_b:
         raise ContractError("wl_metric needs two non-empty documents")
     if embedding_mode == "sentence":
-        model.warn_truncated([doc_a, doc_b])
-        embed = DocumentModel.embed_sentences
+        a, b = model.sentence_matrices([doc_a, doc_b])
     else:
-        embed = _token_inputs
-    a = embed(model, doc_a)
-    b = embed(model, doc_b)
+        a, b = _token_inputs(model, [doc_a, doc_b])
     sims = _cosine_rows(a, b)
     total = 0.0
     for i in range(a.shape[0]):
@@ -94,14 +96,17 @@ class CorrelationReport:
 
 
 def _doc_vectors(model: DocumentModel, docs: list[list[str]]) -> tuple[np.ndarray, np.ndarray]:
-    tok_vecs = []
-    for sentences in docs:
-        # one document per call: a corpus-wide padded batch would hold one
-        # [docs, heads, T, T] attention probability array per layer
-        with no_grad():
-            out = model.encode_token_batch([_token_ids(model, sentences)])
-        tok_vecs.append(out.data[0].mean(axis=0))
-    return model.encode_documents(docs), np.stack(tok_vecs)
+    seqs = _token_ids(model, docs)
+    tok_vecs = np.empty((len(docs), model.config.d_model), model.dtype)
+    # documents of equal token count run together, in chunks of a bounded row
+    # count: a corpus-wide padded batch would hold one [docs, heads, T, T]
+    # attention probability array per layer, and padding would move the bits
+    with no_grad():
+        for chunk in equal_length_chunks([len(q) for q in seqs]):
+            out = model.encode_token_batch([seqs[i] for i in chunk]).data
+            for i, rows in zip(chunk, out):
+                tok_vecs[i] = rows.mean(axis=0)
+    return model.encode_documents(docs), tok_vecs
 
 
 def _pairwise_cosines(vecs: np.ndarray) -> np.ndarray:

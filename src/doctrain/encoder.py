@@ -1,11 +1,12 @@
 """Two-tier document encoder.
 
-The lower tier is a small frozen transformer that featurizes one sentence at a
-time (mean pool over sub-word hash pieces). The upper tier is a trainable
-post-norm transformer that consumes either sentence vectors (pre-training) or
-token embeddings plus learned positions (fine-tuning). Both tiers share the
-same token-vector initialization, mirroring a lower featurizer and an
-embedding table copied from one parent model.
+The lower tier is a small frozen transformer that featurizes sentences (mean
+pool over sub-word hash pieces), many of equal piece count per forward. The
+upper tier is a trainable post-norm transformer that consumes either sentence
+vectors (pre-training) or token embeddings plus learned positions
+(fine-tuning). Both tiers share the same token-vector initialization,
+mirroring a lower featurizer and an embedding table copied from one parent
+model.
 """
 
 from __future__ import annotations
@@ -74,6 +75,34 @@ def _init(rng: np.random.Generator, *shape: int) -> np.ndarray:
     return rng.normal(0.0, 0.02, shape).astype(np.float32)
 
 
+def token_table(config: ModelConfig) -> np.ndarray:
+    """The [vocab, d] token rows both tiers start from, drawn from the seed's
+    "embed.token" stream."""
+    return _init(make_rng(config.seed, "embed.token"), config.vocab_size,
+                 config.d_model)
+
+
+# rows one batched inference forward takes: 8 sentences of 57 pieces
+BATCH_ROWS = 512
+
+
+def equal_length_chunks(lengths: list[int]) -> list[list[int]]:
+    """Indices of `lengths` grouped by equal length, in first-seen order, each
+    group cut into chunks of at most `BATCH_ROWS` rows (one item at least).
+
+    Padding would change an item's product shapes, and with them its bits,
+    so an inference batch holds items of one length only.
+    """
+    groups: dict[int, list[int]] = {}
+    for i, n in enumerate(lengths):
+        groups.setdefault(n, []).append(i)
+    chunks = []
+    for n, idx in groups.items():
+        per = max(1, BATCH_ROWS // n)
+        chunks.extend(idx[lo:lo + per] for lo in range(0, len(idx), per))
+    return chunks
+
+
 def key_padding_bias(lengths: list[int]) -> np.ndarray:
     """[B, S_max] additive key bias for sequences padded to the longest: 0 on
     each sequence's first `length` rows, -inf after."""
@@ -119,7 +148,8 @@ class TransformerLayer:
         out = T.linear(x, w, b)
         if pairs:
             for pair in pairs:
-                out = out + T.matmul(T.matmul(x, pair.a), pair.b)
+                # no bias, not a zero one: adding +0.0 turns -0.0 into +0.0
+                out = out + T.linear(T.linear(x, pair.a), pair.b)
         return out
 
     def forward(self, x: Tensor, key_bias: np.ndarray | None = None,
@@ -128,7 +158,8 @@ class TransformerLayer:
 
         `key_bias` is an additive [B, S] attention-score bias per key: 0 for
         a valid row, -inf for padding, so no row attends to padded keys.
-        Projections run on the flattened [B*S, d] rows.
+        Projections follow `T.linear`: one product over the B*S rows when
+        taping, one per item under `no_grad`.
         """
         shape = x.shape
         if x.ndim not in (2, 3):
@@ -137,21 +168,19 @@ class TransformerLayer:
         if d != self.d_model:
             raise ShapeError(f"layer width {self.d_model} got input width {d}")
         b, s = (1, shape[0]) if x.ndim == 2 else shape[:2]
-        rows = x if x.ndim == 2 else T.reshape(x, (b * s, d))
         ad = adapters or {}
-        q = self._adapted(rows, self.wq, self.bq, ad.get("query"))
-        k = self._adapted(rows, self.wk, self.bk, ad.get("key"))
-        v = self._adapted(rows, self.wv, self.bv, ad.get("value"))
+        q = self._adapted(x, self.wq, self.bq, ad.get("query"))
+        k = self._adapted(x, self.wk, self.bk, ad.get("key"))
+        v = self._adapted(x, self.wv, self.bv, ad.get("value"))
         ctx = T.attention(q, k, v, b, s, self.num_heads, key_bias)
         ffn_pairs = ad.get("ffn")
         attn_out = self._adapted(ctx, self.wo, self.bo, ad.get("output"))
-        rows = T.add_layer_norm(rows, attn_out, self.norm1_g, self.norm1_b)
-        hidden = T.gelu(self._adapted(rows, self.w1, self.b1,
+        x = T.add_layer_norm(x, attn_out, self.norm1_g, self.norm1_b)
+        hidden = T.gelu(self._adapted(x, self.w1, self.b1,
                                       ffn_pairs[:1] if ffn_pairs else None))
         ffn_out = self._adapted(hidden, self.w2, self.b2,
                                 ffn_pairs[1:] if ffn_pairs else None)
-        rows = T.add_layer_norm(rows, ffn_out, self.norm2_g, self.norm2_b)
-        return rows if x.ndim == 2 else T.reshape(rows, shape)
+        return T.add_layer_norm(x, ffn_out, self.norm2_g, self.norm2_b)
 
 
 class UpperEncoder:
@@ -183,14 +212,13 @@ class UpperEncoder:
 
 class LowerEncoder:
     """Frozen sentence featurizer: sub-word hash pieces -> small transformer
-    -> mean pool. Token rows are initialized from the same derived seed as the
-    trainable embedding table, then kept as an independent frozen copy."""
+    -> mean pool. Its token rows are `token_table(config)`, the rows the
+    trainable embedding table starts from; `DocumentModel` gives that table
+    its own copy."""
 
     def __init__(self, config: ModelConfig):
         self.config = config
-        # identical derivation to EmbeddingTable.token: shared lineage
-        self.token = Tensor(_init(make_rng(config.seed, "embed.token"),
-                                  config.vocab_size, config.d_model))
+        self.token = Tensor(token_table(config))
         rng = make_rng(config.seed, "lower")
         self.layers = [
             TransformerLayer(config.d_model, config.num_heads, config.ffn_dim,
@@ -202,18 +230,30 @@ class LowerEncoder:
     def embed(self, sentence: str) -> np.ndarray:
         """One sentence -> one d_model vector (cached; deterministic)."""
         hit = self._cache.get(sentence)
-        if hit is not None:
-            return hit
-        ids = subword_ids(sentence, self.config.vocab_size)[:_MAX_PIECES]
-        if not ids:
-            ids = [NUM_RESERVED]  # degenerate sentence with no word characters
+        if hit is None:
+            self.featurize([sentence])
+            hit = self._cache[sentence]
+        return hit
+
+    def featurize(self, sentences: list[str]) -> None:
+        """Cache the vector of every sentence not cached yet.
+
+        Sentences of equal piece count run together, in chunks of at most
+        `BATCH_ROWS` pieces, as one [n, S, d] forward under `no_grad`; each
+        item's products are its own (see `T.linear`), so a vector has the
+        same bits whatever sentences shared its chunk.
+        """
+        todo = [s for s in dict.fromkeys(sentences) if s not in self._cache]
+        # a sentence with no word characters gets one reserved piece
+        pieces = [subword_ids(s, self.config.vocab_size)[:_MAX_PIECES]
+                  or [NUM_RESERVED] for s in todo]
         with T.no_grad():
-            x = T.embedding(self.token, ids)
-            for layer in self.layers:
-                x = layer.forward(x)
-            vec = x.data.mean(axis=0)
-        self._cache[sentence] = vec
-        return vec
+            for chunk in equal_length_chunks([len(p) for p in pieces]):
+                x = T.embedding(self.token, [pieces[i] for i in chunk])
+                for layer in self.layers:
+                    x = layer.forward(x)
+                for i, rows in zip(chunk, x.data):
+                    self._cache[todo[i]] = rows.mean(axis=0)
 
     def named_params(self) -> dict[str, Tensor]:
         out = {"lower.token": self.token}
@@ -236,11 +276,11 @@ class LowerEncoder:
 class EmbeddingTable:
     """Token vectors plus learned positional vectors for the token path."""
 
-    def __init__(self, config: ModelConfig):
+    def __init__(self, config: ModelConfig, token: np.ndarray):
+        """`token` is the [vocab, d] table to train, a `token_table` draw;
+        `DocumentModel` passes a copy of the featurizer's."""
         self.config = config
-        self.token = Tensor(_init(make_rng(config.seed, "embed.token"),
-                                  config.vocab_size, config.d_model),
-                            requires_grad=True)
+        self.token = Tensor(token, requires_grad=True)
         self.position = Tensor(_init(make_rng(config.seed, "embed.position"),
                                      config.max_positions, config.d_model),
                                requires_grad=True)

@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import tensor as T
-from .encoder import key_padding_bias
+from .encoder import equal_length_chunks, key_padding_bias
 from .errors import ConfigError, NumericError, ValidationError
 from .model import DocumentModel
 from .optim import AdamW, ParamGroup
@@ -181,28 +181,35 @@ class SpanQaModel:
     def head_tensors(self) -> list[Tensor]:
         return [self.w_start, self.b_start, self.w_end, self.b_end]
 
-    def _encode(self, ex: SpanQaExample):
+    def _encode(self, batch: list[SpanQaExample]):
+        """Each example's ids of [CLS] question [SEP] context, the index of
+        its first context position and its kept context length; one warning
+        line says how many contexts were cut to fit."""
         vocab = self.model.config.vocab_size
         budget = self.model.config.max_positions
-        q_ids = encode_tokens(list(ex.question), vocab)
-        ctx_ids = encode_tokens(list(ex.context), vocab)
-        room = budget - 2 - len(q_ids)
-        if room < 1:
-            raise ValidationError(
-                f"question of {len(q_ids)} tokens leaves no room for context "
-                f"within {budget} positions")
-        if len(ctx_ids) > room:
-            log.warning("truncating context from %d to %d tokens",
-                        len(ctx_ids), room)
+        encoded = []
+        cut = 0
+        for ex in batch:
+            q_ids = encode_tokens(list(ex.question), vocab)
+            ctx_ids = encode_tokens(list(ex.context), vocab)
+            room = budget - 2 - len(q_ids)
+            if room < 1:
+                raise ValidationError(
+                    f"question of {len(q_ids)} tokens leaves no room for "
+                    f"context within {budget} positions")
+            cut += len(ctx_ids) > room
             ctx_ids = ctx_ids[:room]
-        ids = [CLS_ID] + q_ids + [SEP_ID] + ctx_ids
-        offset = 2 + len(q_ids)  # index of the first context position
-        return ids, offset, len(ctx_ids)
+            encoded.append(([CLS_ID] + q_ids + [SEP_ID] + ctx_ids,
+                            2 + len(q_ids), len(ctx_ids)))
+        if cut:
+            log.warning("truncated %d of %d contexts to fit %d positions",
+                        cut, len(batch), budget)
+        return encoded
 
     def _logits(self, batch: list[SpanQaExample]):
         """[B, T_max] start and end logits of one padded pass, -inf past each
         sequence's end; plus each example's (offset, kept context length)."""
-        encoded = [self._encode(ex) for ex in batch]
+        encoded = self._encode(batch)
         seqs = [ids for ids, _, _ in encoded]
         out = self.model.encode_token_batch(seqs)
         b, s, d = out.shape
@@ -214,19 +221,22 @@ class SpanQaModel:
         return start, end, [(offset, kept) for _, offset, kept in encoded]
 
     def batch_loss(self, batch: list[SpanQaExample]) -> Tensor:
-        """Mean over the examples of start plus end cross entropy."""
+        """Mean over the examples of start plus end cross entropy; a gold
+        span cut off by truncation trains toward no-answer."""
         start, end, spans = self._logits(batch)
         ts, te = [], []
+        lost = 0
         for ex, (offset, kept) in zip(batch, spans):
-            if ex.answer is None:
-                s = e = 0
-            elif ex.answer[1] >= kept:  # span truncated away; no-answer
-                log.warning("gold span %s lost to truncation", ex.answer)
+            if ex.answer is None or ex.answer[1] >= kept:
+                lost += ex.answer is not None
                 s = e = 0
             else:
                 s, e = offset + ex.answer[0], offset + ex.answer[1]
             ts.append(s)
             te.append(e)
+        if lost:
+            log.warning("%d of %d gold spans lost to truncation", lost,
+                        sum(ex.answer is not None for ex in batch))
         return (T.cross_entropy_rows(start, ts, "mean")
                 + T.cross_entropy_rows(end, te, "mean"))
 
@@ -269,11 +279,14 @@ class TokenTaggerModel:
             raise ValidationError(
                 f"labels {sorted(set(bad))} outside [0, {self.num_classes})")
 
+    def _ids(self, ex: TokenClassExample) -> list[int]:
+        return (encode_tokens(list(ex.tokens), self.model.config.vocab_size)
+                [:self.model.config.max_positions])
+
     def _logits(self, batch: list[TokenClassExample]):
         """Logits [N, C] of every kept token of the batch, in example order,
         from one padded pass; plus each example's kept length."""
-        seqs = [encode_tokens(list(ex.tokens), self.model.config.vocab_size)
-                [:self.model.config.max_positions] for ex in batch]
+        seqs = [self._ids(ex) for ex in batch]
         out = self.model.encode_token_batch(seqs)
         b, s, d = out.shape
         kept = np.concatenate([i * s + np.arange(len(q))
@@ -293,19 +306,32 @@ class TokenTaggerModel:
         return T.cross_entropy_rows(logits, targets, reduction="sum",
                                     weights=weights)
 
-    def predict(self, ex: TokenClassExample) -> list[int]:
-        self._check(ex)
+    def _predict(self, examples: list[TokenClassExample]) -> list[list[int]]:
+        """Each example's predicted class per kept token. Examples of equal
+        kept length run together under `no_grad`, in chunks as in
+        `equal_length_chunks`, with the head applied to [n, T, d]; each
+        prediction is the one the example gets alone."""
+        for ex in examples:
+            self._check(ex)
+        seqs = [self._ids(ex) for ex in examples]
+        preds: list[list[int]] = [[] for _ in examples]
         with no_grad():
-            logits, _ = self._logits([ex])
-        return [int(i) for i in logits.data.argmax(axis=1)]
+            for chunk in equal_length_chunks([len(q) for q in seqs]):
+                out = self.model.encode_token_batch([seqs[i] for i in chunk])
+                labels = T.linear(out, self.w, self.b).data.argmax(axis=-1)
+                for i, row in zip(chunk, labels):
+                    preds[i] = [int(c) for c in row]
+        return preds
+
+    def predict(self, ex: TokenClassExample) -> list[int]:
+        return self._predict([ex])[0]
 
     def evaluate(self, examples) -> dict[str, float]:
         if not examples:
             raise ValidationError("no examples to evaluate")
         y_true: list[int] = []
         y_pred: list[int] = []
-        for ex in examples:
-            pred = self.predict(ex)
+        for ex, pred in zip(examples, self._predict(examples)):
             y_true.extend(ex.labels[:len(pred)])
             y_pred.extend(pred)
         return {"macro_f1": macro_f1(y_true, y_pred, self.num_classes),

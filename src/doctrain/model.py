@@ -10,8 +10,9 @@ import numpy as np
 from . import tensor as T
 from .checkpoint import Checkpoint
 from .encoder import (ClassificationHeads, EmbeddingTable, LoraAdapter,
-                      LowerEncoder, ModelConfig, UpperEncoder, key_padding_bias)
-from .errors import CorruptCheckpoint, LengthError, ShapeError
+                      LowerEncoder, ModelConfig, UpperEncoder,
+                      equal_length_chunks, key_padding_bias)
+from .errors import ConfigError, CorruptCheckpoint, LengthError, ShapeError
 from .optim import ParamGroup
 from .seeding import make_rng
 from .tensor import Tensor
@@ -59,7 +60,8 @@ class DocumentModel:
         self.config = config.validate()
         self.lower = LowerEncoder(config)
         self.upper = UpperEncoder(config, make_rng(config.seed, "upper"))
-        self.embed = EmbeddingTable(config)
+        # one draw of the token rows; the trainable table gets its own copy
+        self.embed = EmbeddingTable(config, self.lower.token.data.copy())
         self.heads = ClassificationHeads(config.d_model, config.level_sizes)
         # low-rank adapters both input paths run through, when attached
         self.adapter: LoraAdapter | None = None
@@ -79,20 +81,23 @@ class DocumentModel:
 
     def embed_sentences(self, sentences: list[str]) -> np.ndarray:
         """Sentence strings -> frozen [S, d] matrix of the first
-        `max_sentences` sentences; callers report the cut (`warn_truncated`)."""
+        `max_sentences` sentences; `sentence_matrices` reports the cut."""
         if not sentences:
             raise LengthError("document has no sentences")
         sentences = sentences[:self.config.max_sentences]
         return np.stack([self.lower.embed(s) for s in sentences], axis=0)
 
-    def warn_truncated(self, docs: list[list[str]]) -> None:
-        """One warning line for a set of documents: how many of them the
-        sentence path cuts to `max_sentences`."""
+    def sentence_matrices(self, docs: list[list[str]]) -> list[np.ndarray]:
+        """Each document's `embed_sentences` matrix. Every kept sentence is
+        featurized in one batched call first, and one warning line says how
+        many documents were cut to `max_sentences`."""
         cap = self.config.max_sentences
         cut = sum(len(sentences) > cap for sentences in docs)
         if cut:
             log.warning("truncated %d of %d documents to max_sentences=%d",
                         cut, len(docs), cap)
+        self.lower.featurize([s for sentences in docs for s in sentences[:cap]])
+        return [self.embed_sentences(sentences) for sentences in docs]
 
     def encode_matrices(self, matrices: list[np.ndarray]) -> Tensor:
         """N [S_i, d] sentence-vector matrices -> [N, d] document vectors.
@@ -117,18 +122,21 @@ class DocumentModel:
 
     def encode_document(self, sentences: list[str]) -> Tensor:
         """Sentence strings -> [d] document vector."""
-        self.warn_truncated([sentences])
-        return T.reshape(self.encode_matrices([self.embed_sentences(sentences)]),
-                         (self.config.d_model,))
+        matrices = self.sentence_matrices([sentences])
+        return T.reshape(self.encode_matrices(matrices), (self.config.d_model,))
 
     def encode_documents(self, docs: list[list[str]]) -> np.ndarray:
         """Documents' sentence strings -> [N, d] document vectors, without
-        taping; one upper-encoder pass per document, as `encode_document`."""
-        self.warn_truncated(docs)
+        taping. Documents of equal kept length run together, chunked as in
+        `equal_length_chunks`; each vector has the bits `encode_document`
+        gives it."""
+        matrices = self.sentence_matrices(docs)
+        out = np.empty((len(docs), self.config.d_model), self.dtype)
         with T.no_grad():
-            return np.stack([
-                self.encode_matrices([self.embed_sentences(sentences)]).data[0]
-                for sentences in docs])
+            for chunk in equal_length_chunks([len(m) for m in matrices]):
+                out[chunk] = self.encode_matrices(
+                    [matrices[i] for i in chunk]).data
+        return out
 
     # -- token path ---------------------------------------------------------
 
@@ -192,14 +200,10 @@ class DocumentModel:
 
     @classmethod
     def from_checkpoint(cls, ckpt: Checkpoint) -> "DocumentModel":
-        raw = dict(ckpt.meta.get("config") or {})
+        raw = ckpt.meta.get("config")
         if not raw:
             raise CorruptCheckpoint("checkpoint metadata has no config echo")
-        try:
-            raw["level_sizes"] = tuple(raw.get("level_sizes", ()))
-            config = ModelConfig(**raw)
-        except TypeError as exc:
-            raise CorruptCheckpoint(f"bad config echo: {exc}") from exc
+        config = _config_from_echo(raw)
         model = cls(config)
         expected = model.named_params()
         missing = sorted(set(expected) - set(ckpt.tensors))
@@ -213,3 +217,33 @@ class DocumentModel:
                 )
             t.data = arr.astype(np.float32)
         return model
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _config_from_echo(raw) -> ModelConfig:
+    """The `ModelConfig` a checkpoint's config echo records: a JSON object of
+    known fields holding integers (`level_sizes` a list of them) that passes
+    `ModelConfig.validate`. Anything else is a corrupt checkpoint."""
+    if not isinstance(raw, dict):
+        raise CorruptCheckpoint(
+            f"config echo is a JSON {type(raw).__name__}, not an object")
+    fields = {f.name for f in dataclasses.fields(ModelConfig)}
+    unknown = sorted(set(raw) - fields)
+    if unknown:
+        raise CorruptCheckpoint(f"bad config echo: unknown fields {unknown}")
+    levels = raw.get("level_sizes", [])
+    bad = [name for name, value in raw.items()
+           if name != "level_sizes" and not _is_int(value)]
+    # a list from JSON; a tuple when the checkpoint never left memory
+    if (not isinstance(levels, (list, tuple))
+            or not all(_is_int(c) for c in levels)):
+        bad.append("level_sizes")
+    if bad:
+        raise CorruptCheckpoint(f"bad config echo: {bad} must be integers")
+    try:
+        return ModelConfig(**{**raw, "level_sizes": tuple(levels)}).validate()
+    except ConfigError as exc:
+        raise CorruptCheckpoint(f"bad config echo: {exc}") from exc

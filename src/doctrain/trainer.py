@@ -188,9 +188,7 @@ def pretrain(model: DocumentModel, corpus: Corpus, triplets: list[Triplet],
     doc_ids = dict.fromkeys(doc_id for t in triplets for doc_id in
                             (t.anchor_id, t.positive_id, t.negative_id))
     docs = [list(corpus.get(doc_id).sentences) for doc_id in doc_ids]
-    model.warn_truncated(docs)
-    matrices = {doc_id: model.embed_sentences(sentences)
-                for doc_id, sentences in zip(doc_ids, docs)}
+    matrices = dict(zip(doc_ids, model.sentence_matrices(docs)))
 
     # embeddings never train during pre-training; adapters, when asked for,
     # replace base-weight training

@@ -18,6 +18,7 @@ from doctrain.analysis import (CorrelationReport, paragraph_similarity,
                                split_paragraphs, wl_metric)
 from doctrain.errors import ConfigError, ContractError, ValidationError
 from doctrain.model import DocumentModel
+from doctrain.tensor import no_grad
 
 from conftest import small_config
 
@@ -135,6 +136,25 @@ class TestRepresentationCorrelation:
             representation_correlation(model, docs)
         assert [r.message for r in caplog.records] == [
             "truncated 2 of 4 documents to max_sentences=2"]
+
+    def test_token_truncation_is_one_summary_line(self, rng, caplog):
+        model = DocumentModel(small_config(max_positions=8))
+        docs = [sentences(rng, n) for n in (1, 3, 2, 5)]  # 4 words each
+        with caplog.at_level("WARNING", logger="doctrain.analysis"):
+            representation_correlation(model, docs)
+        assert [r.message for r in caplog.records] == [
+            "truncated 2 of 4 documents to max_positions=8"]
+
+    def test_batched_token_vectors_match_each_document_alone(self, model, rng):
+        """Documents of equal token count are encoded together; each vector
+        has the bits of its document encoded alone."""
+        docs = [sentences(rng, n) for n in [3] * 12 + [1, 2, 1, 5]]
+        _, tok = analysis._doc_vectors(model, docs)
+        with no_grad():
+            for doc, vec in zip(docs, tok):
+                ids = analysis._token_ids(model, [doc])
+                alone = model.encode_token_batch(ids).data[0].mean(axis=0)
+                assert np.array_equal(vec, alone)
 
     def test_needs_three_documents(self, model, rng):
         with pytest.raises(ValidationError, match="3"):

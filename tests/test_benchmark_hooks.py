@@ -13,7 +13,7 @@ import sys
 
 import pytest
 
-from doctrain import finetune, trainer
+from doctrain import encoder, finetune, trainer
 from doctrain.finetune import FinetuneConfig, TokenClassExample, TokenTaggerModel
 from doctrain.model import DocumentModel
 from doctrain.taxonomy import Taxonomy, pad_hierarchy
@@ -88,3 +88,27 @@ def test_traced_params_are_the_tensors_that_require_grad(phase, monkeypatch):
     assert tracing.Tracer._params(optimizer) == {"params": sum(
         t.size for g in optimizer.groups for t in g.tensors
         if t.requires_grad)}
+
+
+def test_traced_lower_sentences_are_the_distinct_kept_sentences(monkeypatch):
+    """`lower.sentences` counts the sentences the tracer first sees through
+    `LowerEncoder.embed`. `pretrain` featurizes in one batched call that the
+    tracer does not wrap, then reads every kept sentence through `embed`, so
+    the count is still each distinct kept sentence once."""
+    monkeypatch.setattr(encoder.LowerEncoder, "embed",
+                        encoder.LowerEncoder.embed)  # restored afterwards
+    tracer = tracing.Tracer()
+    tracer.wrap(encoder.LowerEncoder, "embed", "lower.embed",
+                before=tracer._sentence)
+    tax = Taxonomy.from_paths([("astro",), ("law",)])
+    cfg = small_config(level_sizes=tax.level_sizes, max_sentences=2)
+    corpus = separable_corpus(per_category=3)
+    triplets = triplets_for(corpus, 4)
+    trainer.pretrain(DocumentModel(cfg), corpus, triplets,
+                     {d.id: pad_hierarchy(d.hierarchy_path, tax)
+                      for d in corpus}, TrainConfig(batch_size=64))
+    used = {doc_id for t in triplets
+            for doc_id in (t.anchor_id, t.positive_id, t.negative_id)}
+    kept = {s for doc_id in used for s in corpus.get(doc_id).sentences[:2]}
+    assert len(corpus.get(next(iter(used))).sentences) > 2
+    assert tracing.layer_metrics(tracer.spans)["lower.sentences"] == len(kept)

@@ -472,6 +472,20 @@ class TestFinetune:
         manifest = load_manifest(tmp_path / "tuned.ckpt.manifest.json")
         assert manifest.config["task"] == "token-classification"
 
+    @pytest.mark.parametrize("config", ['"abc"', "[1, 2]", "true",
+                                        '{"d_model": "x"}',
+                                        '{"d_model": 8.5}'])
+    def test_malformed_config_echo_exits_5(self, tmp_path, config):
+        bad = tmp_path / "bad.ckpt"
+        bad.write_bytes(raw_checkpoint(
+            b'{"config": ' + config.encode() + b"}", [b"a"]))
+        train = tagging_file(tmp_path / "train.jsonl", 2)
+        rc = main(["finetune", "--checkpoint", str(bad),
+                   "--task", "token-classification", "--num-classes", "2",
+                   "--train", train, "--dev", train,
+                   "--metrics-out", str(tmp_path / "metrics.json")])
+        assert rc == 5
+
     def test_metrics_do_not_depend_on_the_output_path(self, pretrained,
                                                       tmp_path):
         """Two runs into directories whose names differ in length write the

@@ -12,6 +12,7 @@ import pytest
 
 from doctrain import tensor as T
 from doctrain.encoder import (
+    BATCH_ROWS,
     LORA_TARGETS,
     ClassificationHeads,
     EmbeddingTable,
@@ -20,11 +21,14 @@ from doctrain.encoder import (
     ModelConfig,
     TransformerLayer,
     UpperEncoder,
+    equal_length_chunks,
     key_padding_bias,
+    token_table,
 )
 from doctrain.errors import ConfigError, LengthError, ShapeError, VocabularyError
 from doctrain.seeding import make_rng
 from doctrain.tensor import Tensor
+from doctrain.text import subword_ids
 
 from conftest import small_config
 
@@ -166,7 +170,7 @@ class TestTransformerLayer:
     def test_training_forward_records_one_attention_node(self, rng):
         """Attention is one tape node, and no node keeps a 4-D array. A
         layer tapes 10 nodes: six linear maps, attention, two residual norms
-        and the GELU (plus the reshape back of a batched input)."""
+        and the GELU, for rows and batched items alike."""
         layer = TransformerLayer(8, 2, 12, np.random.default_rng(8), True)
         per_layer = {"linear": 6, "attention": 1, "add_layer_norm": 2,
                      "gelu": 1}
@@ -174,7 +178,7 @@ class TestTransformerLayer:
         assert Counter(taped_ops(out)) == per_layer
         out = layer.forward(Tensor(rng.normal(size=(3, 4, 8))),
                             key_padding_bias([4, 2, 1]))
-        assert Counter(taped_ops(out)) == {**per_layer, "reshape": 1}
+        assert Counter(taped_ops(out)) == per_layer
         assert all(n.ndim <= 3 for n in taped_nodes(out))
 
     def test_backward_sets_grad_on_leaves_only(self, rng):
@@ -185,8 +189,8 @@ class TestTransformerLayer:
         out = layer.forward(x, key_padding_bias([3, 2]))
         loss = T.tmean(out * out)
         T.backward(loss)
-        inner = taped_nodes(loss)  # the layer's 10, two reshapes, mul, tmean
-        assert len(inner) == 14 and all(n.grad is None for n in inner)
+        inner = taped_nodes(loss)  # the layer's 10, mul, tmean
+        assert len(inner) == 12 and all(n.grad is None for n in inner)
         for name, tensor in {"x": x, **layer.named_params()}.items():
             assert tensor.grad is not None and tensor.grad.shape == tensor.shape, name
 
@@ -229,7 +233,7 @@ class TestLowerEncoder:
     def test_token_rows_share_lineage_with_embedding_table(self):
         cfg = small_config()
         lower = LowerEncoder(cfg)
-        table = EmbeddingTable(cfg)
+        table = EmbeddingTable(cfg, token_table(cfg))
         assert np.array_equal(lower.token.data, table.token.data)
         assert not lower.token.requires_grad
         assert table.token.requires_grad
@@ -256,6 +260,28 @@ class TestLowerEncoder:
         vec = LowerEncoder(small_config()).embed("   ")
         assert vec.shape == (16,) and np.isfinite(vec).all()
 
+    def test_featurize_matches_one_sentence_at_a_time(self):
+        """Batched featurizing gives every sentence the bits a featurizer
+        gives it alone: mixed piece counts, a repeat, the degenerate
+        sentence, and more equal-length sentences than one chunk holds."""
+        cfg = small_config()
+        same = [f"s{i:03d} pump fail" for i in range(40)]
+        lengths = {len(subword_ids(s, cfg.vocab_size)) for s in same}
+        assert len(lengths) == 1 and len(same) > BATCH_ROWS // lengths.pop()
+        sentences = [*same, "the pump failed again today", "   ", same[3],
+                     "alpha beta"]
+        batched, alone = LowerEncoder(cfg), LowerEncoder(cfg)
+        batched.featurize(sentences)
+        assert len(batched._cache) == len(sentences) - 1
+        for s in sentences:
+            assert np.array_equal(batched.embed(s), alone.embed(s)), s
+
+    def test_featurize_keeps_cached_vectors(self):
+        lower = LowerEncoder(small_config())
+        first = lower.embed("the pump failed")
+        lower.featurize(["the pump failed", "the warranty expired"])
+        assert lower.embed("the pump failed") is first
+
     def test_state_bytes_tracks_mutation(self):
         cfg = small_config()
         a, b = LowerEncoder(cfg), LowerEncoder(cfg)
@@ -269,26 +295,37 @@ class TestLowerEncoder:
         assert not np.array_equal(a, b)
 
 
+def test_equal_length_chunks():
+    """Groups in first-seen order, cut to BATCH_ROWS rows; an item longer
+    than the budget is a chunk of its own."""
+    assert equal_length_chunks([3, 5, 3, 3]) == [[0, 2, 3], [1]]
+    lengths = [BATCH_ROWS // 2 - 1] * 5 + [BATCH_ROWS + 1] * 2
+    assert equal_length_chunks(lengths) == [[0, 1], [2, 3], [4], [5], [6]]
+    assert equal_length_chunks([]) == []
+
+
 class TestEmbeddingTable:
     def test_rows_are_token_plus_position(self):
         cfg = small_config()
-        table = EmbeddingTable(cfg)
+        table = EmbeddingTable(cfg, token_table(cfg))
         ids = [7, 3, 7]
         got = table.batch_rows([ids]).data[0]
         want = table.token.data[ids] + table.position.data[:3]
         assert np.array_equal(got, want)
 
     def test_empty_sequence_raises(self):
+        cfg = small_config()
         with pytest.raises(LengthError):
-            EmbeddingTable(small_config()).batch_rows([[]])
+            EmbeddingTable(cfg, token_table(cfg)).batch_rows([[]])
 
     def test_over_capacity_raises(self):
         cfg = small_config(max_positions=4)
         with pytest.raises(LengthError, match="5"):
-            EmbeddingTable(cfg).batch_rows([[3] * 5])
+            EmbeddingTable(cfg, token_table(cfg)).batch_rows([[3] * 5])
 
     def test_out_of_vocab_raises_with_offenders(self):
-        table = EmbeddingTable(small_config(vocab_size=512))
+        cfg = small_config(vocab_size=512)
+        table = EmbeddingTable(cfg, token_table(cfg))
         with pytest.raises(VocabularyError, match="512"):
             table.batch_rows([[3, 512]])
         with pytest.raises(VocabularyError):

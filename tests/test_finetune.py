@@ -323,6 +323,25 @@ class TestTokenTagger:
         with pytest.raises(ConfigError):
             TokenTaggerModel(DocumentModel(small_config()), 1)
 
+    def test_batched_evaluate_matches_each_example_alone(self, rng):
+        """Dev evaluation runs equal-length examples together; every
+        prediction is the one the taped path gives the example alone."""
+        task = TokenTaggerModel(DocumentModel(small_config()), 5)
+        task.w.data = rng.normal(size=task.w.shape).astype(np.float32)
+        words = ["orbit", "ledger", "enzyme", "raster", "pivot", "mantle"]
+        examples = [TokenClassExample(tuple(rng.choice(words, size=n)),
+                                      tuple(rng.integers(5, size=n)))
+                    for n in [40] * 14 + [3, 7, 3, 64, 7]]
+        preds = task._predict(examples)
+        for ex, pred in zip(examples, preds):
+            alone = task._logits([ex])[0].data.argmax(axis=1).tolist()
+            assert pred == alone == task.predict(ex)
+        y_true = [c for ex in examples for c in ex.labels]
+        y_pred = [c for pred in preds for c in pred]
+        assert task.evaluate(examples) == {
+            "macro_f1": macro_f1(y_true, y_pred, 5),
+            "accuracy": accuracy(y_true, y_pred)}
+
     def test_evaluate_requires_examples(self):
         task = TokenTaggerModel(DocumentModel(small_config()), 2)
         with pytest.raises(ValidationError):
@@ -424,6 +443,21 @@ class TestSpanQa:
             loss = task.batch_loss([ex])
         assert np.isfinite(loss.data).all()
         assert any("truncat" in r.message for r in caplog.records)
+
+    def test_truncation_is_one_line_per_call(self, caplog):
+        """One line for the contexts cut, one for the gold spans lost."""
+        task = SpanQaModel(DocumentModel(small_config(max_positions=8)))
+        ctx = tuple(f"t{i}" for i in range(10))
+        batch = [SpanQaExample(("q",), ctx, (9, 9)),   # cut, span lost
+                 SpanQaExample(("q",), ctx, (1, 2)),   # cut, span kept
+                 SpanQaExample(("q",), ctx, None),     # cut, no answer
+                 SpanQaExample(("q",), ctx[:3], (0, 0)),
+                 SpanQaExample(("q",), ctx[:5], (4, 4))]
+        with caplog.at_level("WARNING", logger="doctrain.finetune"):
+            task.batch_loss(batch)
+        assert [r.message for r in caplog.records] == [
+            "truncated 3 of 5 contexts to fit 8 positions",
+            "1 of 4 gold spans lost to truncation"]
 
     def test_zero_heads_ragged_loss_is_mean_of_two_ln_lengths(self):
         """Each row's softmax covers only its own sequence, so a zero head

@@ -5,13 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from doctrain.checkpoint import load_checkpoint, save_checkpoint
+from doctrain import encoder
+from doctrain.checkpoint import (load_checkpoint, parse_checkpoint,
+                                 save_checkpoint)
 from doctrain.errors import CorruptCheckpoint, LengthError, ShapeError
 from doctrain.model import GROUPS, DocumentModel, group_of
 from doctrain import tensor as T
 from doctrain.tensor import Tensor, backward
 
-from conftest import as_float64, small_config
+from conftest import as_float64, raw_checkpoint, small_config
 
 
 class TestGroupOf:
@@ -170,6 +172,41 @@ class TestForwardPaths:
         assert [lv.shape for lv in logits] == [(1, 5), (1, 3)]
 
 
+class TestInferenceBatches:
+    """Batched inference gives each item the bits it gets alone."""
+
+    @pytest.mark.parametrize("lengths", [[8] * 66, [1, 4, 2, 4, 1, 3, 8]],
+                             ids=["equal, two chunks", "mixed"])
+    def test_encode_documents_matches_encode_document(self, rng, lengths):
+        words = ["orbit", "ledger", "enzyme", "raster", "pivot", "mantle"]
+        docs = [[" ".join(rng.choice(words, size=4)) for _ in range(n)]
+                for n in lengths]
+        got = DocumentModel(small_config()).encode_documents(docs)
+        alone = DocumentModel(small_config())
+        for doc, row in zip(docs, got):
+            assert np.array_equal(row, alone.encode_document(doc).data)
+
+    def test_equal_length_token_batch_matches_each_sequence(self, rng):
+        model = DocumentModel(small_config())
+        seqs = rng.integers(4, 512, size=(5, 9)).tolist()
+        with T.no_grad():
+            out = model.encode_token_batch(seqs).data
+            for seq, rows in zip(seqs, out):
+                assert np.array_equal(rows, model.encode_token_batch([seq]).data[0])
+
+
+def test_token_rows_are_drawn_once_and_copied(monkeypatch):
+    streams = []
+    real = encoder.make_rng
+    monkeypatch.setattr(encoder, "make_rng", lambda seed, name: (
+        streams.append(name), real(seed, name))[1])
+    model = DocumentModel(small_config())
+    assert streams.count("embed.token") == 1
+    lower, table = model.lower.token.data, model.embed.token.data
+    assert np.array_equal(lower, table)
+    assert not np.shares_memory(lower, table)
+
+
 class TestAdapters:
     def test_adapter_routes_both_paths(self):
         model = DocumentModel(small_config())
@@ -238,6 +275,17 @@ class TestPersistence:
         ckpt.tensors["embed.token"] = np.zeros((2, 2), dtype=np.float32)
         with pytest.raises(CorruptCheckpoint, match="shape"):
             DocumentModel.from_checkpoint(ckpt)
+
+    @pytest.mark.parametrize("config", [
+        '"abc"', "[1, 2]", "true", '{"d_model": "x"}', '{"d_model": 8.5}',
+        '{"d_model": true}', '{"level_sizes": "ab"}',
+        '{"level_sizes": [2, 1.5]}', '{"d_model": 0}'])
+    def test_malformed_config_echo_is_corrupt(self, config):
+        """The echo must be an object of integer fields, `level_sizes` a
+        list of integers, that validates; the digest here is valid."""
+        blob = raw_checkpoint(b'{"config": ' + config.encode() + b"}", [b"a"])
+        with pytest.raises(CorruptCheckpoint, match="config echo"):
+            DocumentModel.from_checkpoint(parse_checkpoint(blob))
 
     def test_bad_config_echo_rejected(self):
         from doctrain.checkpoint import Checkpoint

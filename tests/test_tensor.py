@@ -151,6 +151,57 @@ class TestLinear:
         want = fd_grad(lambda v: float(np.mean((v @ v + b) * r)), x.copy())
         assert rel_err(tx.grad, want) < 1e-6
 
+    def test_no_grad_items_are_their_own_products(self, rng):
+        """Under no_grad each [S, k] item of a batch is one product: it has
+        the bits of the item multiplied alone, whatever its batch-mates."""
+        x = rng.normal(size=(8, 12, 512)).astype(np.float32)
+        w = rng.normal(size=(512, 128)).astype(np.float32)
+        b = rng.normal(size=128).astype(np.float32)
+        with no_grad():
+            out = T.linear(Tensor(x), Tensor(w), Tensor(b)).data
+        assert out.shape == (8, 12, 128) and out.dtype == np.float32
+        for i in range(8):
+            assert np.array_equal(out[i], x[i] @ w + b)
+
+    def test_grad_mode_multiplies_the_flat_rows(self, rng):
+        """With grad enabled the B·S rows are one product, even when no
+        operand requires grad (a LoRA run's frozen base projections)."""
+        x = rng.normal(size=(8, 12, 512)).astype(np.float32)
+        w = rng.normal(size=(512, 128)).astype(np.float32)
+        b = rng.normal(size=128).astype(np.float32)
+        out = T.linear(Tensor(x), Tensor(w), Tensor(b)).data
+        flat = x.reshape(96, 512) @ w + b
+        assert np.array_equal(out, flat.reshape(8, 12, 128))
+
+    def test_batched_grads_match_finite_differences(self, rng):
+        x, r = rng.normal(size=(2, 3, 4)), rng.normal(size=(2, 3, 5))
+        w, b = rng.normal(size=(4, 5)), rng.normal(size=5)
+
+        def fwd(xv, wv, bv):
+            return float(np.mean((xv @ wv + bv) * r))
+
+        tx, tw, tb = t(x.copy()), t(w.copy()), t(b.copy())
+        out = T.linear(tx, tw, tb)
+        assert out.shape == (2, 3, 5)
+        backward(T.tmean(out * Tensor(r)))
+        assert tx.grad.shape == x.shape
+        assert rel_err(tx.grad, fd_grad(lambda v: fwd(v, w, b), x.copy())) < 1e-6
+        assert rel_err(tw.grad, fd_grad(lambda v: fwd(x, v, b), w.copy())) < 1e-6
+        assert rel_err(tb.grad, fd_grad(lambda v: fwd(x, w, v), b.copy())) < 1e-6
+
+    def test_no_bias_is_the_bare_product(self):
+        """Without a bias a product's -0.0 stays -0.0 (these products
+        underflow); adding a zero bias would turn it into +0.0."""
+        x = np.full((4, 8), -1e-30, np.float32)
+        w = np.full((8, 3), 1e-30, np.float32)
+        bare = x @ w
+        assert np.signbit(bare).all() and not np.signbit(bare + 0.0).any()
+        out = T.linear(Tensor(x), Tensor(w)).data
+        assert np.array_equal(np.signbit(out), np.signbit(bare))
+        tx, tw = t(x), t(w)
+        backward(T.tmean(T.linear(tx, tw)))
+        assert np.allclose(tw.grad, -4e-30 / 12, rtol=1e-6, atol=0)
+
     def test_shape_errors(self):
         with pytest.raises(ShapeError, match=r"\(2, 3\) @ \(4, 2\)"):
             T.linear(t(np.ones((2, 3))), t(np.ones((4, 2))), t(np.zeros(2)))
@@ -403,6 +454,24 @@ class TestAttention:
         edited[4:] = rng.normal(size=(2, 4)) * 100  # sequence 1's padding
         again = T.attention(t(q), t(k), t(edited), 2, 3, 2, bias).data
         assert np.array_equal(out, again)
+
+    def test_batched_items_keep_their_shape(self, rng):
+        """[b, s, d] operands give the bits of the same [b·s, d] rows, in
+        the query's shape, and so do their gradients."""
+        q, k, v = rng.normal(size=(3, 2, 3, 4)).astype(np.float32)
+        w = rng.normal(size=(2, 3, 4)).astype(np.float32)
+        bias = key_padding_bias([3, 2])
+        grads = []
+        for shape in ((2, 3, 4), (6, 4)):
+            ops = [Tensor(a.reshape(shape), requires_grad=True)
+                   for a in (q, k, v)]
+            out = T.attention(*ops, 2, 3, 2, bias)
+            assert out.shape == shape
+            backward(T.tmean(out * Tensor(w.reshape(shape))))
+            grads.append([out.data.reshape(2, 3, 4),
+                          *(o.grad.reshape(2, 3, 4) for o in ops)])
+        for a, b in zip(*grads):
+            assert np.array_equal(a, b)
 
     def test_key_bias_shape_error(self):
         x = t(np.zeros((6, 4)))
