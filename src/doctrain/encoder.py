@@ -13,6 +13,8 @@ from __future__ import annotations
 
 import hashlib
 import logging
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -101,6 +103,60 @@ def equal_length_chunks(lengths: list[int]) -> list[list[int]]:
         per = max(1, BATCH_ROWS // n)
         chunks.extend(idx[lo:lo + per] for lo in range(0, len(idx), per))
     return chunks
+
+
+# the helper threads `LowerEncoder.featurize` runs its chunks on; started by
+# the first call that has work for two of them
+_POOL = None
+_POOL_LOCK = threading.Lock()
+
+# narrower featurizers stay on the calling thread: at d_model 32 a chunk's
+# NumPy calls are too short for two threads to overlap, and the pool
+# measured no faster than one thread while it added resident memory
+POOL_MIN_WIDTH = 64
+
+
+def _cpus() -> int:
+    """CPUs in this process's affinity mask (all CPUs where none exists)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def _one_malloc_arena() -> None:
+    """Have glibc serve every thread from the main malloc arena: an arena of
+    its own keeps about 7 MB resident per helper thread. Without glibc this
+    does nothing."""
+    import ctypes
+    try:
+        mallopt = ctypes.CDLL("libc.so.6").mallopt
+    except (OSError, AttributeError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(-8, 1)  # M_ARENA_MAX
+
+
+def _map_chunks(fn, chunks: list, threaded: bool) -> list:
+    """[fn(chunk) for chunk in chunks], on the featurizer's thread pool when
+    `threaded` and there are two chunks or more and two CPUs or more. Every
+    call has returned or raised before this returns, and the first exception
+    in chunk order propagates."""
+    global _POOL
+    workers = _cpus()
+    if not threaded or len(chunks) < 2 or workers < 2:
+        return list(map(fn, chunks))
+    # importing concurrent.futures costs set-up time that serial runs skip
+    import concurrent.futures as cf
+    with _POOL_LOCK:
+        if _POOL is None:
+            _one_malloc_arena()
+            _POOL = cf.ThreadPoolExecutor(workers,
+                                          thread_name_prefix="featurize")
+    futures = [_POOL.submit(fn, chunk) for chunk in chunks]
+    cf.wait(futures)
+    return [f.result() for f in futures]
 
 
 def key_padding_bias(lengths: list[int]) -> np.ndarray:
@@ -239,21 +295,43 @@ class LowerEncoder:
         """Cache the vector of every sentence not cached yet.
 
         Sentences of equal piece count run together, in chunks of at most
-        `BATCH_ROWS` pieces, as one [n, S, d] forward under `no_grad`; each
-        item's products are its own (see `T.linear`), so a vector has the
-        same bits whatever sentences shared its chunk.
+        `BATCH_ROWS` pieces, as one [n, S, d] forward under `no_grad`. From
+        `POOL_MIN_WIDTH` on, chunks run concurrently on a thread pool with a
+        thread per CPU (see `_map_chunks`). Each item's products are its own
+        (see `T.linear`), so
+        a vector has the same bits whatever sentences shared its chunk and
+        whichever thread ran it. One warning line says how many sentences
+        were cut to `_MAX_PIECES` pieces.
         """
         todo = [s for s in dict.fromkeys(sentences) if s not in self._cache]
         # a sentence with no word characters gets one reserved piece
-        pieces = [subword_ids(s, self.config.vocab_size)[:_MAX_PIECES]
-                  or [NUM_RESERVED] for s in todo]
+        pieces = [subword_ids(s, self.config.vocab_size) or [NUM_RESERVED]
+                  for s in todo]
+        cut = sum(len(p) > _MAX_PIECES for p in pieces)
+        if cut:
+            log.warning("truncated %d of %d sentences to %d pieces", cut,
+                        len(todo), _MAX_PIECES)
+        pieces = [p[:_MAX_PIECES] for p in pieces]
+        chunks = equal_length_chunks([len(p) for p in pieces])
+        # grad mode is process-wide: the helpers run under this no_grad, so
+        # it stays entered until every chunk has finished
         with T.no_grad():
-            for chunk in equal_length_chunks([len(p) for p in pieces]):
-                x = T.embedding(self.token, [pieces[i] for i in chunk])
-                for layer in self.layers:
-                    x = layer.forward(x)
-                for i, rows in zip(chunk, x.data):
-                    self._cache[todo[i]] = rows.mean(axis=0)
+            vectors = _map_chunks(self._mean_pooled,
+                                  [[pieces[i] for i in c] for c in chunks],
+                                  self.config.d_model >= POOL_MIN_WIDTH)
+            for chunk, vecs in zip(chunks, vectors):
+                for i, v in zip(chunk, vecs):
+                    self._cache[todo[i]] = v
+
+    def _mean_pooled(self, pieces: list[list[int]]) -> list[np.ndarray]:
+        """Mean-pooled vectors of equal-length piece lists, one [n, S, d]
+        forward. It runs on pool threads, so it must not call `embed` or
+        `UpperEncoder.forward`: `benchmarks/tracing.py` wraps those with spans
+        that share one stack across threads."""
+        x = T.embedding(self.token, pieces)
+        for layer in self.layers:
+            x = layer.forward(x)
+        return [rows.mean(axis=0) for rows in x.data]
 
     def named_params(self) -> dict[str, Tensor]:
         out = {"lower.token": self.token}

@@ -164,6 +164,18 @@ def best_span(s_log: np.ndarray, e_log: np.ndarray, offset: int,
     return (s, e) if scores[s, e] > s_log[0] + e_log[0] else None
 
 
+def _predict_in_chunks(lengths: list[int], predict_chunk) -> list:
+    """Predictions for items of the given lengths: `predict_chunk(chunk)`
+    returns one per index of a chunk from `equal_length_chunks(lengths)`,
+    and runs under `no_grad`. Returned in item order."""
+    preds: list = [None] * len(lengths)
+    with no_grad():
+        for chunk in equal_length_chunks(lengths):
+            for i, pred in zip(chunk, predict_chunk(chunk)):
+                preds[i] = pred
+    return preds
+
+
 class SpanQaModel:
     """Joint start/end span scorer over [CLS] question [SEP] context.
 
@@ -206,27 +218,26 @@ class SpanQaModel:
                         cut, len(batch), budget)
         return encoded
 
-    def _logits(self, batch: list[SpanQaExample]):
-        """[B, T_max] start and end logits of one padded pass, -inf past each
-        sequence's end; plus each example's (offset, kept context length)."""
-        encoded = self._encode(batch)
-        seqs = [ids for ids, _, _ in encoded]
+    def _scores(self, seqs: list[list[int]]):
+        """[B, T_max] start and end logits of one padded pass over id
+        sequences, -inf past each sequence's end. The heads see [B, T, d]
+        items, so under `no_grad` each item's products are its own."""
         out = self.model.encode_token_batch(seqs)
-        b, s, d = out.shape
-        rows = T.reshape(out, (b * s, d))
+        b, s, _ = out.shape
         pad = key_padding_bias([len(q) for q in seqs])
-        start = T.reshape(T.linear(rows, self.w_start, self.b_start),
+        start = T.reshape(T.linear(out, self.w_start, self.b_start),
                           (b, s)) + pad
-        end = T.reshape(T.linear(rows, self.w_end, self.b_end), (b, s)) + pad
-        return start, end, [(offset, kept) for _, offset, kept in encoded]
+        end = T.reshape(T.linear(out, self.w_end, self.b_end), (b, s)) + pad
+        return start, end
 
     def batch_loss(self, batch: list[SpanQaExample]) -> Tensor:
         """Mean over the examples of start plus end cross entropy; a gold
         span cut off by truncation trains toward no-answer."""
-        start, end, spans = self._logits(batch)
+        encoded = self._encode(batch)
+        start, end = self._scores([ids for ids, _, _ in encoded])
         ts, te = [], []
         lost = 0
-        for ex, (offset, kept) in zip(batch, spans):
+        for ex, (_, offset, kept) in zip(batch, encoded):
             if ex.answer is None or ex.answer[1] >= kept:
                 lost += ex.answer is not None
                 s = e = 0
@@ -240,18 +251,30 @@ class SpanQaModel:
         return (T.cross_entropy_rows(start, ts, "mean")
                 + T.cross_entropy_rows(end, te, "mean"))
 
+    def _predict(self, examples: list[SpanQaExample]
+                 ) -> list[tuple[int, int] | None]:
+        """Each example's predicted context span, from one `_encode` of the
+        set. Examples of equal encoded length run together under `no_grad`,
+        chunked as in `equal_length_chunks`; each prediction is the one the
+        example gets alone."""
+        encoded = self._encode(examples)
+
+        def spans(chunk):
+            start, end = self._scores([encoded[i][0] for i in chunk])
+            return [best_span(s_log, e_log, encoded[i][1], encoded[i][2])
+                    for i, s_log, e_log in zip(chunk, start.data, end.data)]
+
+        return _predict_in_chunks([len(ids) for ids, _, _ in encoded], spans)
+
     def predict(self, ex: SpanQaExample) -> tuple[int, int] | None:
-        with no_grad():
-            start, end, [(offset, kept)] = self._logits([ex])
-        return best_span(start.data[0], end.data[0], offset, kept)
+        return self._predict([ex])[0]
 
     def evaluate(self, examples) -> dict[str, float]:
         if not examples:
             raise ValidationError("no examples to evaluate")
         em = 0.0
         f1 = 0.0
-        for ex in examples:
-            pred = self.predict(ex)
+        for ex, pred in zip(examples, self._predict(examples)):
             em += float(pred == ex.answer)
             f1 += span_token_f1(pred, ex.answer)
         n = len(examples)
@@ -314,14 +337,13 @@ class TokenTaggerModel:
         for ex in examples:
             self._check(ex)
         seqs = [self._ids(ex) for ex in examples]
-        preds: list[list[int]] = [[] for _ in examples]
-        with no_grad():
-            for chunk in equal_length_chunks([len(q) for q in seqs]):
-                out = self.model.encode_token_batch([seqs[i] for i in chunk])
-                labels = T.linear(out, self.w, self.b).data.argmax(axis=-1)
-                for i, row in zip(chunk, labels):
-                    preds[i] = [int(c) for c in row]
-        return preds
+
+        def labels(chunk):
+            out = self.model.encode_token_batch([seqs[i] for i in chunk])
+            return [[int(c) for c in row] for row in
+                    T.linear(out, self.w, self.b).data.argmax(axis=-1)]
+
+        return _predict_in_chunks([len(q) for q in seqs], labels)
 
     def predict(self, ex: TokenClassExample) -> list[int]:
         return self._predict([ex])[0]
@@ -350,32 +372,47 @@ class PairClassifierModel:
     def head_tensors(self) -> list[Tensor]:
         return [self.w, self.b]
 
-    def _logits(self, batch: list[PairExample]) -> Tensor:
-        """[B, 2] logits from each sequence's first output row, one pass."""
+    def _seqs(self, batch: list[PairExample]) -> list[list[int]]:
         vocab = self.model.config.vocab_size
-        seqs = [([CLS_ID] + encode_tokens(list(ex.first), vocab) + [SEP_ID]
+        return [([CLS_ID] + encode_tokens(list(ex.first), vocab) + [SEP_ID]
                  + encode_tokens(list(ex.second), vocab))
                 [:self.model.config.max_positions] for ex in batch]
+
+    def _logits(self, seqs: list[list[int]]) -> Tensor:
+        """[B, 2] logits from each sequence's first output row, one pass. The
+        head sees [B, 1, d] items, so under `no_grad` each item's product is
+        its own."""
         out = self.model.encode_token_batch(seqs)
         b, s, d = out.shape
-        first = T.embedding(T.reshape(out, (b * s, d)), np.arange(b) * s)
-        return T.linear(first, self.w, self.b)
+        first = T.embedding(T.reshape(out, (b * s, d)),
+                            (np.arange(b) * s)[:, None])
+        return T.reshape(T.linear(first, self.w, self.b), (b, 2))
 
     def batch_loss(self, batch: list[PairExample]) -> Tensor:
-        return T.cross_entropy_rows(self._logits(batch),
+        return T.cross_entropy_rows(self._logits(self._seqs(batch)),
                                     np.array([ex.label for ex in batch]),
                                     reduction="mean")
 
+    def _predict(self, examples: list[PairExample]) -> list[int]:
+        """Each example's predicted label. Examples of equal sequence length
+        run together under `no_grad`, chunked as in `equal_length_chunks`;
+        each prediction is the one the example gets alone."""
+        seqs = self._seqs(examples)
+
+        def labels(chunk):
+            logits = self._logits([seqs[i] for i in chunk])
+            return [int(row.argmax()) for row in logits.data]
+
+        return _predict_in_chunks([len(q) for q in seqs], labels)
+
     def predict(self, ex: PairExample) -> int:
-        with no_grad():
-            logits = self._logits([ex])
-        return int(logits.data[0].argmax())
+        return self._predict([ex])[0]
 
     def evaluate(self, examples) -> dict[str, float]:
         if not examples:
             raise ValidationError("no examples to evaluate")
         y_true = [ex.label for ex in examples]
-        y_pred = [self.predict(ex) for ex in examples]
+        y_pred = self._predict(examples)
         return {"accuracy": accuracy(y_true, y_pred),
                 "f1": binary_f1(y_true, y_pred)}
 

@@ -5,15 +5,21 @@ written from the architecture description (post-norm, tanh GELU, scaled dot
 product attention), not by calling back into the library.
 """
 
+import os
+import subprocess
+import sys
+import threading
 from collections import Counter
 
 import numpy as np
 import pytest
 
+from doctrain import encoder
 from doctrain import tensor as T
 from doctrain.encoder import (
     BATCH_ROWS,
     LORA_TARGETS,
+    POOL_MIN_WIDTH,
     ClassificationHeads,
     EmbeddingTable,
     LoraAdapter,
@@ -26,6 +32,9 @@ from doctrain.encoder import (
     token_table,
 )
 from doctrain.errors import ConfigError, LengthError, ShapeError, VocabularyError
+from doctrain.finetune import (FinetuneConfig, TokenClassExample,
+                               finetune_token_classification)
+from doctrain.model import DocumentModel
 from doctrain.seeding import make_rng
 from doctrain.tensor import Tensor
 from doctrain.text import subword_ids
@@ -260,11 +269,12 @@ class TestLowerEncoder:
         vec = LowerEncoder(small_config()).embed("   ")
         assert vec.shape == (16,) and np.isfinite(vec).all()
 
-    def test_featurize_matches_one_sentence_at_a_time(self):
-        """Batched featurizing gives every sentence the bits a featurizer
-        gives it alone: mixed piece counts, a repeat, the degenerate
-        sentence, and more equal-length sentences than one chunk holds."""
-        cfg = small_config()
+    def test_featurize_matches_one_sentence_at_a_time(self, two_cpus):
+        """Batched featurizing on the pool gives every sentence the bits a
+        featurizer gives it alone, under the same cache keys: mixed piece
+        counts, a repeat, the degenerate sentence, and more equal-length
+        sentences than one chunk holds."""
+        cfg = wide_config()
         same = [f"s{i:03d} pump fail" for i in range(40)]
         lengths = {len(subword_ids(s, cfg.vocab_size)) for s in same}
         assert len(lengths) == 1 and len(same) > BATCH_ROWS // lengths.pop()
@@ -272,9 +282,20 @@ class TestLowerEncoder:
                      "alpha beta"]
         batched, alone = LowerEncoder(cfg), LowerEncoder(cfg)
         batched.featurize(sentences)
+        assert encoder._POOL is not None
         assert len(batched._cache) == len(sentences) - 1
         for s in sentences:
             assert np.array_equal(batched.embed(s), alone.embed(s)), s
+        assert batched._cache.keys() == alone._cache.keys()
+
+    def test_piece_cap_is_one_line_per_call(self, caplog):
+        long = " ".join(f"w{i:04d}" for i in range(200))  # 1,200 pieces
+        lower = LowerEncoder(small_config())
+        with caplog.at_level("WARNING", logger="doctrain.encoder"):
+            lower.featurize([long, long + " more", "a short one", long])
+        assert [r.message for r in caplog.records] == [
+            "truncated 2 of 3 sentences to 1024 pieces"]
+        assert lower.embed(long).shape == (16,)
 
     def test_featurize_keeps_cached_vectors(self):
         lower = LowerEncoder(small_config())
@@ -293,6 +314,97 @@ class TestLowerEncoder:
         a = LowerEncoder(small_config(seed=1)).embed("same sentence")
         b = LowerEncoder(small_config(seed=2)).embed("same sentence")
         assert not np.array_equal(a, b)
+
+
+@pytest.fixture
+def two_cpus(monkeypatch):
+    """No featurizer pool yet, and two CPUs whatever the machine has, so the
+    pool's helper threads run on a one-CPU machine too; a pool the test
+    starts is shut down after it."""
+    monkeypatch.setattr(encoder, "_cpus", lambda: 2)
+    monkeypatch.setattr(encoder, "_POOL", None)
+    yield
+    if encoder._POOL is not None:
+        encoder._POOL.shutdown()
+
+
+def wide_config():
+    """The narrowest featurizer that runs its chunks on the pool."""
+    return small_config(d_model=POOL_MIN_WIDTH)
+
+
+class TestFeaturizerPool:
+    # "a" has 2 pieces and "a b c" 6, so these are two chunks
+    TWO_CHUNKS = ["a", "a b c"]
+
+    def test_chunks_run_on_helpers_under_the_callers_grad_mode(self,
+                                                               two_cpus):
+        lower = LowerEncoder(wide_config())
+        body = lower._mean_pooled
+        seen = []
+        lower._mean_pooled = lambda pieces: (seen.append(
+            (threading.current_thread().name, T._GRAD_ENABLED[0])),
+            body(pieces))[1]
+        lower.featurize(self.TWO_CHUNKS)
+        assert T._GRAD_ENABLED[0] is True
+        with T.no_grad():
+            lower.featurize(["x", "x y z"])
+            assert T._GRAD_ENABLED[0] is False
+        assert T._GRAD_ENABLED[0] is True
+        assert len(seen) == 4
+        assert all(name.startswith("featurize") and not grad
+                   for name, grad in seen)
+
+    def test_an_exception_in_a_chunk_propagates(self, two_cpus, monkeypatch):
+        lower = LowerEncoder(wide_config())
+        forward = lower.layers[0].forward
+
+        def failing(x, *args, **kwargs):
+            if x.shape[1] == 6:
+                raise RuntimeError("chunk failed")
+            return forward(x, *args, **kwargs)
+
+        monkeypatch.setattr(lower.layers[0], "forward", failing)
+        with pytest.raises(RuntimeError, match="chunk failed"):
+            lower.featurize(self.TWO_CHUNKS)
+        assert encoder._POOL is not None
+        assert T._GRAD_ENABLED[0] is True
+
+    def test_one_chunk_narrow_layers_or_one_cpu_start_no_pool(
+            self, two_cpus, monkeypatch):
+        cfg = wide_config()
+        LowerEncoder(cfg).featurize(["one chunk", "two chunk"])
+        assert encoder._POOL is None
+        LowerEncoder(small_config(d_model=POOL_MIN_WIDTH // 2)).featurize(
+            self.TWO_CHUNKS)
+        assert encoder._POOL is None
+        monkeypatch.setattr(encoder, "_cpus", lambda: 1)
+        lower = LowerEncoder(cfg)
+        lower.featurize(self.TWO_CHUNKS)
+        assert encoder._POOL is None
+        assert list(lower._cache) == self.TWO_CHUNKS
+
+    def test_token_finetune_starts_no_pool(self, two_cpus):
+        train = [TokenClassExample(("one", "alpha", "two"), (1, 0, 1)),
+                 TokenClassExample(("beta",), (0,))] * 3
+        finetune_token_classification(
+            DocumentModel(wide_config()), train, train[:2], 2,
+            FinetuneConfig(lr=1e-3, epochs=1))
+        assert encoder._POOL is None
+
+
+def test_importing_the_cli_starts_no_thread():
+    """Set-up time stays free of the featurizer pool: importing the CLI
+    starts no thread and does not import concurrent.futures."""
+    code = ("import sys, threading, doctrain.cli; "
+            "print(threading.active_count(), "
+            "'concurrent.futures' in sys.modules)")
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["1", "False"]
 
 
 def test_equal_length_chunks():

@@ -383,21 +383,20 @@ class TestSpanQa:
 
     def test_joint_argmax_respects_span_order(self, monkeypatch):
         task = SpanQaModel(DocumentModel(small_config()))
-        # start peaks after end's peak; the (3, 1) combo is illegal, so the
-        # best legal pair is (1, 1) -> context span (0, 0)
-        start = Tensor(np.array([[0.0, 0.0, 0.0, 5.0]]))
-        end = Tensor(np.array([[0.0, 6.0, 0.0, 0.0]]))
-        monkeypatch.setattr(task, "_logits",
-                            lambda batch: (start, end, [(1, 3)]))
+        # [CLS] q [SEP] a b c: the context starts at position 3. Start
+        # peaks after end's peak; the (5, 3) combo is illegal, so the best
+        # legal pair is (3, 3) -> context span (0, 0)
+        start = Tensor(np.array([[0.0, 0.0, 0.0, 0.0, 0.0, 5.0]]))
+        end = Tensor(np.array([[0.0, 0.0, 0.0, 6.0, 0.0, 0.0]]))
+        monkeypatch.setattr(task, "_scores", lambda seqs: (start, end))
         got = task.predict(SpanQaExample(("q",), ("a", "b", "c"), None))
         assert got == (0, 0)
 
     def test_no_answer_baseline_wins_when_strongest(self, monkeypatch):
         task = SpanQaModel(DocumentModel(small_config()))
-        start = Tensor(np.array([[10.0, 0.0, 0.0, 0.0]]))
-        end = Tensor(np.array([[10.0, 1.0, 1.0, 1.0]]))
-        monkeypatch.setattr(task, "_logits",
-                            lambda batch: (start, end, [(1, 3)]))
+        start = Tensor(np.array([[10.0, 0.0, 0.0, 0.0, 0.0, 0.0]]))
+        end = Tensor(np.array([[10.0, 0.0, 0.0, 1.0, 1.0, 1.0]]))
+        monkeypatch.setattr(task, "_scores", lambda seqs: (start, end))
         assert task.predict(SpanQaExample(("q",), ("a", "b", "c"), None)) is None
 
     @settings(max_examples=300, deadline=None)
@@ -458,6 +457,36 @@ class TestSpanQa:
         assert [r.message for r in caplog.records] == [
             "truncated 3 of 5 contexts to fit 8 positions",
             "1 of 4 gold spans lost to truncation"]
+
+    def test_batched_evaluate_matches_each_example_alone(self, rng, caplog):
+        """Dev evaluation encodes the set once, with one truncation line,
+        and runs equal-length examples together; every prediction is the
+        one the taped path gives the example alone."""
+        task = SpanQaModel(DocumentModel(small_config()))
+        for t in task.head_tensors():
+            t.data = rng.normal(size=t.shape).astype(np.float32)
+        words = ["orbit", "ledger", "enzyme", "raster", "pivot", "mantle"]
+        ctx = lambda n: tuple(rng.choice(words, size=n))
+        examples = [SpanQaExample(("find", "it"), ctx(36), (1, 3))
+                    for _ in range(14)]
+        examples += [SpanQaExample(("q",), ctx(n), None)
+                     for n in (3, 70, 5, 3, 80)]
+        with caplog.at_level("WARNING", logger="doctrain.finetune"):
+            preds = task._predict(examples)
+        assert [r.message for r in caplog.records] == [
+            "truncated 2 of 19 contexts to fit 64 positions"]
+        for ex, pred in zip(examples, preds):
+            ids, offset, kept = task._encode([ex])[0]
+            start, end = task._scores([ids])
+            alone = best_span(start.data[0], end.data[0], offset, kept)
+            assert pred == alone == task.predict(ex)
+        assert len(set(preds)) > 2
+        n = len(examples)
+        assert task.evaluate(examples) == {
+            "exact_match": sum(p == ex.answer
+                               for p, ex in zip(preds, examples)) / n,
+            "f1": sum(span_token_f1(p, ex.answer)
+                      for p, ex in zip(preds, examples)) / n}
 
     def test_zero_heads_ragged_loss_is_mean_of_two_ln_lengths(self):
         """Each row's softmax covers only its own sequence, so a zero head
@@ -538,6 +567,30 @@ class TestPairClassifier:
         assert task.predict(ex) in (0, 1)
         metrics = task.evaluate([ex, PairExample(("x",), ("y",), 0)])
         assert set(metrics) == {"accuracy", "f1"}
+
+    def test_batched_evaluate_matches_each_example_alone(self, rng):
+        """Equal-length pairs run together; every prediction is the one the
+        taped path gives the example alone."""
+        task = PairClassifierModel(DocumentModel(small_config()))
+        task.w.data = rng.normal(size=task.w.shape).astype(np.float32)
+        words = ["orbit", "ledger", "enzyme", "raster", "pivot", "mantle"]
+        seg = lambda n: tuple(rng.choice(words, size=n))
+        examples = [PairExample(seg(20), seg(18), int(rng.integers(2)))
+                    for _ in range(30)]
+        examples += [PairExample(seg(n), seg(2), 1) for n in (1, 40, 1, 3)]
+        # a bias at the median margin splits the predictions between classes
+        margins = [np.subtract(*task._logits(task._seqs([ex])).data[0])
+                   for ex in examples]
+        task.b.data = np.array([0.0, np.median(margins)], np.float32)
+        preds = task._predict(examples)
+        for ex, pred in zip(examples, preds):
+            alone = int(task._logits(task._seqs([ex])).data[0].argmax())
+            assert pred == alone == task.predict(ex)
+        assert set(preds) == {0, 1}
+        y_true = [ex.label for ex in examples]
+        assert task.evaluate(examples) == {
+            "accuracy": accuracy(y_true, preds),
+            "f1": binary_f1(y_true, preds)}
 
     def test_first_position_drives_the_decision(self):
         model = DocumentModel(small_config())
