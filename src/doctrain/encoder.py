@@ -110,6 +110,19 @@ def equal_length_chunks(lengths: list[int]) -> list[list[int]]:
 _POOL = None
 _POOL_LOCK = threading.Lock()
 
+
+def _forget_pool() -> None:
+    """In a forked child: the inherited pool has no threads to run what is
+    submitted to it, and its lock may have been held by a thread that did not
+    survive the fork, so the child starts both afresh on first use."""
+    global _POOL, _POOL_LOCK
+    _POOL = None
+    _POOL_LOCK = threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool)
+
 # narrower featurizers stay on the calling thread: at d_model 32 a chunk's
 # NumPy calls are too short for two threads to overlap, and the pool
 # measured no faster than one thread while it added resident memory

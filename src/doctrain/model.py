@@ -57,14 +57,31 @@ class DocumentModel:
     """Everything needed to run both input paths against one parameter set."""
 
     def __init__(self, config: ModelConfig):
-        self.config = config.validate()
-        self.lower = LowerEncoder(config)
+        self._build(config.validate(), LowerEncoder(config))
+
+    def _build(self, config: ModelConfig, lower: LowerEncoder | None) -> None:
+        """Set every part around the featurizer `lower` (None: built on
+        first use, and the token rows left unfilled for a checkpoint to
+        fill); the other parts are fresh random draws."""
+        self.config = config
+        self._lower = lower
         self.upper = UpperEncoder(config, make_rng(config.seed, "upper"))
         # one draw of the token rows; the trainable table gets its own copy
-        self.embed = EmbeddingTable(config, self.lower.token.data.copy())
+        token = (lower.token.data.copy() if lower is not None else
+                 np.empty((config.vocab_size, config.d_model), np.float32))
+        self.embed = EmbeddingTable(config, token)
         self.heads = ClassificationHeads(config.d_model, config.level_sizes)
         # low-rank adapters both input paths run through, when attached
         self.adapter: LoraAdapter | None = None
+
+    @property
+    def lower(self) -> LowerEncoder:
+        """The frozen featurizer. Its parameters derive from the config's
+        seed alone, so a model loaded from a checkpoint builds it on first
+        use, with the bytes the saved model's featurizer had."""
+        if self._lower is None:
+            self._lower = LowerEncoder(self.config)
+        return self._lower
 
     @property
     def dtype(self) -> np.dtype:
@@ -159,13 +176,15 @@ class DocumentModel:
     def param_groups(self, frozen=()) -> list[ParamGroup]:
         """Every non-empty group in `GROUPS` order, then the attached adapter
         as `lora`, with `requires_grad` set on each tensor: False for the
-        featurizer and each group named in `frozen`, True for the rest.
+        featurizer and each group named in `frozen`, True for the rest. A
+        featurizer not built yet is left unbuilt, and its group is left out.
 
         Each training phase calls this once, so no phase inherits another's
         freezing.
         """
         buckets: dict[str, list[Tensor]] = {name: [] for name in GROUPS}
-        buckets["lower"] = list(self.lower.named_params().values())
+        if self._lower is not None:
+            buckets["lower"] = list(self._lower.named_params().values())
         for name, t in self.named_params().items():
             buckets[group_of(name)].append(t)
         if self.adapter is not None:
@@ -204,7 +223,10 @@ class DocumentModel:
         if not raw:
             raise CorruptCheckpoint("checkpoint metadata has no config echo")
         config = _config_from_echo(raw)
-        model = cls(config)
+        # every named parameter is read below, and the featurizer waits
+        # for its first use
+        model = cls.__new__(cls)
+        model._build(config, None)
         expected = model.named_params()
         missing = sorted(set(expected) - set(ckpt.tensors))
         if missing:

@@ -42,9 +42,27 @@ def linear_lr(initial_lr: float, step: int, total_steps: int) -> float:
 
 @dataclass
 class _Slot:
-    m: np.ndarray  # float64, like v, whatever the parameter's dtype
-    v: np.ndarray
     touched: np.ndarray  # per row: has its gradient ever been non-zero
+    # float64 moments of the touched rows only, in row order, whatever the
+    # parameter's dtype
+    m: np.ndarray
+    v: np.ndarray
+
+    def add_rows(self, hot: np.ndarray) -> None:
+        """Mark the rows of the bool mask `hot` touched, inserting zero
+        moments for each row not touched before."""
+        added = hot & ~self.touched
+        if not added.any():
+            return
+        if len(self.m):
+            at = np.searchsorted(np.flatnonzero(self.touched),
+                                 np.flatnonzero(added))
+            self.m = np.insert(self.m, at, 0.0, axis=0)
+            self.v = np.insert(self.v, at, 0.0, axis=0)
+        else:  # fresh zeros, as dense moments were: less resident memory
+            shape = (np.count_nonzero(added), *self.m.shape[1:])
+            self.m, self.v = np.zeros(shape), np.zeros(shape)
+        self.touched |= added
 
 
 def _adam(theta, g, m, v, lr: float, bias1: float, bias2: float) -> np.ndarray:
@@ -81,11 +99,12 @@ class AdamW:
     of the float64 update (mixed precision as in Micikevicius et al., arXiv
     1710.03740, with float32 in place of float16).
 
-    The Adam term is computed only on rows (first axis; a 0-d tensor is one
-    row) whose gradient has ever been non-zero. Any other row has
-    m = v = g = 0, so its term is exactly lr*0/(0+eps) = 0 and the decay,
-    applied to the whole tensor in place, is its whole update: every
-    parameter is bit-identical to a dense step.
+    The moments are kept, and the Adam term computed, only for rows (first
+    axis; a 0-d tensor is one row) whose gradient has ever been non-zero.
+    Any other row has m = v = g = 0, so its term is exactly
+    lr*0/(0+eps) = 0 and the decay, applied to the whole tensor in place,
+    is its whole update: every parameter is bit-identical to a dense step.
+    Unlike SparseAdam or LazyAdam, idle rows still decay.
     """
 
     def __init__(self, groups: list[ParamGroup], lr: float = 5e-5):
@@ -122,17 +141,18 @@ class AdamW:
                 data, g = np.atleast_1d(p.data, p.grad)
                 slot = self._slots.get(id(p))
                 if slot is None:
-                    slot = _Slot(np.zeros(data.shape), np.zeros(data.shape),
-                                 np.zeros(len(data), dtype=bool))
+                    empty = np.zeros((0, *data.shape[1:]))
+                    slot = _Slot(np.zeros(len(data), dtype=bool), empty,
+                                 empty.copy())
                     self._slots[id(p)] = slot
-                slot.touched |= g.any(axis=tuple(range(1, g.ndim)))
-                if slot.touched.all():
+                if len(slot.m) < len(data):
+                    slot.add_rows(g.any(axis=tuple(range(1, g.ndim))))
+                if len(slot.m) == len(data):
                     data[...] = _adam(data, g, slot.m, slot.v, lr, bias1, bias2)
                     continue
                 rows = np.flatnonzero(slot.touched)
-                m, v = slot.m[rows], slot.v[rows]
-                new = _adam(data[rows], g[rows], m, v, lr, bias1, bias2)
-                slot.m[rows], slot.v[rows] = m, v
+                new = _adam(data[rows], g[rows], slot.m, slot.v, lr, bias1,
+                            bias2)
                 # the idle rows' whole update, computed in float64 through
                 # the ufunc's small buffers: no table-sized temporary
                 np.multiply(data, 1.0 - lr * WEIGHT_DECAY, out=data,

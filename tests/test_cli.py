@@ -15,7 +15,7 @@ import pytest
 from doctrain import cli
 from doctrain.checkpoint import load_checkpoint, save_checkpoint
 from doctrain.cli import _resolved_config, build_parser, main
-from doctrain.encoder import ModelConfig
+from doctrain.encoder import LowerEncoder, ModelConfig
 from doctrain.manifest import argv_from_manifest, load_manifest
 from doctrain.model import DocumentModel
 from doctrain.taxonomy import Taxonomy
@@ -586,6 +586,49 @@ class TestAnalyze:
         assert len(report["histogram"]) == 10
         assert sum(report["histogram"]) == (len(report["scores_a"])
                                             + len(report["scores_b"]))
+
+
+@pytest.fixture
+def featurizers(monkeypatch):
+    """Every LowerEncoder constructed while the test runs."""
+    made = []
+    init = LowerEncoder.__init__
+
+    def counting(self, config):
+        init(self, config)
+        made.append(self)
+
+    monkeypatch.setattr(LowerEncoder, "__init__", counting)
+    return made
+
+
+class TestFeaturizerOnFirstUse:
+    def test_finetune_and_inspect_build_no_featurizer(self, pretrained,
+                                                      tmp_path, featurizers,
+                                                      capsys):
+        rc = main(["finetune", "--checkpoint", str(pretrained),
+                   "--task", "token-classification", "--num-classes", "2",
+                   "--train", tagging_file(tmp_path / "train.jsonl", 8),
+                   "--dev", tagging_file(tmp_path / "dev.jsonl", 4),
+                   "--metrics-out", str(tmp_path / "metrics.json"),
+                   "--out", str(tmp_path / "tuned.ckpt"),
+                   "--lr", "1e-3", "--epochs", "1", "--seed", "0"])
+        assert rc == 0
+        assert main(["inspect-checkpoint", "--checkpoint",
+                     str(pretrained)]) == 0
+        assert featurizers == []
+
+    def test_correlation_builds_the_saved_featurizer_once(
+            self, pretrained, tmp_path, featurizers):
+        rc = main(["analyze", "--kind", "correlation", "--corpus", CORPUS,
+                   "--mode", "customer_support",
+                   "--out", str(tmp_path / "corr.json"),
+                   "--checkpoint", str(pretrained)])
+        assert rc == 0
+        [lower] = featurizers
+        ckpt = load_checkpoint(pretrained)
+        config = DocumentModel.from_checkpoint(ckpt).config
+        assert lower.state_bytes() == DocumentModel(config).lower.state_bytes()
 
 
 class TestDeriveTaxonomy:

@@ -407,6 +407,54 @@ def test_importing_the_cli_starts_no_thread():
     assert proc.stdout.split() == ["1", "False"]
 
 
+FORK_CHILD = """
+import os, signal, threading
+import numpy as np
+from doctrain import encoder
+from doctrain.encoder import LowerEncoder, ModelConfig
+
+encoder._cpus = lambda: 2  # the pool starts on a one-CPU machine too
+cfg = ModelConfig(d_model=64, num_layers=1, num_heads=4, ffn_dim=64,
+                  vocab_size=512, lower_layers=1, seed=7)
+sentences = ["a", "a b c"]  # two chunks: 2 and 6 pieces
+parent = LowerEncoder(cfg)
+# both chunks wait for each other, so the pool starts both its threads
+barrier, body = threading.Barrier(2, timeout=10), parent._mean_pooled
+parent._mean_pooled = lambda pieces: (barrier.wait(), body(pieces))[1]
+parent.featurize(sentences)
+assert encoder._POOL is not None
+want = np.stack([parent.embed(s) for s in sentences])
+r, w = os.pipe()
+pid = os.fork()
+if pid == 0:
+    os.close(r)
+    signal.alarm(10)  # a child whose featurize hangs dies of SIGALRM
+    child = LowerEncoder(cfg)
+    child.featurize(sentences)
+    os.write(w, np.stack([child.embed(s) for s in sentences]).tobytes())
+    os._exit(0)
+os.close(w)
+with os.fdopen(r, "rb") as fh:
+    got = np.frombuffer(fh.read(), want.dtype)
+_, status = os.waitpid(pid, 0)
+print(os.waitstatus_to_exitcode(status),
+      got.size == want.size and np.array_equal(got.reshape(want.shape), want))
+"""
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_a_forked_child_featurizes_on_its_own_pool():
+    """A child forked after the parent's pool started gets a pool of its
+    own: its pooled featurize returns the parent's vectors instead of
+    waiting on helper threads that did not survive the fork."""
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    proc = subprocess.run([sys.executable, "-c", FORK_CHILD], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0", "True"]
+
+
 def test_equal_length_chunks():
     """Groups in first-seen order, cut to BATCH_ROWS rows; an item longer
     than the budget is a chunk of its own."""

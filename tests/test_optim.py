@@ -219,24 +219,50 @@ class TestTouchedRows:
             assert p.shape == theta.shape
             assert p.data.tobytes() == want.tobytes()  # atol=0, sign of zero
 
+    def test_bit_identical_when_lower_rows_are_touched_later(self):
+        """Rows first touched after rows of higher index get zero moments
+        inserted mid-array, and the table still ends where the dense update
+        puts it."""
+        rng = np.random.default_rng(3)
+        theta = rng.normal(size=(6, 3)).astype(np.float32)
+        touched_at = [(4, 5), (1,), (), (0, 3, 4), (2,)]
+        grads = []
+        for rows in touched_at:
+            g = np.zeros((6, 3), np.float32)
+            g[list(rows)] = rng.normal(size=(len(rows), 3))
+            grads.append(g)
+        lrs = [linear_lr(0.05, step, len(grads)) for step in range(len(grads))]
+        table = param(theta.copy())
+        opt = AdamW([ParamGroup("w", [table])], lr=0.05)
+        kept = []
+        for g, lr in zip(grads, lrs):
+            table.grad = g
+            opt.step(lr=lr)
+            kept.append(len(opt._slots[id(table)].m))
+        assert kept == [2, 3, 3, 5, 6]
+        want = dense_adamw(theta, grads, lrs)
+        assert table.data.tobytes() == want.tobytes()
+
     def test_idle_rows_cost_no_table_sized_allocation(self):
-        """With 8 of 8192 rows touched, a step allocates less than one
-        copy of the float32 table (a dense step allocates several float64
-        ones)."""
+        """With 8 of 8192 rows touched, the moments hold those 8 rows, and
+        the first two steps together allocate less than one copy of the
+        float32 table (dense moments are two float64 copies)."""
         rng = np.random.default_rng(0)
         table = param(rng.normal(size=(8192, 128)).astype(np.float32))
         grad = np.zeros_like(table.data)
         grad[rng.choice(8192, 8, replace=False)] = rng.normal(size=(8, 128))
         table.grad = grad
         opt = AdamW([ParamGroup("tokens", [table])], lr=1e-3)
-        opt.step()  # creates the slots
         tracemalloc.start()
         try:
+            opt.step()  # creates the slots
             opt.step()
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak < table.data.nbytes
+        slot = opt._slots[id(table)]
+        assert slot.m.nbytes == slot.v.nbytes == 8 * 128 * 8
 
     def test_all_rows_step_works_in_two_float64_buffers(self):
         """With every row touched, the moments and the update are written
