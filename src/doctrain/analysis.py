@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .encoder import equal_length_chunks
+from .encoder import map_equal_length
 from .errors import ConfigError, ContractError, ValidationError
 from .model import DocumentModel
 from .seeding import make_rng
@@ -97,16 +97,15 @@ class CorrelationReport:
 
 def _doc_vectors(model: DocumentModel, docs: list[list[str]]) -> tuple[np.ndarray, np.ndarray]:
     seqs = _token_ids(model, docs)
-    tok_vecs = np.empty((len(docs), model.config.d_model), model.dtype)
-    # documents of equal token count run together, in chunks of a bounded row
-    # count: a corpus-wide padded batch would hold one [docs, heads, T, T]
-    # attention probability array per layer, and padding would move the bits
-    with no_grad():
-        for chunk in equal_length_chunks([len(q) for q in seqs]):
-            out = model.encode_token_batch([seqs[i] for i in chunk]).data
-            for i, rows in zip(chunk, out):
-                tok_vecs[i] = rows.mean(axis=0)
-    return model.encode_documents(docs), tok_vecs
+    # documents of equal token count run together (`map_equal_length`): a
+    # corpus-wide padded batch would hold one [docs, heads, T, T] attention
+    # probability array per layer, and padding would move the bits
+    tok_vecs = map_equal_length(
+        [len(q) for q in seqs],
+        lambda chunk: [rows.mean(axis=0) for rows in model.encode_token_batch(
+            [seqs[i] for i in chunk]).data])
+    return (model.encode_documents(docs),
+            np.array(tok_vecs, model.dtype).reshape(-1, model.config.d_model))
 
 
 def _pairwise_cosines(vecs: np.ndarray) -> np.ndarray:

@@ -105,8 +105,8 @@ def equal_length_chunks(lengths: list[int]) -> list[list[int]]:
     return chunks
 
 
-# the helper threads `LowerEncoder.featurize` runs its chunks on; started by
-# the first call that has work for two of them
+# the helper threads of `map_equal_length(threaded=True)`, which only
+# `LowerEncoder.featurize` asks for; started when first given two chunks
 _POOL = None
 _POOL_LOCK = threading.Lock()
 
@@ -151,25 +151,42 @@ def _one_malloc_arena() -> None:
     mallopt(-8, 1)  # M_ARENA_MAX
 
 
-def _map_chunks(fn, chunks: list, threaded: bool) -> list:
-    """[fn(chunk) for chunk in chunks], on the featurizer's thread pool when
-    `threaded` and there are two chunks or more and two CPUs or more. Every
-    call has returned or raised before this returns, and the first exception
-    in chunk order propagates."""
+def map_equal_length(lengths: list[int], fn, threaded: bool = False) -> list:
+    """The one way an inference batch runs: `fn(chunk)` for every chunk of
+    `equal_length_chunks(lengths)`, under `no_grad`, returns one result per
+    index of its chunk; the results come back in item order. The caller's
+    grad mode is back when this returns or raises. Every call has returned
+    or raised by then, and the first exception in chunk order propagates.
+
+    With `threaded`, two chunks or more and two CPUs or more, the chunks run
+    on a thread pool with a thread per CPU. A threaded `fn` must not call
+    `LowerEncoder.embed` or `UpperEncoder.forward`: `benchmarks/tracing.py`
+    wraps those with spans that share one stack across threads.
+    """
     global _POOL
+    chunks = equal_length_chunks(lengths)
     workers = _cpus()
-    if not threaded or len(chunks) < 2 or workers < 2:
-        return list(map(fn, chunks))
-    # importing concurrent.futures costs set-up time that serial runs skip
-    import concurrent.futures as cf
-    with _POOL_LOCK:
-        if _POOL is None:
-            _one_malloc_arena()
-            _POOL = cf.ThreadPoolExecutor(workers,
-                                          thread_name_prefix="featurize")
-    futures = [_POOL.submit(fn, chunk) for chunk in chunks]
-    cf.wait(futures)
-    return [f.result() for f in futures]
+    # grad mode is process-wide: pool threads run under this no_grad, so it
+    # stays entered until every chunk has finished
+    with T.no_grad():
+        if not threaded or len(chunks) < 2 or workers < 2:
+            results = list(map(fn, chunks))
+        else:
+            # importing concurrent.futures costs set-up time serial runs skip
+            import concurrent.futures as cf
+            with _POOL_LOCK:
+                if _POOL is None:
+                    _one_malloc_arena()
+                    _POOL = cf.ThreadPoolExecutor(
+                        workers, thread_name_prefix="featurize")
+            futures = [_POOL.submit(fn, chunk) for chunk in chunks]
+            cf.wait(futures)
+            results = [f.result() for f in futures]
+    out: list = [None] * len(lengths)
+    for chunk, got in zip(chunks, results):
+        for i, r in zip(chunk, got):
+            out[i] = r
+    return out
 
 
 def key_padding_bias(lengths: list[int]) -> np.ndarray:
@@ -307,14 +324,13 @@ class LowerEncoder:
     def featurize(self, sentences: list[str]) -> None:
         """Cache the vector of every sentence not cached yet.
 
-        Sentences of equal piece count run together, in chunks of at most
-        `BATCH_ROWS` pieces, as one [n, S, d] forward under `no_grad`. From
-        `POOL_MIN_WIDTH` on, chunks run concurrently on a thread pool with a
-        thread per CPU (see `_map_chunks`). Each item's products are its own
-        (see `T.linear`), so
-        a vector has the same bits whatever sentences shared its chunk and
-        whichever thread ran it. One warning line says how many sentences
-        were cut to `_MAX_PIECES` pieces.
+        Sentences of equal piece count run together through
+        `map_equal_length`, as [n, S, d] forwards of at most `BATCH_ROWS`
+        pieces; from `POOL_MIN_WIDTH` on, on its thread pool. Each item's
+        products are its own (see `T.linear`), so a vector has the same bits
+        whatever sentences shared its chunk and whichever thread ran it. One
+        warning line says how many sentences were cut to `_MAX_PIECES`
+        pieces.
         """
         todo = [s for s in dict.fromkeys(sentences) if s not in self._cache]
         # a sentence with no word characters gets one reserved piece
@@ -325,22 +341,15 @@ class LowerEncoder:
             log.warning("truncated %d of %d sentences to %d pieces", cut,
                         len(todo), _MAX_PIECES)
         pieces = [p[:_MAX_PIECES] for p in pieces]
-        chunks = equal_length_chunks([len(p) for p in pieces])
-        # grad mode is process-wide: the helpers run under this no_grad, so
-        # it stays entered until every chunk has finished
-        with T.no_grad():
-            vectors = _map_chunks(self._mean_pooled,
-                                  [[pieces[i] for i in c] for c in chunks],
-                                  self.config.d_model >= POOL_MIN_WIDTH)
-            for chunk, vecs in zip(chunks, vectors):
-                for i, v in zip(chunk, vecs):
-                    self._cache[todo[i]] = v
+        vectors = map_equal_length(
+            [len(p) for p in pieces],
+            lambda chunk: self._mean_pooled([pieces[i] for i in chunk]),
+            self.config.d_model >= POOL_MIN_WIDTH)
+        self._cache.update(zip(todo, vectors))
 
     def _mean_pooled(self, pieces: list[list[int]]) -> list[np.ndarray]:
         """Mean-pooled vectors of equal-length piece lists, one [n, S, d]
-        forward. It runs on pool threads, so it must not call `embed` or
-        `UpperEncoder.forward`: `benchmarks/tracing.py` wraps those with spans
-        that share one stack across threads."""
+        forward."""
         x = T.embedding(self.token, pieces)
         for layer in self.layers:
             x = layer.forward(x)

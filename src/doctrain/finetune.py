@@ -9,13 +9,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import tensor as T
-from .encoder import equal_length_chunks, key_padding_bias
+from .encoder import key_padding_bias, map_equal_length
 from .errors import ConfigError, NumericError, ValidationError
 from .model import DocumentModel
 from .optim import AdamW, ParamGroup
 from .records import list_field, read_jsonl
 from .seeding import make_rng
-from .tensor import Tensor, backward, no_grad
+from .tensor import Tensor, backward
 from .text import CLS_ID, SEP_ID, encode_tokens
 
 log = logging.getLogger(__name__)
@@ -31,7 +31,7 @@ class FinetuneConfig:
     seed: int = 0
 
     def validate(self) -> "FinetuneConfig":
-        if self.lr <= 0 or self.epochs < 1 or self.batch_size < 1:
+        if not 0 < self.lr < np.inf or self.epochs < 1 or self.batch_size < 1:
             raise ConfigError(f"bad finetune config {self}")
         if self.max_examples is not None and self.max_examples < 1:
             raise ConfigError("max_examples must be >= 1 when set")
@@ -164,18 +164,6 @@ def best_span(s_log: np.ndarray, e_log: np.ndarray, offset: int,
     return (s, e) if scores[s, e] > s_log[0] + e_log[0] else None
 
 
-def _predict_in_chunks(lengths: list[int], predict_chunk) -> list:
-    """Predictions for items of the given lengths: `predict_chunk(chunk)`
-    returns one per index of a chunk from `equal_length_chunks(lengths)`,
-    and runs under `no_grad`. Returned in item order."""
-    preds: list = [None] * len(lengths)
-    with no_grad():
-        for chunk in equal_length_chunks(lengths):
-            for i, pred in zip(chunk, predict_chunk(chunk)):
-                preds[i] = pred
-    return preds
-
-
 class SpanQaModel:
     """Joint start/end span scorer over [CLS] question [SEP] context.
 
@@ -254,9 +242,9 @@ class SpanQaModel:
     def _predict(self, examples: list[SpanQaExample]
                  ) -> list[tuple[int, int] | None]:
         """Each example's predicted context span, from one `_encode` of the
-        set. Examples of equal encoded length run together under `no_grad`,
-        chunked as in `equal_length_chunks`; each prediction is the one the
-        example gets alone."""
+        set. Examples of equal encoded length run together through
+        `map_equal_length`; each prediction is the one the example gets
+        alone."""
         encoded = self._encode(examples)
 
         def spans(chunk):
@@ -264,7 +252,7 @@ class SpanQaModel:
             return [best_span(s_log, e_log, encoded[i][1], encoded[i][2])
                     for i, s_log, e_log in zip(chunk, start.data, end.data)]
 
-        return _predict_in_chunks([len(ids) for ids, _, _ in encoded], spans)
+        return map_equal_length([len(ids) for ids, _, _ in encoded], spans)
 
     def predict(self, ex: SpanQaExample) -> tuple[int, int] | None:
         return self._predict([ex])[0]
@@ -331,9 +319,9 @@ class TokenTaggerModel:
 
     def _predict(self, examples: list[TokenClassExample]) -> list[list[int]]:
         """Each example's predicted class per kept token. Examples of equal
-        kept length run together under `no_grad`, in chunks as in
-        `equal_length_chunks`, with the head applied to [n, T, d]; each
-        prediction is the one the example gets alone."""
+        kept length run together through `map_equal_length`, with the head
+        applied to [n, T, d]; each prediction is the one the example gets
+        alone."""
         for ex in examples:
             self._check(ex)
         seqs = [self._ids(ex) for ex in examples]
@@ -343,7 +331,7 @@ class TokenTaggerModel:
             return [[int(c) for c in row] for row in
                     T.linear(out, self.w, self.b).data.argmax(axis=-1)]
 
-        return _predict_in_chunks([len(q) for q in seqs], labels)
+        return map_equal_length([len(q) for q in seqs], labels)
 
     def predict(self, ex: TokenClassExample) -> list[int]:
         return self._predict([ex])[0]
@@ -395,15 +383,15 @@ class PairClassifierModel:
 
     def _predict(self, examples: list[PairExample]) -> list[int]:
         """Each example's predicted label. Examples of equal sequence length
-        run together under `no_grad`, chunked as in `equal_length_chunks`;
-        each prediction is the one the example gets alone."""
+        run together through `map_equal_length`; each prediction is the one
+        the example gets alone."""
         seqs = self._seqs(examples)
 
         def labels(chunk):
             logits = self._logits([seqs[i] for i in chunk])
             return [int(row.argmax()) for row in logits.data]
 
-        return _predict_in_chunks([len(q) for q in seqs], labels)
+        return map_equal_length([len(q) for q in seqs], labels)
 
     def predict(self, ex: PairExample) -> int:
         return self._predict([ex])[0]

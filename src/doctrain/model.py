@@ -11,7 +11,7 @@ from . import tensor as T
 from .checkpoint import Checkpoint
 from .encoder import (ClassificationHeads, EmbeddingTable, LoraAdapter,
                       LowerEncoder, ModelConfig, UpperEncoder,
-                      equal_length_chunks, key_padding_bias)
+                      key_padding_bias, map_equal_length)
 from .errors import ConfigError, CorruptCheckpoint, LengthError, ShapeError
 from .optim import ParamGroup
 from .seeding import make_rng
@@ -144,16 +144,15 @@ class DocumentModel:
 
     def encode_documents(self, docs: list[list[str]]) -> np.ndarray:
         """Documents' sentence strings -> [N, d] document vectors, without
-        taping. Documents of equal kept length run together, chunked as in
-        `equal_length_chunks`; each vector has the bits `encode_document`
-        gives it."""
+        taping. Documents of equal kept length run together through
+        `map_equal_length`; each vector has the bits `encode_document` gives
+        it."""
         matrices = self.sentence_matrices(docs)
-        out = np.empty((len(docs), self.config.d_model), self.dtype)
-        with T.no_grad():
-            for chunk in equal_length_chunks([len(m) for m in matrices]):
-                out[chunk] = self.encode_matrices(
-                    [matrices[i] for i in chunk]).data
-        return out
+        vectors = map_equal_length(
+            [len(m) for m in matrices],
+            lambda chunk: self.encode_matrices(
+                [matrices[i] for i in chunk]).data)
+        return np.array(vectors, self.dtype).reshape(-1, self.config.d_model)
 
     # -- token path ---------------------------------------------------------
 

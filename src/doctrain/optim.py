@@ -108,8 +108,8 @@ class AdamW:
     """
 
     def __init__(self, groups: list[ParamGroup], lr: float = 5e-5):
-        if lr < 0:
-            raise ConfigError(f"lr must be non-negative, got {lr}")
+        if not 0 <= lr < np.inf:
+            raise ConfigError(f"lr must be finite and non-negative, got {lr}")
         names = [g.name for g in groups]
         if len(set(names)) != len(names):
             raise ConfigError(f"duplicate group names: {names}")

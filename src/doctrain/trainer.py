@@ -44,8 +44,9 @@ class TrainConfig:
     def validate(self) -> "TrainConfig":
         if self.batch_size < 1 or self.epochs < 1 or self.max_triplets < 1:
             raise ConfigError(f"bad sizes in {self}")
-        if self.initial_lr < 0:
-            raise ConfigError(f"initial_lr must be >= 0, got {self.initial_lr}")
+        if not 0 <= self.initial_lr < math.inf:
+            raise ConfigError(
+                f"initial_lr must be finite and >= 0, got {self.initial_lr}")
         if self.loss not in LOSS_MODES:
             raise ConfigError(f"loss must be one of {LOSS_MODES}, got {self.loss!r}")
         if self.log_every < 1:

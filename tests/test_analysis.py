@@ -156,6 +156,11 @@ class TestRepresentationCorrelation:
                 alone = model.encode_token_batch(ids).data[0].mean(axis=0)
                 assert np.array_equal(vec, alone)
 
+    def test_no_documents_give_empty_matrices(self, model):
+        sent, tok = analysis._doc_vectors(model, [])
+        assert sent.shape == tok.shape == (0, 16)
+        assert sent.dtype == tok.dtype == model.dtype
+
     def test_needs_three_documents(self, model, rng):
         with pytest.raises(ValidationError, match="3"):
             representation_correlation(model, [sentences(rng, 1)] * 2)

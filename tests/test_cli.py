@@ -531,6 +531,25 @@ class TestFinetune:
         assert not (tmp_path / "m.json").exists()
 
 
+@pytest.mark.parametrize("lr", ["nan", "inf"])
+def test_non_finite_learning_rate_exits_2(lr, tmp_path, mined, pretrained):
+    """A rate that would train every weight to NaN is refused before any
+    output, staged or final, is written."""
+    train = tagging_file(tmp_path / "train.jsonl", 2)
+    rc = main(["pretrain", "--corpus", CORPUS,
+               "--out", str(tmp_path / "m.ckpt"), "--mode",
+               "customer_support", "--triplets", str(mined), "--loss",
+               "triplet", "--batch", "4", "--lr", lr, *SMALL_MODEL_FLAGS])
+    assert rc == 2
+    rc = main(["finetune", "--checkpoint", str(pretrained),
+               "--task", "token-classification", "--num-classes", "2",
+               "--train", train, "--dev", train, "--lr", lr,
+               "--metrics-out", str(tmp_path / "metrics.json"),
+               "--out", str(tmp_path / "tuned.ckpt"), "--epochs", "1"])
+    assert rc == 2
+    assert [p.name for p in tmp_path.iterdir()] == ["train.jsonl"]
+
+
 class TestAnalyze:
     def test_wl_report(self, pretrained, tmp_path):
         out = tmp_path / "wl.json"
@@ -575,6 +594,18 @@ class TestAnalyze:
         assert len(lines) == 26
         manifest = load_manifest(str(out) + ".manifest.json")
         assert manifest.config["csv_out"] == csv_path
+
+    def test_pca_on_an_empty_corpus_exits_3(self, pretrained, tmp_path,
+                                            capsys):
+        empty = tmp_path / "empty.jsonl"
+        empty.write_text("")
+        rc = main(["analyze", "--kind", "pca", "--corpus", str(empty),
+                   "--mode", "customer_support",
+                   "--out", str(tmp_path / "pca.json"),
+                   "--checkpoint", str(pretrained)])
+        assert rc == 3
+        assert "need at least 2 vectors, got 0" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["empty.jsonl"]
 
     def test_paragraph_report(self, tmp_path):
         out = tmp_path / "para.json"

@@ -29,11 +29,13 @@ from doctrain.encoder import (
     UpperEncoder,
     equal_length_chunks,
     key_padding_bias,
+    map_equal_length,
     token_table,
 )
+from doctrain.analysis import representation_correlation
 from doctrain.errors import ConfigError, LengthError, ShapeError, VocabularyError
 from doctrain.finetune import (FinetuneConfig, TokenClassExample,
-                               finetune_token_classification)
+                               TokenTaggerModel, finetune_token_classification)
 from doctrain.model import DocumentModel
 from doctrain.seeding import make_rng
 from doctrain.tensor import Tensor
@@ -392,6 +394,31 @@ class TestFeaturizerPool:
             FinetuneConfig(lr=1e-3, epochs=1))
         assert encoder._POOL is None
 
+    def test_only_featurize_runs_chunks_on_the_pool(self, two_cpus,
+                                                    monkeypatch):
+        """Encoding documents, the correlation analysis and evaluation run
+        every upper-encoder forward on the calling thread, though each has
+        several chunks and the featurizer's pool is running."""
+        threads = []
+        forward = UpperEncoder.forward
+
+        def recording(self, *args, **kwargs):
+            threads.append(threading.current_thread())
+            return forward(self, *args, **kwargs)
+
+        monkeypatch.setattr(UpperEncoder, "forward", recording)
+        model = DocumentModel(wide_config())
+        docs = [["a"], ["a b c", "x"], ["one two", "three", "four"],
+                ["a"], ["pump"]]
+        model.encode_documents(docs)
+        assert encoder._POOL is not None
+        representation_correlation(model, docs)
+        TokenTaggerModel(model, 2).evaluate(
+            [TokenClassExample(("one", "alpha", "two"), (1, 0, 1)),
+             TokenClassExample(("beta",), (0,))])
+        assert len(threads) > 6
+        assert set(threads) == {threading.current_thread()}
+
 
 def test_importing_the_cli_starts_no_thread():
     """Set-up time stays free of the featurizer pool: importing the CLI
@@ -457,11 +484,37 @@ def test_a_forked_child_featurizes_on_its_own_pool():
 
 def test_equal_length_chunks():
     """Groups in first-seen order, cut to BATCH_ROWS rows; an item longer
-    than the budget is a chunk of its own."""
+    than the budget is a chunk of its own. `map_equal_length` calls its
+    function once per chunk under no_grad, returns the results in item
+    order and gives the caller's grad mode back, also after a raise."""
     assert equal_length_chunks([3, 5, 3, 3]) == [[0, 2, 3], [1]]
     lengths = [BATCH_ROWS // 2 - 1] * 5 + [BATCH_ROWS + 1] * 2
     assert equal_length_chunks(lengths) == [[0, 1], [2, 3], [4], [5], [6]]
     assert equal_length_chunks([]) == []
+
+    calls = []
+
+    def labels(chunk):
+        calls.append((chunk, T._GRAD_ENABLED[0]))
+        return [f"item {i}" for i in chunk]
+
+    lengths = [3, 5, 3, 5, 3]
+    assert map_equal_length(lengths, labels) == [f"item {i}" for i in range(5)]
+    assert calls == [(chunk, False) for chunk in equal_length_chunks(lengths)]
+    assert T._GRAD_ENABLED[0] is True
+    with T.no_grad():
+        map_equal_length(lengths, labels)
+        assert T._GRAD_ENABLED[0] is False
+
+    def failing(chunk):
+        raise RuntimeError(f"chunk from item {chunk[0]} failed")
+
+    with pytest.raises(RuntimeError, match="item 0 failed"):
+        map_equal_length(lengths, failing)
+    assert T._GRAD_ENABLED[0] is True
+    calls.clear()
+    assert map_equal_length([], labels) == []
+    assert calls == []
 
 
 class TestEmbeddingTable:

@@ -194,6 +194,11 @@ class TestInferenceBatches:
             for seq, rows in zip(seqs, out):
                 assert np.array_equal(rows, model.encode_token_batch([seq]).data[0])
 
+    def test_no_documents_give_an_empty_matrix(self):
+        model = DocumentModel(small_config())
+        vecs = model.encode_documents([])
+        assert vecs.shape == (0, 16) and vecs.dtype == model.dtype
+
 
 def test_token_rows_are_drawn_once_and_copied(monkeypatch):
     streams = []

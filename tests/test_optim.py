@@ -124,6 +124,11 @@ class TestAdamW:
         with pytest.raises(ConfigError):
             AdamW(group, lr=-1.0)
 
+    @pytest.mark.parametrize("lr", [float("nan"), float("inf")])
+    def test_non_finite_lr_rejected(self, lr):
+        with pytest.raises(ConfigError, match="finite"):
+            AdamW([ParamGroup("w", [param([1.0])])], lr=lr)
+
     def test_per_step_lr_override(self):
         """step(lr=...) drives the decayed schedule without mutating opt.lr."""
         p = param([1.0])
