@@ -78,11 +78,14 @@ def save_checkpoint(ckpt: Checkpoint, path) -> str:
 
 
 class _Reader:
-    def __init__(self, blob: bytes):
+    """Reads a checkpoint body through a memoryview: each read is a view into
+    the file's bytes, not a copy of them."""
+
+    def __init__(self, blob: memoryview):
         self.blob = blob
         self.pos = 0
 
-    def read(self, n: int) -> bytes:
+    def read(self, n: int) -> memoryview:
         if self.pos + n > len(self.blob):
             raise CorruptCheckpoint(
                 f"truncated checkpoint: wanted {n} bytes at offset {self.pos}, "
@@ -101,10 +104,13 @@ def load_checkpoint(path) -> Checkpoint:
         return parse_checkpoint(fh.read())
 
 
-def parse_checkpoint(blob: bytes) -> Checkpoint:
+def parse_checkpoint(blob: bytes | bytearray) -> Checkpoint:
+    """The checkpoint `blob` holds. Each tensor is its own array, copied once
+    out of `blob`."""
     if len(blob) < len(MAGIC) + 4 + _DIGEST_SIZE:
         raise CorruptCheckpoint(f"file too short ({len(blob)} bytes)")
-    body, digest = blob[:-_DIGEST_SIZE], blob[-_DIGEST_SIZE:]
+    view = memoryview(blob)
+    body, digest = view[:-_DIGEST_SIZE], view[-_DIGEST_SIZE:]
     if hashlib.sha256(body).digest() != digest:
         raise CorruptCheckpoint("digest mismatch: file corrupted or truncated")
     r = _Reader(body)
@@ -118,7 +124,7 @@ def parse_checkpoint(blob: bytes) -> Checkpoint:
         )
     (meta_len,) = r.unpack("<I")
     try:
-        meta = json.loads(r.read(meta_len).decode("utf-8"))
+        meta = json.loads(str(r.read(meta_len), "utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise CorruptCheckpoint("unreadable checkpoint metadata") from exc
     if not isinstance(meta, dict):
@@ -129,7 +135,7 @@ def parse_checkpoint(blob: bytes) -> Checkpoint:
     for _ in range(count):
         (name_len,) = r.unpack("<H")
         try:
-            name = r.read(name_len).decode("utf-8")
+            name = str(r.read(name_len), "utf-8")
         except UnicodeDecodeError as exc:
             raise CorruptCheckpoint(
                 f"tensor name at offset {r.pos - name_len} is not UTF-8") from exc

@@ -73,7 +73,11 @@ class ModelConfig:
 
 
 # parameters are float32 arrays; see AdamW for the float64 optimizer state
-def _init(rng: np.random.Generator, *shape: int) -> np.ndarray:
+def _init(rng: np.random.Generator | None, *shape: int) -> np.ndarray:
+    """A fresh draw from `rng`; with None, an unfilled placeholder that a
+    checkpoint fills, which costs neither draws nor page faults."""
+    if rng is None:
+        return np.empty(shape, np.float32)
     return rng.normal(0.0, 0.02, shape).astype(np.float32)
 
 
@@ -197,10 +201,11 @@ def key_padding_bias(lengths: list[int]) -> np.ndarray:
 
 
 class TransformerLayer:
-    """One post-norm block: self-attention, then a GELU feed-forward."""
+    """One post-norm block: self-attention, then a GELU feed-forward. With
+    `rng` None every tensor is a placeholder for a checkpoint to fill."""
 
     def __init__(self, d_model: int, num_heads: int, ffn_dim: int,
-                 rng: np.random.Generator, trainable: bool):
+                 rng: np.random.Generator | None, trainable: bool):
         self.d_model = d_model
         self.num_heads = num_heads
         mk = lambda *shape: Tensor(_init(rng, *shape), requires_grad=trainable)
@@ -208,6 +213,8 @@ class TransformerLayer:
                                       requires_grad=trainable)
         ones = lambda *shape: Tensor(np.ones(shape, np.float32),
                                      requires_grad=trainable)
+        if rng is None:
+            zeros = ones = mk
         self.wq, self.bq = mk(d_model, d_model), zeros(d_model)
         self.wk, self.bk = mk(d_model, d_model), zeros(d_model)
         self.wv, self.bv = mk(d_model, d_model), zeros(d_model)
@@ -270,9 +277,10 @@ class TransformerLayer:
 
 
 class UpperEncoder:
-    """Stack of trainable transformer layers shared by both input paths."""
+    """Stack of trainable transformer layers shared by both input paths; with
+    `rng` None, placeholders for a checkpoint to fill."""
 
-    def __init__(self, config: ModelConfig, rng: np.random.Generator):
+    def __init__(self, config: ModelConfig, rng: np.random.Generator | None):
         self.config = config
         self.layers = [
             TransformerLayer(config.d_model, config.num_heads, config.ffn_dim,
@@ -376,13 +384,18 @@ class LowerEncoder:
 class EmbeddingTable:
     """Token vectors plus learned positional vectors for the token path."""
 
-    def __init__(self, config: ModelConfig, token: np.ndarray):
+    def __init__(self, config: ModelConfig, token: np.ndarray | None):
         """`token` is the [vocab, d] table to train, a `token_table` draw;
-        `DocumentModel` passes a copy of the featurizer's."""
+        `DocumentModel` passes a copy of the featurizer's. With None, both
+        tables are placeholders for a checkpoint to fill."""
         self.config = config
+        rng = None
+        if token is None:
+            token = _init(None, config.vocab_size, config.d_model)
+        else:
+            rng = make_rng(config.seed, "embed.position")
         self.token = Tensor(token, requires_grad=True)
-        self.position = Tensor(_init(make_rng(config.seed, "embed.position"),
-                                     config.max_positions, config.d_model),
+        self.position = Tensor(_init(rng, config.max_positions, config.d_model),
                                requires_grad=True)
 
     def batch_rows(self, seqs: list[list[int]]) -> Tensor:

@@ -60,16 +60,17 @@ class DocumentModel:
         self._build(config.validate(), LowerEncoder(config))
 
     def _build(self, config: ModelConfig, lower: LowerEncoder | None) -> None:
-        """Set every part around the featurizer `lower` (None: built on
-        first use, and the token rows left unfilled for a checkpoint to
-        fill); the other parts are fresh random draws."""
+        """Set every part around the featurizer `lower`. With `lower` None
+        the featurizer is built on first use, and the upper encoder and the
+        embedding table are unfilled placeholders for a checkpoint to fill;
+        otherwise they are fresh random draws."""
         self.config = config
         self._lower = lower
-        self.upper = UpperEncoder(config, make_rng(config.seed, "upper"))
+        self.upper = UpperEncoder(
+            config, make_rng(config.seed, "upper") if lower is not None else None)
         # one draw of the token rows; the trainable table gets its own copy
-        token = (lower.token.data.copy() if lower is not None else
-                 np.empty((config.vocab_size, config.d_model), np.float32))
-        self.embed = EmbeddingTable(config, token)
+        self.embed = EmbeddingTable(
+            config, lower.token.data.copy() if lower is not None else None)
         self.heads = ClassificationHeads(config.d_model, config.level_sizes)
         # low-rank adapters both input paths run through, when attached
         self.adapter: LoraAdapter | None = None

@@ -61,6 +61,17 @@ class TestRoundTrip:
         blob = checkpoint_bytes(sample_checkpoint())
         assert parse_checkpoint(blob).meta["note"] == "unit test"
 
+    def test_each_tensor_owns_one_copy(self):
+        blob = checkpoint_bytes(sample_checkpoint())
+        from_bytes = parse_checkpoint(blob)
+        from_bytearray = parse_checkpoint(bytearray(blob))
+        assert from_bytes.meta == from_bytearray.meta
+        assert from_bytes.digest == from_bytearray.digest
+        assert checkpoint_bytes(from_bytearray) == blob
+        for ckpt in (from_bytes, from_bytearray):
+            for name, arr in ckpt.tensors.items():
+                assert arr.flags.owndata and arr.flags.writeable, name
+
 
 class TestCorruption:
     def test_flipped_payload_byte_fails_digest(self):

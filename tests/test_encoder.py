@@ -434,6 +434,42 @@ def test_importing_the_cli_starts_no_thread():
     assert proc.stdout.split() == ["1", "False"]
 
 
+IMPORT_ISOLATION = """
+import pkgutil, sys
+import doctrain
+loaded = lambda: {m for m in sys.modules if m.startswith("doctrain.")}
+assert not loaded() and "numpy" not in sys.modules, sorted(loaded())
+import doctrain.checkpoint, doctrain.finetune
+skipped = {"doctrain." + m for m in ("trainer", "mining", "rouge", "taxonomy",
+                                     "corpus", "losses", "analysis",
+                                     "manifest", "cli")}
+assert not skipped & loaded(), sorted(skipped & loaded())
+import doctrain as package
+assert package.tensor is sys.modules["doctrain.tensor"]
+assert set(dir(package)) >= set(package.__all__)
+assert set(dir(package)) >= {m.name for m in pkgutil.iter_modules(package.__path__)}
+names = {}
+exec("from doctrain import *", names)
+assert set(package.__all__) <= set(names), set(package.__all__) - set(names)
+try:
+    package.no_such_name
+except AttributeError:
+    print("ok")
+"""
+
+
+def test_importing_one_part_skips_the_rest():
+    """`import doctrain` imports no submodule and not NumPy; importing the
+    fine-tuning path leaves pre-training, mining, analysis and the CLI out;
+    every public name and submodule still resolves from the package."""
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    proc = subprocess.run([sys.executable, "-c", IMPORT_ISOLATION], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["ok"]
+
+
 FORK_CHILD = """
 import os, signal, threading
 import numpy as np

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from doctrain import encoder
+from doctrain import model as model_module
 from doctrain.checkpoint import (load_checkpoint, parse_checkpoint,
                                  save_checkpoint)
 from doctrain.errors import CorruptCheckpoint, LengthError, ShapeError
@@ -255,6 +256,27 @@ class TestPersistence:
         save_checkpoint(model.to_checkpoint(), path)
         restored = DocumentModel.from_checkpoint(load_checkpoint(path))
         assert restored.lower.state_bytes() == model.lower.state_bytes()
+
+    def test_loading_draws_nothing(self, monkeypatch):
+        """Every tensor a checkpoint fills is left undrawn; the featurizer,
+        built on first use, still derives from the config's seed."""
+        config = small_config(num_layers=2, level_sizes=(3,), seed=11)
+        ckpt = DocumentModel(config).to_checkpoint()
+
+        def no_draws(seed, name):
+            raise AssertionError(f"drew the {name!r} stream while loading")
+
+        monkeypatch.setattr(encoder, "make_rng", no_draws)
+        monkeypatch.setattr(model_module, "make_rng", no_draws)
+        model = DocumentModel.from_checkpoint(ckpt)
+        params = model.named_params()
+        assert params.keys() == ckpt.tensors.keys()
+        for name, t in params.items():
+            assert t.data.dtype == np.float32, name
+            assert t.data.tobytes() == ckpt.tensors[name].tobytes(), name
+        monkeypatch.undo()
+        assert (model.lower.state_bytes()
+                == DocumentModel(config).lower.state_bytes())
 
     def test_extra_meta_is_preserved(self, tmp_path):
         model = DocumentModel(small_config())
