@@ -25,7 +25,7 @@ _EXPORTS = {
     "model": ("DocumentModel",),
     "rouge": ("rouge_l",),
     "taxonomy": ("Taxonomy", "derive_taxonomy", "map_category_to_hierarchy"),
-    "trainer": ("TrainConfig", "pretrain", "pretrain_mlm", "track_drift"),
+    "trainer": ("TrainConfig", "pretrain", "pretrain_mlm"),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 

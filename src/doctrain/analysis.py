@@ -4,7 +4,6 @@ paragraph-level lexical similarity."""
 
 from __future__ import annotations
 
-import itertools
 import logging
 from dataclasses import dataclass
 
@@ -109,9 +108,8 @@ def _doc_vectors(model: DocumentModel, docs: list[list[str]]) -> tuple[np.ndarra
 
 
 def _pairwise_cosines(vecs: np.ndarray) -> np.ndarray:
-    sims = _cosine_rows(vecs, vecs)
-    n = vecs.shape[0]
-    return np.array([sims[i, j] for i, j in itertools.combinations(range(n), 2)])
+    """Cosine of every pair i < j, in `itertools.combinations` order."""
+    return _cosine_rows(vecs, vecs)[np.triu_indices(vecs.shape[0], 1)]
 
 
 def representation_correlation(model: DocumentModel,

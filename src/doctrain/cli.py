@@ -8,6 +8,7 @@ import json
 import logging
 import os
 import sys
+from dataclasses import asdict
 
 from .analysis import (EMBEDDING_MODES, paragraph_similarity, pca_project,
                        representation_correlation, wl_metric)
@@ -325,7 +326,7 @@ def cmd_pretrain(args: argparse.Namespace, rec: RunRecorder) -> None:
     write_jsonl(rec.add_output(args.out + ".losses.jsonl"),
                 result.loss_curve)
     write_jsonl(rec.add_output(args.out + ".drift.jsonl"),
-                result.drift.rows())
+                result.drift)
     rec.phase("write")
     log.info("trained %d steps; final loss %.6f", result.total_steps,
              result.loss_curve[-1]["loss"])
@@ -358,13 +359,8 @@ def cmd_finetune(args: argparse.Namespace, rec: RunRecorder) -> None:
         task, result = finetune_pair_classification(model, train, dev, config)
     rec.phase("train")
 
-    write_json(rec.add_output(args.metrics_out), {
-        "task": args.task,
-        "metrics": result.metrics,
-        "history": result.history,
-        "best_epoch": result.best_epoch,
-        "epochs_run": result.epochs_run,
-    })
+    write_json(rec.add_output(args.metrics_out),
+               {"task": args.task, **asdict(result)})
     if args.out is not None:
         ckpt = model.to_checkpoint(extra_meta={"finetuned_task": args.task})
         for i, t in enumerate(task.head_tensors()):
@@ -400,9 +396,8 @@ def cmd_analyze(args: argparse.Namespace, rec: RunRecorder) -> None:
                   "wl": wl_metric(model, doc_a, doc_b, args.embedding_mode)}
     elif args.kind == "correlation":
         docs = [list(d.sentences) for d in corpus]
-        rep = representation_correlation(model, docs)
-        report = {"kind": "correlation", "pearson_r": rep.pearson_r,
-                  "num_pairs": rep.num_pairs, "degenerate": rep.degenerate}
+        report = {"kind": "correlation",
+                  **asdict(representation_correlation(model, docs))}
     elif args.kind == "pca":
         ids = [d.id for d in corpus]
         vecs = model.encode_documents([list(d.sentences) for d in corpus])
@@ -414,8 +409,7 @@ def cmd_analyze(args: argparse.Namespace, rec: RunRecorder) -> None:
                 fh.write(doc_id + "," + ",".join(f"{v:.10g}" for v in row)
                          + "\n")
         report = {"kind": "pca", "components": args.components,
-                  "explained_variance": [float(v) for v
-                                         in res.explained_variance],
+                  "explained_variance": res.explained_variance.tolist(),
                   "coordinates_csv": args.csv_out}
     else:
         _require(args, ["doc-a", "doc-b"])
@@ -426,10 +420,7 @@ def cmd_analyze(args: argparse.Namespace, rec: RunRecorder) -> None:
         rep = paragraph_similarity(text_a, text_b)
         report = {"kind": "paragraphs", "doc_a": args.doc_a,
                   "doc_b": args.doc_b,
-                  "scores_a": [float(v) for v in rep.scores_a],
-                  "scores_b": [float(v) for v in rep.scores_b],
-                  "bin_edges": [float(v) for v in rep.bin_edges],
-                  "histogram": [int(v) for v in rep.histogram]}
+                  **{k: v.tolist() for k, v in asdict(rep).items()}}
     rec.phase("analyze")
 
     write_json(rec.add_output(args.out), report)
@@ -450,7 +441,7 @@ def cmd_inspect(args: argparse.Namespace, rec: RunRecorder) -> None:
     }
     # read-only subcommand: report and manifest go to stdout, no files
     manifest = rec.finish()
-    print(json.dumps({"report": report, "manifest": manifest.to_dict()},
+    print(json.dumps({"report": report, "manifest": asdict(manifest)},
                      indent=2, sort_keys=True))
 
 
@@ -491,9 +482,13 @@ def _run_subcommand(args: argparse.Namespace):
 
 
 def main(argv: list[str] | None = None) -> int:
-    logging.basicConfig(
-        level=os.environ.get("DOCTRAIN_LOG", "INFO"),
-        format="%(levelname)s %(name)s: %(message)s")
+    level = (os.environ.get("DOCTRAIN_LOG") or "INFO").upper()
+    if not isinstance(logging.getLevelName(level), int):
+        print(f"error: DOCTRAIN_LOG must name a logging level such as INFO "
+              f"or DEBUG, got {os.environ['DOCTRAIN_LOG']!r}", file=sys.stderr)
+        return ConfigError.exit_code
+    logging.basicConfig(level=level,
+                        format="%(levelname)s %(name)s: %(message)s")
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

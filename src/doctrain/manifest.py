@@ -7,7 +7,7 @@ import hashlib
 import json
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from .errors import DataError, ParseError, StorageError
 from .records import write_json
@@ -37,17 +37,6 @@ class RunManifest:
     timings: dict[str, float] = field(default_factory=dict)
     version: int = MANIFEST_VERSION
 
-    def to_dict(self) -> dict:
-        return {
-            "version": self.version,
-            "subcommand": self.subcommand,
-            "config": self.config,
-            "inputs": self.inputs,
-            "outputs": self.outputs,
-            "output_digests": self.output_digests,
-            "timings": self.timings,
-        }
-
 
 def load_manifest(path) -> RunManifest:
     try:
@@ -66,15 +55,8 @@ def load_manifest(path) -> RunManifest:
                  if not isinstance(raw.get(k, kind()), kind)]
     if malformed:
         raise ParseError(f"manifest {path} has malformed fields {malformed}")
-    return RunManifest(
-        subcommand=raw["subcommand"],
-        config=dict(raw["config"]),
-        inputs=dict(raw.get("inputs", {})),
-        outputs=list(raw.get("outputs", [])),
-        output_digests=dict(raw.get("output_digests", {})),
-        timings=dict(raw.get("timings", {})),
-        version=int(raw.get("version", MANIFEST_VERSION)),
-    )
+    return RunManifest(**{k: kind(raw[k]) for k, kind in _FIELD_KINDS.items()
+                          if k in raw})
 
 
 def argv_from_manifest(manifest: RunManifest) -> list[str]:
@@ -162,7 +144,7 @@ class RunRecorder:
         directory that received one after the last.
         """
         finals = [*self.manifest.outputs, str(manifest_path)]
-        write_json(self._stage(finals[-1]), self.manifest.to_dict())
+        write_json(self._stage(finals[-1]), asdict(self.manifest))
         for p in finals:
             _fsync(self._stage(p))
         earlier = [p for p in finals if os.path.exists(p)]

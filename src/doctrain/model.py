@@ -97,25 +97,21 @@ class DocumentModel:
 
     # -- sentence path ----------------------------------------------------
 
-    def embed_sentences(self, sentences: list[str]) -> np.ndarray:
-        """Sentence strings -> frozen [S, d] matrix of the first
-        `max_sentences` sentences; `sentence_matrices` reports the cut."""
-        if not sentences:
-            raise LengthError("document has no sentences")
-        sentences = sentences[:self.config.max_sentences]
-        return np.stack([self.lower.embed(s) for s in sentences], axis=0)
-
     def sentence_matrices(self, docs: list[list[str]]) -> list[np.ndarray]:
-        """Each document's `embed_sentences` matrix. Every kept sentence is
-        featurized in one batched call first, and one warning line says how
-        many documents were cut to `max_sentences`."""
+        """Each document's frozen [S, d] matrix of its first `max_sentences`
+        sentences. Every kept sentence is featurized in one batched call
+        first, and one warning line says how many documents were cut."""
+        if not all(docs):
+            raise LengthError("document has no sentences")
         cap = self.config.max_sentences
         cut = sum(len(sentences) > cap for sentences in docs)
         if cut:
             log.warning("truncated %d of %d documents to max_sentences=%d",
                         cut, len(docs), cap)
-        self.lower.featurize([s for sentences in docs for s in sentences[:cap]])
-        return [self.embed_sentences(sentences) for sentences in docs]
+        kept = [sentences[:cap] for sentences in docs]
+        self.lower.featurize([s for sentences in kept for s in sentences])
+        return [np.stack([self.lower.embed(s) for s in sentences], axis=0)
+                for sentences in kept]
 
     def encode_matrices(self, matrices: list[np.ndarray]) -> Tensor:
         """N [S_i, d] sentence-vector matrices -> [N, d] document vectors.

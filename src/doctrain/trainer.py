@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -15,7 +15,7 @@ from .corpus import Corpus
 from .errors import ConfigError, NumericError, ValidationError
 from .losses import hierarchical_loss_rows, triplet_loss
 from .mining import Triplet
-from .model import GROUPS, DocumentModel, group_of
+from .model import GROUPS, DocumentModel
 from .optim import AdamW, ParamGroup, linear_lr
 from .seeding import make_rng
 from .taxonomy import HierarchyLabels
@@ -56,63 +56,44 @@ class TrainConfig:
         return self
 
 
-@dataclass(frozen=True)
-class DriftRecord:
-    step: int | None  # None marks the end-of-run record
-    group: str
-    value: float
-    zero_reference: bool = False
-
-
-@dataclass
-class DriftReport:
-    records: list[DriftRecord] = field(default_factory=list)
-
-    def rows(self) -> list[dict]:
-        return [
-            {"step": "final" if r.step is None else r.step, "group": r.group,
-             "relative_l1_change": r.value, "zero_reference": r.zero_reference}
-            for r in self.records
-        ]
-
-
-def _drift_record(step: int | None, group: str, pairs) -> DriftRecord:
-    """Relative L1 change of one group from its `(now, reference)` arrays,
-    summed in float64 in the order given; an all-zero reference reads 0."""
+def _drift_record(step: int | str, group: str, pairs) -> dict:
+    """One `.drift.jsonl` row: the relative L1 change of `group` from its
+    `(now, reference)` arrays, summed in float64 in the order given. An
+    all-zero reference reads 0 and sets `zero_reference`."""
     num = den = 0.0
     for now, ref in pairs:
         diff = np.subtract(now, ref, dtype=np.float64)
         num += float(np.abs(diff, out=diff).sum())
         den += float(np.abs(ref).sum(dtype=np.float64))
-    if den == 0.0:
-        return DriftRecord(step, group, 0.0, zero_reference=True)
-    return DriftRecord(step, group, num / den)
+    return {"step": step, "group": group,
+            "relative_l1_change": num / den if den else 0.0,
+            "zero_reference": den == 0.0}
 
 
 class _DriftTracker:
-    """Relative L1 change of each parameter group against its start state;
-    a frozen group cannot move, so its one record is computed up front."""
+    """Drift rows of each parameter group against its start state; a frozen
+    group cannot move, so its one row is computed up front."""
 
     def __init__(self, groups: list[ParamGroup]):
         self.groups = groups
         self.start = {g.name: [t.data.copy() for t in g.tensors]
                       for g in groups if not g.frozen}
-        self.still = {g.name: _drift_record(None, g.name,
+        self.still = {g.name: _drift_record("final", g.name,
                                             [(t.data, t.data) for t in g.tensors])
                       for g in groups if g.frozen}
-        self.report = DriftReport()
+        self.rows: list[dict] = []
 
-    def record(self, step: int | None) -> None:
+    def record(self, step: int | str) -> None:
         for g in self.groups:
-            self.report.records.append(
-                replace(self.still[g.name], step=step) if g.frozen else _drift_record(
+            self.rows.append(
+                {**self.still[g.name], "step": step} if g.frozen else _drift_record(
                     step, g.name, zip((t.data for t in g.tensors), self.start[g.name])))
 
 
 @dataclass
 class PretrainResult:
     checkpoint: Checkpoint
-    drift: DriftReport
+    drift: list[dict]  # `.drift.jsonl` rows; `step` is "final" at the end
     loss_curve: list[dict]
     total_steps: int
 
@@ -124,7 +105,7 @@ def total_step_count(n_items: int, batch_size: int, epochs: int) -> int:
 
 def _train(groups: list[ParamGroup], n_items: int, config: TrainConfig,
            rng: np.random.Generator, step_loss
-           ) -> tuple[list[dict], DriftReport, int]:
+           ) -> tuple[list[dict], list[dict], int]:
     """The loop both objectives share: AdamW under the linear schedule.
 
     Each epoch shuffles the `n_items` training items with `rng`, and
@@ -150,8 +131,8 @@ def _train(groups: list[ParamGroup], n_items: int, config: TrainConfig,
             step += 1
             if step % config.log_every == 0 and step < total_steps:
                 tracker.record(step)
-    tracker.record(None)
-    return loss_curve, tracker.report, total_steps
+    tracker.record("final")
+    return loss_curve, tracker.rows, total_steps
 
 
 def pretrain(model: DocumentModel, corpus: Corpus, triplets: list[Triplet],
@@ -319,22 +300,3 @@ def pretrain_mlm(model: DocumentModel, corpus: Corpus,
                   "seed": config.seed, "total_steps": total_steps},
     })
     return PretrainResult(ckpt, drift, loss_curve, total_steps)
-
-
-def track_drift(before: Checkpoint, after: Checkpoint) -> DriftReport:
-    """Per-group relative L1 change between two checkpoints of one model."""
-    names = sorted(before.tensors)
-    if names != sorted(after.tensors):
-        raise ValidationError("checkpoints hold different tensor sets")
-    by_group: dict[str, list[str]] = {}
-    for name in names:
-        b, a = before.tensors[name], after.tensors[name]
-        if a.shape != b.shape:
-            raise ValidationError(f"tensor {name!r} changed shape: "
-                                  f"{b.shape} -> {a.shape}")
-        by_group.setdefault(group_of(name), []).append(name)
-    report = DriftReport()
-    for group in sorted(by_group):
-        report.records.append(_drift_record(None, group, (
-            (after.tensors[n], before.tensors[n]) for n in by_group[group])))
-    return report

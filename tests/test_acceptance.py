@@ -101,7 +101,7 @@ def test_c01_gradients_match_finite_differences():
             for i, cat in enumerate(CATS)]
     tax = Taxonomy.from_paths([("astro", "x"), ("law", "y"), ("bio", "z")])
     labels = [pad_hierarchy((d.category,), tax) for d in docs]
-    matrices = [model.embed_sentences(list(d.sentences)) for d in docs]
+    matrices = model.sentence_matrices([list(d.sentences) for d in docs])
     targets = [np.array([lab.indices[lv] for lab in labels])
                for lv in range(tax.depth)]
 
@@ -189,8 +189,7 @@ def test_c02_loss_oracles():
 def test_c03_featurizer_frozen_through_pretraining(separation_run):
     model, result, lower_before, _ = separation_run
     assert model.lower.state_bytes() == lower_before
-    finals = {r["group"]: r for r in result.drift.rows()
-              if r["step"] == "final"}
+    finals = {r["group"]: r for r in result.drift if r["step"] == "final"}
     assert finals["lower"]["relative_l1_change"] == 0.0
     ok("C3", "featurizer bytes identical and drift exactly 0.0 after a "
              "full pre-training run")
@@ -279,7 +278,7 @@ def test_c05_separation_at_desk_scale(synthetic, separation_run):
     for doc in held:
         with no_grad():
             vec = model.encode_matrices(
-                [model.embed_sentences(list(doc.sentences))])
+                model.sentence_matrices([list(doc.sentences)]))
             level0 = model.heads.logits_matrix(vec)[0].data.ravel()
         target = pad_hierarchy(doc.hierarchy_path, tax).indices[0]
         correct += int(np.argmax(level0) == target)
@@ -357,9 +356,9 @@ def test_c08_drift_gap_between_objectives(synthetic):
     assert doc_result.total_steps == mlm_result.total_steps
 
     doc_final = {r["group"]: r["relative_l1_change"]
-                 for r in doc_result.drift.rows() if r["step"] == "final"}
+                 for r in doc_result.drift if r["step"] == "final"}
     mlm_final = {r["group"]: r["relative_l1_change"]
-                 for r in mlm_result.drift.rows() if r["step"] == "final"}
+                 for r in mlm_result.drift if r["step"] == "final"}
     shared = sorted(g for g in doc_final if g.startswith("upper."))
     wins = [g for g in shared if doc_final[g] < mlm_final[g]]
     assert len(wins) > len(shared) / 2
@@ -445,7 +444,7 @@ def test_c11_lora_contract():
     model = synth_model(4)
     sentences = ["the lien accrues against the estate",
                  "counsel moved to remand the docket"]
-    matrix = model.embed_sentences(sentences)
+    [matrix] = model.sentence_matrices([sentences])
     ids = [7, 40, 3, 511]
     with no_grad():
         base_doc = model.encode_matrices([matrix]).data.copy()

@@ -60,9 +60,8 @@ class TestWlMetric:
         b = np.array([[1.0, 0, 0, 0], [0, 1.0, 0, 0],
                       [0, 0, 1.0, 0], [1.0, 0, 0, 0]])
         doc_a, doc_b = ["x"] * 3, ["y"] * 4
-        monkeypatch.setattr(
-            DocumentModel, "embed_sentences",
-            lambda _model, sents: a if sents is doc_a else b)
+        monkeypatch.setattr(DocumentModel, "sentence_matrices",
+                            lambda _model, docs: [a, b])
         assert wl_metric(model, doc_a, doc_b) == pytest.approx(1 + 1 / 3)
 
     def test_distance_ties_prefer_the_smaller_index(self, model, monkeypatch):
@@ -71,9 +70,8 @@ class TestWlMetric:
         a = np.array([[0, 1.0], [1.0, 0]])
         b = np.array([[1.0, 0], [0, 1.0], [1.0, 0]])
         doc_a, doc_b = ["x"] * 2, ["y"] * 3
-        monkeypatch.setattr(
-            DocumentModel, "embed_sentences",
-            lambda _model, sents: a if sents is doc_a else b)
+        monkeypatch.setattr(DocumentModel, "sentence_matrices",
+                            lambda _model, docs: [a, b])
         assert wl_metric(model, doc_a, doc_b) == pytest.approx(1 + 1.0)
 
     def test_mode_and_empty_validation(self, model):

@@ -8,6 +8,8 @@ import hashlib
 import json
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -89,6 +91,39 @@ class TestParser:
 
     def test_missing_required_flag_exits_2(self):
         assert main(["mine", "--corpus", CORPUS]) == 2
+
+
+class TestLogLevel:
+    """`DOCTRAIN_LOG` takes a level name in any case and refuses any other
+    value before any work."""
+
+    @pytest.mark.parametrize("level, info_shown",
+                             [("debug", True), ("Warning", False)])
+    def test_level_names_are_case_insensitive(self, tmp_path, level,
+                                              info_shown):
+        """Runs in a child process: `logging.basicConfig` does nothing
+        once the root logger has handlers, as it has under pytest."""
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        env = dict(os.environ, PYTHONPATH=os.path.abspath(src),
+                   DOCTRAIN_LOG=level)
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys; from doctrain.cli import main; sys.exit(main())",
+             "mine", "--corpus", CORPUS, "--out", str(tmp_path / "t.jsonl"),
+             "--mode", "customer_support", "--count", "2"],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert ("INFO doctrain.cli: wrote 2 triplets" in proc.stderr) \
+            == info_shown
+
+    def test_unknown_level_exits_2_before_any_work(self, tmp_path,
+                                                   monkeypatch, capsys):
+        monkeypatch.setenv("DOCTRAIN_LOG", "LOUD")
+        assert main(["mine", "--corpus", CORPUS,
+                     "--out", str(tmp_path / "t.jsonl"),
+                     "--mode", "customer_support", "--count", "2"]) == 2
+        assert capsys.readouterr().err.startswith("error: DOCTRAIN_LOG")
+        assert os.listdir(tmp_path) == []
 
 
 class TestMine:
@@ -318,6 +353,13 @@ class TestReplay:
             "inputs": {str(tmp_path / "gone.jsonl"): "0" * 64}}))
         assert main(["--replay", str(manifest)]) == 3
         assert "does not parse" in capsys.readouterr().err
+
+    def test_committed_manifest_loads_back_as_written(self, tmp_path):
+        out = str(tmp_path / "t.jsonl")
+        written = cli._run_subcommand(build_parser().parse_args(
+            ["mine", "--corpus", CORPUS, "--out", out,
+             "--mode", "customer_support", "--count", "2"]))
+        assert load_manifest(out + ".manifest.json") == written
 
     def test_argv_round_trip_recovers_the_config(self, pretrained):
         manifest = load_manifest(str(pretrained) + ".manifest.json")

@@ -102,7 +102,7 @@ class TestForwardPaths:
 
     def test_empty_document_raises(self):
         with pytest.raises(LengthError):
-            DocumentModel(small_config()).embed_sentences([])
+            DocumentModel(small_config()).sentence_matrices([["One."], []])
 
     def test_matrix_shape_validation(self):
         model = DocumentModel(small_config())
@@ -168,7 +168,7 @@ class TestForwardPaths:
 
     def test_classify_hierarchy_widths(self):
         model = DocumentModel(small_config(level_sizes=(4, 2)))
-        vecs = model.encode_matrices([model.embed_sentences(["Classify me."])])
+        vecs = model.encode_matrices(model.sentence_matrices([["Classify me."]]))
         logits = model.heads.logits_matrix(vecs)
         assert [lv.shape for lv in logits] == [(1, 5), (1, 3)]
 

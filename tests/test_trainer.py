@@ -19,9 +19,8 @@ from doctrain.mining import mine_triplets_metadata
 from doctrain.model import DocumentModel, group_of
 from doctrain.optim import linear_lr
 from doctrain.taxonomy import Taxonomy, pad_hierarchy
-from doctrain.trainer import (DriftRecord, DriftReport, TrainConfig,
-                              pretrain, pretrain_mlm, total_step_count,
-                              track_drift)
+from doctrain.trainer import (TrainConfig, pretrain, pretrain_mlm,
+                              total_step_count)
 
 from doctrain.tensor import Tensor, no_grad
 
@@ -120,17 +119,17 @@ class TestPretrain:
 
     def test_frozen_groups_never_move(self):
         _, result = self.run()
-        final = {r.group: r for r in result.drift.records
-                 if r.step is None}
+        final = {r["group"]: r for r in result.drift
+                 if r["step"] == "final"}
         for name in ("lower", "embed.token", "embed.position"):
-            assert final[name].value == 0.0, name
+            assert final[name]["relative_l1_change"] == 0.0, name
 
     def test_trainable_groups_do_move(self):
         model, result = self.run()
-        final = {r.group: r for r in result.drift.records
-                 if r.step is None}
+        final = {r["group"]: r for r in result.drift
+                 if r["step"] == "final"}
         for name in ("upper.attention.query", "upper.ffn"):
-            assert final[name].value > 0.0, name
+            assert final[name]["relative_l1_change"] > 0.0, name
         # heads drift reads 0 against the zero reference; confirm movement
         # on the raw tensor instead
         assert not np.array_equal(model.heads.weights[0].data,
@@ -146,24 +145,24 @@ class TestPretrain:
 
     def test_zero_init_heads_flag_zero_reference(self):
         _, result = self.run()
-        drift_zero_ref = {r.group: r.zero_reference
-                          for r in result.drift.records if r.step is None}
+        drift_zero_ref = {r["group"]: r["zero_reference"]
+                          for r in result.drift if r["step"] == "final"}
         assert drift_zero_ref["heads"] is True
         assert drift_zero_ref["upper.ffn"] is False
 
     def test_triplet_only_leaves_heads_untouched(self):
         model, result = self.run(loss="triplet")
-        final = {r.group: r for r in result.drift.records
-                 if r.step is None}
-        assert final["heads"].value == 0.0
+        final = {r["group"]: r for r in result.drift
+                 if r["step"] == "final"}
+        assert final["heads"]["relative_l1_change"] == 0.0
         for w in model.heads.weights:
             assert np.array_equal(w.data, np.zeros(w.shape))
 
     def test_hier_only_runs_and_moves_heads(self):
         model, result = self.run(loss="hier")
-        final = {r.group: r for r in result.drift.records
-                 if r.step is None}
-        assert final["heads"].zero_reference is True
+        final = {r["group"]: r for r in result.drift
+                 if r["step"] == "final"}
+        assert final["heads"]["zero_reference"] is True
         assert np.abs(model.heads.weights[0].data).sum() > 0.0
 
     def test_loss_curve_follows_linear_schedule(self):
@@ -225,7 +224,7 @@ class TestPretrain:
         # losses are sums over triplets and documents scaled by 1/B
         ref = model_with_heads()
         vec = lambda doc_id: ref.encode_matrices(
-            [ref.embed_sentences(list(corpus.get(doc_id).sentences))])
+            ref.sentence_matrices([list(corpus.get(doc_id).sentences)]))
         members = ("anchor_id", "positive_id", "negative_id")
         loss = None
         for t in triplets:
@@ -295,12 +294,12 @@ class TestPretrain:
 
     def test_drift_cadence_and_final_records(self):
         _, result = self.run(triplet_count=12)  # 3 steps at batch 4
-        steps = sorted({r.step for r in result.drift.records
-                        if r.step is not None})
-        assert steps == [2]  # log_every=2, final step excluded (it is None)
-        finals = {r.group: r for r in result.drift.records
-                  if r.step is None}
-        group_names = {r.group for r in result.drift.records}
+        steps = sorted({r["step"] for r in result.drift
+                        if r["step"] != "final"})
+        assert steps == [2]  # log_every=2; the last step's rows are "final"
+        finals = {r["group"]: r for r in result.drift
+                  if r["step"] == "final"}
+        group_names = {r["group"] for r in result.drift}
         assert set(finals) == group_names
 
     def test_reruns_are_byte_identical(self):
@@ -343,21 +342,20 @@ class TestPretrainMlm:
         corpus = separable_corpus(per_category=3)
         model = fresh_model()
         result = pretrain_mlm(model, corpus, quick_config(epochs=2))
-        final = {r.group: r for r in result.drift.records
-                 if r.step is None}
-        assert final["embed.token"].value == 0.0
-        assert final["embed.position"].value == 0.0
-        assert final["heads"].value == 0.0
-        assert final["lower"].value == 0.0
-        assert final["upper.ffn"].value > 0.0
+        final = {r["group"]: r for r in result.drift
+                 if r["step"] == "final"}
+        assert final["embed.token"]["relative_l1_change"] == 0.0
+        assert final["embed.position"]["relative_l1_change"] == 0.0
+        assert final["heads"]["relative_l1_change"] == 0.0
+        assert final["lower"]["relative_l1_change"] == 0.0
+        assert final["upper.ffn"]["relative_l1_change"] > 0.0
 
     def test_mlm_head_group_present_and_zero_referenced(self):
         corpus = separable_corpus(per_category=3)
         result = pretrain_mlm(fresh_model(), corpus, quick_config())
-        final = {r.group: r for r in result.drift.records
-                 if r.step is None}
-        head = final["mlm_head"]
-        assert head.zero_reference is True
+        final = {r["group"]: r for r in result.drift
+                 if r["step"] == "final"}
+        assert final["mlm_head"]["zero_reference"] is True
 
     def test_step_gathers_each_sequence_masked_rows(self, monkeypatch, rng):
         """A ragged step's head gradient equals the one built from the
@@ -439,47 +437,33 @@ class TestPretrainMlm:
 
 
 class TestTrackDrift:
+    """The in-loop tracker's `.drift.jsonl` rows."""
+
+    @staticmethod
+    def final_rows(model, frozen=(), change=None):
+        tracker = trainer._DriftTracker(model.param_groups(set(frozen)))
+        if change is not None:
+            change(model)
+        tracker.record("final")
+        return {r["group"]: r for r in tracker.rows}
+
     def test_identical_checkpoints_have_zero_drift(self):
-        model = fresh_model()
-        report = track_drift(model.to_checkpoint(), model.to_checkpoint())
-        assert all(r.value == 0.0 for r in report.records)
+        rows = self.final_rows(fresh_model())
+        assert all(r["relative_l1_change"] == 0.0 for r in rows.values())
 
     def test_uniform_scaling_gives_exact_relative_change(self):
-        model = fresh_model()
-        before = model.to_checkpoint()
-        after = model.to_checkpoint()
-        after.tensors = dict(after.tensors)
-        for name in after.tensors:
-            if name.startswith("embed.token"):
-                after.tensors[name] = after.tensors[name] * np.float32(1.01)
-        by_group = {r.group: r for r in track_drift(before, after).records}
+        def scale(model):
+            model.embed.token.data *= np.float32(1.01)
+        by_group = self.final_rows(fresh_model(), change=scale)
         # |1.01 x - x| / |x| == 0.01 regardless of the values
-        assert by_group["embed.token"].value == pytest.approx(0.01, rel=1e-5)
-        assert by_group["upper.ffn"].value == 0.0
+        assert by_group["embed.token"]["relative_l1_change"] == pytest.approx(
+            0.01, rel=1e-5)
+        assert by_group["upper.ffn"]["relative_l1_change"] == 0.0
 
     def test_zero_reference_groups_are_flagged(self):
-        model = fresh_model()  # heads start at zero
-        report = track_drift(model.to_checkpoint(), model.to_checkpoint())
-        by_group = {r.group: r for r in report.records}
-        assert by_group["heads"].zero_reference is True
-
-    def test_mismatched_tensor_sets_rejected(self):
-        model = fresh_model()
-        a = model.to_checkpoint()
-        b = model.to_checkpoint()
-        b.tensors = dict(b.tensors)
-        del b.tensors["embed.token"]
-        with pytest.raises(ValidationError, match="different"):
-            track_drift(a, b)
-
-    def test_changed_shape_rejected(self):
-        model = fresh_model()
-        a = model.to_checkpoint()
-        b = model.to_checkpoint()
-        b.tensors = dict(b.tensors)
-        b.tensors["embed.token"] = np.zeros((2, 2), dtype=np.float32)
-        with pytest.raises(ValidationError, match="shape"):
-            track_drift(a, b)
+        by_group = self.final_rows(fresh_model())  # heads start at zero
+        assert by_group["heads"]["zero_reference"] is True
+        assert by_group["upper.ffn"]["zero_reference"] is False
 
     def test_in_loop_tracker_keeps_no_copy_of_a_frozen_group(self):
         model = fresh_model()
@@ -490,23 +474,36 @@ class TestTrackDrift:
         assert frozen.isdisjoint(tracker.start)
         model.embed.token.data[0, 0] += 1.0  # a frozen group is never read again
         tracker.record(3)
-        rows = {r.group: r for r in tracker.report.records}
-        assert all(rows[name] == DriftRecord(3, name, 0.0) for name in frozen)
-        assert rows["heads"] == DriftRecord(3, "heads", 0.0, zero_reference=True)
+        rows = {r["group"]: r for r in tracker.rows}
+        row = lambda group, zero: {"step": 3, "group": group,
+                                   "relative_l1_change": 0.0,
+                                   "zero_reference": zero}
+        assert all(rows[name] == row(name, False) for name in frozen)
+        assert rows["heads"] == row("heads", True)
 
     def test_agrees_with_in_loop_tracker(self):
+        """The final rows match each checkpoint group's relative L1 change,
+        computed here from the two checkpoints' arrays."""
         corpus = separable_corpus(per_category=4)
         model = fresh_model()
-        before = model.to_checkpoint()
+        before = model.to_checkpoint().tensors
         result = pretrain(model, corpus, triplets_for(corpus, 8),
                           labels_for(corpus), quick_config())
-        offline = {r.group: r.value
-                   for r in track_drift(before, result.checkpoint).records}
-        final = {r.group: r for r in result.drift.records
-                 if r.step is None}
-        for group, rec in final.items():
-            if group in offline:  # offline sees checkpoint groups only
-                assert offline[group] == pytest.approx(rec.value, abs=1e-9)
+        after = result.checkpoint.tensors
+        num, den = {}, {}
+        for name, ref in before.items():
+            group = group_of(name)
+            ref = ref.astype(np.float64)
+            num[group] = num.get(group, 0.0) + np.abs(after[name] - ref).sum()
+            den[group] = den.get(group, 0.0) + np.abs(ref).sum()
+        final = {r["group"]: r for r in result.drift
+                 if r["step"] == "final"}
+        assert set(den) < set(final)  # the checkpoint holds no featurizer
+        for group in den:
+            assert final[group]["zero_reference"] == (den[group] == 0.0)
+            expected = num[group] / den[group] if den[group] else 0.0
+            assert final[group]["relative_l1_change"] == pytest.approx(
+                expected, abs=1e-9)
 
 
 class TestLoraArm:
@@ -520,13 +517,13 @@ class TestLoraArm:
 
     def test_base_groups_frozen_adapters_move(self):
         _, result = self.run_lora()
-        final = {r.group: r for r in result.drift.records
-                 if r.step is None}
+        final = {r["group"]: r for r in result.drift
+                 if r["step"] == "final"}
         for name in ("upper.attention.query", "upper.attention.value",
                      "upper.ffn", "upper.layer_norm", "embed.token", "lower"):
-            assert final[name].value == 0.0, name
+            assert final[name]["relative_l1_change"] == 0.0, name
         assert "lora" in final
-        assert final["lora"].zero_reference is False  # A factors are random
+        assert final["lora"]["zero_reference"] is False  # A factors are random
 
     def test_one_step_stages_no_base_gradient(self, monkeypatch):
         """Only the adapters and the heads require grad, so the frozen base
@@ -572,8 +569,8 @@ class TestLoraArm:
                                       lora_targets=("query", "value", "ffn"))
         as_float64(model)
         reloaded = as_float64(DocumentModel.from_checkpoint(result.checkpoint))
-        matrix = model.embed_sentences(["Stellar quasar orbit.",
-                                        "Contract clause appeal."])
+        [matrix] = model.sentence_matrices([["Stellar quasar orbit.",
+                                             "Contract clause appeal."]])
         ids = [5, 17, 42, 9]
         with no_grad():
             live = [model.encode_matrices([matrix]).data,
@@ -622,7 +619,7 @@ class TestPinnedLoops:
     def check(self, result, steps, last_loss, rows_digest, ckpt_digest):
         assert result.total_steps == len(result.loss_curve) == steps
         assert result.loss_curve[-1]["loss"] == last_loss
-        rows = json.dumps([result.loss_curve, result.drift.rows()],
+        rows = json.dumps([result.loss_curve, result.drift],
                           sort_keys=True)
         assert _digest(rows.encode()) == rows_digest
         assert _digest(checkpoint_bytes(result.checkpoint)) == ckpt_digest
