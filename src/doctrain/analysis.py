@@ -4,7 +4,6 @@ paragraph-level lexical similarity."""
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,26 +16,19 @@ from .taxonomy import _tfidf_matrix
 from .tensor import no_grad
 from .text import encode_tokens, tokenize
 
-log = logging.getLogger(__name__)
-
 EMBEDDING_MODES = ("sentence", "token")
 
 
 def _token_ids(model: DocumentModel, docs: list[list[str]]) -> list[list[int]]:
     """Each document's token ids, truncated to the model's positions; one
     warning line says how many documents were cut."""
-    cap = model.config.max_positions
     out = []
     for sentences in docs:
         tokens = tokenize(" ".join(sentences))
         if not tokens:
             raise ContractError("document has no tokens")
         out.append(encode_tokens(tokens, model.config.vocab_size))
-    cut = sum(len(ids) > cap for ids in out)
-    if cut:
-        log.warning("truncated %d of %d documents to max_positions=%d",
-                    cut, len(docs), cap)
-    return [ids[:cap] for ids in out]
+    return model.fit_positions(out, "documents")
 
 
 def _token_inputs(model: DocumentModel, docs: list[list[str]]) -> list[np.ndarray]:

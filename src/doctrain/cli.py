@@ -29,7 +29,8 @@ from .taxonomy import (Taxonomy, WordVectors, derive_taxonomy,
                        map_category_to_hierarchy, pad_hierarchy)
 from .trainer import LOSS_MODES, TrainConfig, pretrain, pretrain_mlm
 
-log = logging.getLogger(__name__)
+# not __name__, which is "__main__" under `python -m doctrain.cli`
+log = logging.getLogger("doctrain.cli")
 
 TASKS = ("span-qa", "token-classification", "pair-classification")
 ANALYSES = ("wl", "correlation", "pca", "paragraphs")
@@ -251,7 +252,7 @@ def _load_assignments(path) -> dict[str, tuple[str, ...]]:
 
 
 def _hierarchy_labels(corpus, taxonomy: Taxonomy, word_vectors_path,
-                      assignments_path=None):
+                      assignments_path):
     vectors = (WordVectors.load(word_vectors_path)
                if word_vectors_path else None)
     assigned = (_load_assignments(assignments_path)

@@ -14,7 +14,6 @@ from __future__ import annotations
 import hashlib
 import logging
 import os
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -109,24 +108,6 @@ def equal_length_chunks(lengths: list[int]) -> list[list[int]]:
     return chunks
 
 
-# the helper threads of `map_equal_length(threaded=True)`, which only
-# `LowerEncoder.featurize` asks for; started when first given two chunks
-_POOL = None
-_POOL_LOCK = threading.Lock()
-
-
-def _forget_pool() -> None:
-    """In a forked child: the inherited pool has no threads to run what is
-    submitted to it, and its lock may have been held by a thread that did not
-    survive the fork, so the child starts both afresh on first use."""
-    global _POOL, _POOL_LOCK
-    _POOL = None
-    _POOL_LOCK = threading.Lock()
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_pool)
-
 # narrower featurizers stay on the calling thread: at d_model 32 a chunk's
 # NumPy calls are too short for two threads to overlap, and the pool
 # measured no faster than one thread while it added resident memory
@@ -163,11 +144,12 @@ def map_equal_length(lengths: list[int], fn, threaded: bool = False) -> list:
     or raised by then, and the first exception in chunk order propagates.
 
     With `threaded`, two chunks or more and two CPUs or more, the chunks run
-    on a thread pool with a thread per CPU. A threaded `fn` must not call
-    `LowerEncoder.embed` or `UpperEncoder.forward`: `benchmarks/tracing.py`
-    wraps those with spans that share one stack across threads.
+    on a thread pool with a thread per CPU that this call starts and joins,
+    so no helper thread outlives it (and a forked child inherits none). A
+    threaded `fn` must not call `LowerEncoder.embed` or
+    `UpperEncoder.forward`: `benchmarks/tracing.py` wraps those with spans
+    that share one stack across threads.
     """
-    global _POOL
     chunks = equal_length_chunks(lengths)
     workers = _cpus()
     # grad mode is process-wide: pool threads run under this no_grad, so it
@@ -178,14 +160,12 @@ def map_equal_length(lengths: list[int], fn, threaded: bool = False) -> list:
         else:
             # importing concurrent.futures costs set-up time serial runs skip
             import concurrent.futures as cf
-            with _POOL_LOCK:
-                if _POOL is None:
-                    _one_malloc_arena()
-                    _POOL = cf.ThreadPoolExecutor(
-                        workers, thread_name_prefix="featurize")
-            futures = [_POOL.submit(fn, chunk) for chunk in chunks]
-            cf.wait(futures)
-            results = [f.result() for f in futures]
+            _one_malloc_arena()
+            # leaving the block joins every thread: chunks queued behind a
+            # failed one are cancelled, running ones finish first
+            with cf.ThreadPoolExecutor(
+                    workers, thread_name_prefix="featurize") as pool:
+                results = list(pool.map(fn, chunks))
     out: list = [None] * len(lengths)
     for chunk, got in zip(chunks, results):
         for i, r in zip(chunk, got):
@@ -334,7 +314,7 @@ class LowerEncoder:
 
         Sentences of equal piece count run together through
         `map_equal_length`, as [n, S, d] forwards of at most `BATCH_ROWS`
-        pieces; from `POOL_MIN_WIDTH` on, on its thread pool. Each item's
+        pieces; from `POOL_MIN_WIDTH` on, on helper threads. Each item's
         products are its own (see `T.linear`), so a vector has the same bits
         whatever sentences shared its chunk and whichever thread ran it. One
         warning line says how many sentences were cut to `_MAX_PIECES`

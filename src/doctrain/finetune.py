@@ -105,34 +105,30 @@ def macro_f1(y_true, y_pred, num_classes: int) -> float:
     y_pred = np.asarray(y_pred)
     if y_true.shape != y_pred.shape or y_true.size == 0:
         raise ValidationError("macro_f1 needs two equal non-empty label lists")
-    scores = []
-    for c in range(num_classes):
-        tp = int(((y_true == c) & (y_pred == c)).sum())
-        fp = int(((y_true != c) & (y_pred == c)).sum())
-        fn = int(((y_true == c) & (y_pred != c)).sum())
-        if tp + fn == 0:
-            continue  # no support
-        precision = tp / (tp + fp) if tp + fp else 0.0
-        recall = tp / (tp + fn)
-        f1 = (2 * precision * recall / (precision + recall)
-              if precision + recall else 0.0)
-        scores.append(f1)
+    scores = [_class_f1(y_true, y_pred, c) for c in range(num_classes)]
+    scores = [f1 for f1 in scores if f1 is not None]
     if not scores:
         raise ValidationError("no class has support in y_true")
     return float(np.mean(scores))
 
 
-def binary_f1(y_true, y_pred, positive: int = 1) -> float:
-    y_true = np.asarray(y_true)
-    y_pred = np.asarray(y_pred)
-    tp = int(((y_true == positive) & (y_pred == positive)).sum())
-    fp = int(((y_true != positive) & (y_pred == positive)).sum())
-    fn = int(((y_true == positive) & (y_pred != positive)).sum())
+def binary_f1(y_true, y_pred) -> float:
+    """F1 of class 1; 0 where class 1 never occurs in y_true."""
+    return _class_f1(np.asarray(y_true), np.asarray(y_pred), 1) or 0.0
+
+
+def _class_f1(y_true: np.ndarray, y_pred: np.ndarray, c: int) -> float | None:
+    """F1 of class `c`; None where `c` never occurs in y_true."""
+    tp = int(((y_true == c) & (y_pred == c)).sum())
+    fp = int(((y_true != c) & (y_pred == c)).sum())
+    fn = int(((y_true == c) & (y_pred != c)).sum())
+    if tp + fn == 0:
+        return None
     if tp == 0:
         return 0.0
     precision = tp / (tp + fp)
     recall = tp / (tp + fn)
-    return float(2 * precision * recall / (precision + recall))
+    return 2 * precision * recall / (precision + recall)
 
 
 def span_token_f1(pred: tuple[int, int] | None,
@@ -290,14 +286,15 @@ class TokenTaggerModel:
             raise ValidationError(
                 f"labels {sorted(set(bad))} outside [0, {self.num_classes})")
 
-    def _ids(self, ex: TokenClassExample) -> list[int]:
-        return (encode_tokens(list(ex.tokens), self.model.config.vocab_size)
-                [:self.model.config.max_positions])
+    def _seqs(self, batch: list[TokenClassExample]) -> list[list[int]]:
+        vocab = self.model.config.vocab_size
+        return self.model.fit_positions(
+            [encode_tokens(list(ex.tokens), vocab) for ex in batch])
 
     def _logits(self, batch: list[TokenClassExample]):
         """Logits [N, C] of every kept token of the batch, in example order,
         from one padded pass; plus each example's kept length."""
-        seqs = [self._ids(ex) for ex in batch]
+        seqs = self._seqs(batch)
         out = self.model.encode_token_batch(seqs)
         b, s, d = out.shape
         kept = np.concatenate([i * s + np.arange(len(q))
@@ -324,7 +321,7 @@ class TokenTaggerModel:
         alone."""
         for ex in examples:
             self._check(ex)
-        seqs = [self._ids(ex) for ex in examples]
+        seqs = self._seqs(examples)
 
         def labels(chunk):
             out = self.model.encode_token_batch([seqs[i] for i in chunk])
@@ -362,9 +359,9 @@ class PairClassifierModel:
 
     def _seqs(self, batch: list[PairExample]) -> list[list[int]]:
         vocab = self.model.config.vocab_size
-        return [([CLS_ID] + encode_tokens(list(ex.first), vocab) + [SEP_ID]
-                 + encode_tokens(list(ex.second), vocab))
-                [:self.model.config.max_positions] for ex in batch]
+        return self.model.fit_positions(
+            [[CLS_ID] + encode_tokens(list(ex.first), vocab) + [SEP_ID]
+             + encode_tokens(list(ex.second), vocab) for ex in batch])
 
     def _logits(self, seqs: list[list[int]]) -> Tensor:
         """[B, 2] logits from each sequence's first output row, one pass. The

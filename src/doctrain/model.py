@@ -113,6 +113,17 @@ class DocumentModel:
         return [np.stack([self.lower.embed(s) for s in sentences], axis=0)
                 for sentences in kept]
 
+    def fit_positions(self, seqs: list[list[int]],
+                      what: str = "sequences") -> list[list[int]]:
+        """Each id sequence cut to `max_positions` ids; one warning line says
+        how many were cut."""
+        cap = self.config.max_positions
+        cut = sum(len(ids) > cap for ids in seqs)
+        if cut:
+            log.warning("truncated %d of %d %s to max_positions=%d", cut,
+                        len(seqs), what, cap)
+        return [ids[:cap] for ids in seqs]
+
     def encode_matrices(self, matrices: list[np.ndarray]) -> Tensor:
         """N [S_i, d] sentence-vector matrices -> [N, d] document vectors.
 

@@ -217,12 +217,15 @@ def _tfidf_matrix(token_lists: list[list[str]]) -> tuple[np.ndarray, list[str]]:
     return x, vocab
 
 
-def _kmeans(x: np.ndarray, k: int, rng: np.random.Generator,
-            iters: int = 25) -> np.ndarray:
+# Lloyd iterations per split, a fixed count so a seed fixes the taxonomy
+_KMEANS_ITERS = 25
+
+
+def _kmeans(x: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
     n = x.shape[0]
     centers = x[rng.choice(n, size=k, replace=False)].copy()
     assign = np.zeros(n, dtype=np.int64)
-    for _ in range(iters):
+    for _ in range(_KMEANS_ITERS):
         d2 = ((x[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
         assign = d2.argmin(axis=1)
         for j in range(k):

@@ -487,18 +487,19 @@ def cross_entropy_rows(logits, targets, reduction: str = "mean",
     return _make(np.asarray(out), (logits,), bw)
 
 
-def euclidean_distance(a, b, axis: int = -1) -> Tensor:
-    """L2 distance along `axis`; backward guarded where the distance is 0."""
+def euclidean_distance(a, b) -> Tensor:
+    """L2 distance along the last axis; backward guarded where the distance
+    is 0."""
     a, b = _pair(a, b)
     if a.shape != b.shape:
         raise ShapeError(f"distance operands differ in shape: {a.shape} vs {b.shape}")
     diff = a.data - b.data
-    dist = np.sqrt((diff * diff).sum(axis=axis))
+    dist = np.sqrt((diff * diff).sum(axis=-1))
 
     def bw(g):
         g = np.asarray(g)
-        denom = np.maximum(np.expand_dims(dist, axis), _EPS_DIV)
-        local = diff / denom * np.expand_dims(g, axis)
+        denom = np.maximum(dist[..., None], _EPS_DIV)
+        local = diff / denom * g[..., None]
         _accum(a, local)
         _accum(b, -local)
 

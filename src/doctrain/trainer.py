@@ -249,12 +249,9 @@ def pretrain_mlm(model: DocumentModel, corpus: Corpus,
     if not docs:
         raise ValidationError("empty corpus")
     vocab = model.config.vocab_size
-    sequences = []
-    for d in docs:
-        ids = encode_tokens(tokenize(" ".join(d.sentences)),
-                            vocab)[:model.config.max_positions]
-        if len(ids) >= 2:
-            sequences.append(ids)
+    sequences = [ids for ids in model.fit_positions(
+        [encode_tokens(tokenize(" ".join(d.sentences)), vocab) for d in docs])
+        if len(ids) >= 2]
     if not sequences:
         raise ValidationError("no document yields a 2+ token sequence")
 

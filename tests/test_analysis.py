@@ -138,7 +138,7 @@ class TestRepresentationCorrelation:
     def test_token_truncation_is_one_summary_line(self, rng, caplog):
         model = DocumentModel(small_config(max_positions=8))
         docs = [sentences(rng, n) for n in (1, 3, 2, 5)]  # 4 words each
-        with caplog.at_level("WARNING", logger="doctrain.analysis"):
+        with caplog.at_level("WARNING", logger="doctrain.model"):
             representation_correlation(model, docs)
         assert [r.message for r in caplog.records] == [
             "truncated 2 of 4 documents to max_positions=8"]

@@ -116,6 +116,20 @@ class TestLogLevel:
         assert ("INFO doctrain.cli: wrote 2 triplets" in proc.stderr) \
             == info_shown
 
+    def test_module_run_logs_as_doctrain_cli(self, tmp_path):
+        """`python -m doctrain.cli` logs under the name the console script
+        logs under, not `__main__`."""
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        env = dict(os.environ, PYTHONPATH=os.path.abspath(src),
+                   DOCTRAIN_LOG="info")
+        proc = subprocess.run(
+            [sys.executable, "-m", "doctrain.cli", "mine", "--corpus", CORPUS,
+             "--out", str(tmp_path / "t.jsonl"), "--mode", "customer_support",
+             "--count", "2"],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert "INFO doctrain.cli: wrote 2 triplets" in proc.stderr
+
     def test_unknown_level_exits_2_before_any_work(self, tmp_path,
                                                    monkeypatch, capsys):
         monkeypatch.setenv("DOCTRAIN_LOG", "LOUD")

@@ -272,10 +272,10 @@ class TestLowerEncoder:
         assert vec.shape == (16,) and np.isfinite(vec).all()
 
     def test_featurize_matches_one_sentence_at_a_time(self, two_cpus):
-        """Batched featurizing on the pool gives every sentence the bits a
-        featurizer gives it alone, under the same cache keys: mixed piece
-        counts, a repeat, the degenerate sentence, and more equal-length
-        sentences than one chunk holds."""
+        """Batched featurizing on helper threads gives every sentence the
+        bits a featurizer gives it alone, under the same cache keys: mixed
+        piece counts, a repeat, the degenerate sentence, and more
+        equal-length sentences than one chunk holds."""
         cfg = wide_config()
         same = [f"s{i:03d} pump fail" for i in range(40)]
         lengths = {len(subword_ids(s, cfg.vocab_size)) for s in same}
@@ -284,7 +284,7 @@ class TestLowerEncoder:
                      "alpha beta"]
         batched, alone = LowerEncoder(cfg), LowerEncoder(cfg)
         batched.featurize(sentences)
-        assert encoder._POOL is not None
+        assert helpers_ran(two_cpus)
         assert len(batched._cache) == len(sentences) - 1
         for s in sentences:
             assert np.array_equal(batched.embed(s), alone.embed(s)), s
@@ -320,14 +320,29 @@ class TestLowerEncoder:
 
 @pytest.fixture
 def two_cpus(monkeypatch):
-    """No featurizer pool yet, and two CPUs whatever the machine has, so the
-    pool's helper threads run on a one-CPU machine too; a pool the test
-    starts is shut down after it."""
+    """Two CPUs whatever the machine has, so the featurizer's helper threads
+    run on a one-CPU machine too; the list of the names of the threads
+    every featurizer forward ran on, in call order."""
     monkeypatch.setattr(encoder, "_cpus", lambda: 2)
-    monkeypatch.setattr(encoder, "_POOL", None)
-    yield
-    if encoder._POOL is not None:
-        encoder._POOL.shutdown()
+    names = []
+    body = LowerEncoder._mean_pooled
+
+    def recording(self, pieces):
+        names.append(threading.current_thread().name)
+        return body(self, pieces)
+
+    monkeypatch.setattr(LowerEncoder, "_mean_pooled", recording)
+    return names
+
+
+def helpers_ran(names) -> bool:
+    """Whether any of these thread names is a featurizer helper's."""
+    return any(name.startswith("featurize") for name in names)
+
+
+def live_helpers() -> list[str]:
+    return [t.name for t in threading.enumerate()
+            if t.name.startswith("featurize")]
 
 
 def wide_config():
@@ -369,22 +384,36 @@ class TestFeaturizerPool:
         monkeypatch.setattr(lower.layers[0], "forward", failing)
         with pytest.raises(RuntimeError, match="chunk failed"):
             lower.featurize(self.TWO_CHUNKS)
-        assert encoder._POOL is not None
+        assert helpers_ran(two_cpus)
         assert T._GRAD_ENABLED[0] is True
+
+    def test_no_helper_thread_outlives_the_call(self, two_cpus, monkeypatch):
+        """The helpers are joined before `featurize` returns or raises, so
+        none is left to run, hold memory or be lost in a fork."""
+        lower = LowerEncoder(wide_config())
+        lower.featurize(self.TWO_CHUNKS)
+        assert helpers_ran(two_cpus) and live_helpers() == []
+
+        def failing(*args, **kwargs):
+            raise RuntimeError("chunk failed")
+
+        monkeypatch.setattr(lower.layers[0], "forward", failing)
+        with pytest.raises(RuntimeError, match="chunk failed"):
+            lower.featurize(["x", "x y z"])
+        assert live_helpers() == []
 
     def test_one_chunk_narrow_layers_or_one_cpu_start_no_pool(
             self, two_cpus, monkeypatch):
         cfg = wide_config()
         LowerEncoder(cfg).featurize(["one chunk", "two chunk"])
-        assert encoder._POOL is None
         LowerEncoder(small_config(d_model=POOL_MIN_WIDTH // 2)).featurize(
             self.TWO_CHUNKS)
-        assert encoder._POOL is None
         monkeypatch.setattr(encoder, "_cpus", lambda: 1)
         lower = LowerEncoder(cfg)
         lower.featurize(self.TWO_CHUNKS)
-        assert encoder._POOL is None
         assert list(lower._cache) == self.TWO_CHUNKS
+        assert len(two_cpus) == 5
+        assert set(two_cpus) == {threading.current_thread().name}
 
     def test_token_finetune_starts_no_pool(self, two_cpus):
         train = [TokenClassExample(("one", "alpha", "two"), (1, 0, 1)),
@@ -392,7 +421,7 @@ class TestFeaturizerPool:
         finetune_token_classification(
             DocumentModel(wide_config()), train, train[:2], 2,
             FinetuneConfig(lr=1e-3, epochs=1))
-        assert encoder._POOL is None
+        assert not helpers_ran(two_cpus)
 
     def test_only_featurize_runs_chunks_on_the_pool(self, two_cpus,
                                                     monkeypatch):
@@ -411,7 +440,7 @@ class TestFeaturizerPool:
         docs = [["a"], ["a b c", "x"], ["one two", "three", "four"],
                 ["a"], ["pump"]]
         model.encode_documents(docs)
-        assert encoder._POOL is not None
+        assert helpers_ran(two_cpus)
         representation_correlation(model, docs)
         TokenTaggerModel(model, 2).evaluate(
             [TokenClassExample(("one", "alpha", "two"), (1, 0, 1)),
@@ -476,16 +505,19 @@ import numpy as np
 from doctrain import encoder
 from doctrain.encoder import LowerEncoder, ModelConfig
 
-encoder._cpus = lambda: 2  # the pool starts on a one-CPU machine too
+encoder._cpus = lambda: 2  # helpers start on a one-CPU machine too
 cfg = ModelConfig(d_model=64, num_layers=1, num_heads=4, ffn_dim=64,
                   vocab_size=512, lower_layers=1, seed=7)
 sentences = ["a", "a b c"]  # two chunks: 2 and 6 pieces
 parent = LowerEncoder(cfg)
-# both chunks wait for each other, so the pool starts both its threads
+# both chunks wait for each other, so the call starts both its threads
 barrier, body = threading.Barrier(2, timeout=10), parent._mean_pooled
-parent._mean_pooled = lambda pieces: (barrier.wait(), body(pieces))[1]
+names = []
+parent._mean_pooled = lambda pieces: (
+    names.append(threading.current_thread().name), barrier.wait(),
+    body(pieces))[2]
 parent.featurize(sentences)
-assert encoder._POOL is not None
+assert len(set(names)) == 2 and all(n.startswith("featurize") for n in names)
 want = np.stack([parent.embed(s) for s in sentences])
 r, w = os.pipe()
 pid = os.fork()
@@ -507,9 +539,9 @@ print(os.waitstatus_to_exitcode(status),
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
 def test_a_forked_child_featurizes_on_its_own_pool():
-    """A child forked after the parent's pool started gets a pool of its
-    own: its pooled featurize returns the parent's vectors instead of
-    waiting on helper threads that did not survive the fork."""
+    """A child forked after the parent featurized on helper threads starts
+    helpers of its own: its threaded featurize returns the parent's vectors
+    instead of waiting on helper threads that did not survive the fork."""
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
     proc = subprocess.run([sys.executable, "-c", FORK_CHILD], env=env,

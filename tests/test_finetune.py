@@ -347,6 +347,19 @@ class TestTokenTagger:
         with pytest.raises(ValidationError):
             task.evaluate([])
 
+    def test_truncation_is_one_line_per_call(self, caplog):
+        """Eight tag tokens train and predict on four, and say so."""
+        task = TokenTaggerModel(DocumentModel(small_config(max_positions=4)),
+                                2)
+        batch = [TokenClassExample(tuple(f"t{i}" for i in range(n)),
+                                   (1,) * n) for n in (8, 3, 5)]
+        with caplog.at_level("WARNING", logger="doctrain.model"):
+            task.batch_loss(batch)
+            preds = task._predict(batch)
+        assert [r.message for r in caplog.records] == [
+            "truncated 2 of 3 sequences to max_positions=4"] * 2
+        assert [len(p) for p in preds] == [4, 3, 4]
+
 
 def pairwise_scan(s_log, e_log, offset, kept):
     """Every legal span in row-major (s, e) order; the first strictly best
@@ -591,6 +604,16 @@ class TestPairClassifier:
         assert task.evaluate(examples) == {
             "accuracy": accuracy(y_true, preds),
             "f1": binary_f1(y_true, preds)}
+
+    def test_truncation_is_one_line_per_call(self, caplog):
+        task = PairClassifierModel(DocumentModel(small_config(max_positions=4)))
+        batch = [PairExample(("a", "b"), ("c", "d"), 1),  # 6 ids, cut
+                 PairExample(("a",), ("b",), 0)]           # 4 ids, kept
+        with caplog.at_level("WARNING", logger="doctrain.model"):
+            task.batch_loss(batch)
+            task.evaluate(batch)
+        assert [r.message for r in caplog.records] == [
+            "truncated 1 of 2 sequences to max_positions=4"] * 2
 
     def test_first_position_drives_the_decision(self):
         model = DocumentModel(small_config())

@@ -416,6 +416,21 @@ class TestPretrainMlm:
                      quick_config(batch_size=64))
         assert seen == [(False, True, True)]
 
+    def test_truncation_is_one_line_per_call(self, monkeypatch, caplog):
+        from doctrain.corpus import Corpus, Document
+        words = lambda n: " ".join(f"w{i}" for i in range(n))
+        corpus = Corpus([Document(id=str(n), sentences=(words(n),))
+                         for n in (8, 3, 6, 2)], "derived")
+        model, lengths = fresh_model(max_positions=4), set()
+        encode = model.encode_token_batch
+        monkeypatch.setattr(model, "encode_token_batch", lambda seqs: (
+            lengths.update(len(q) for q in seqs), encode(seqs))[1])
+        with caplog.at_level("WARNING", logger="doctrain.model"):
+            pretrain_mlm(model, corpus, quick_config())
+        assert [r.message for r in caplog.records] == [
+            "truncated 2 of 4 sequences to max_positions=4"]
+        assert lengths == {2, 3, 4}
+
     def test_short_documents_rejected(self):
         from doctrain.corpus import Corpus, Document
         corpus = Corpus([Document(id="a", sentences=("word",))], "derived")
