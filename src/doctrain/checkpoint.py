@@ -33,12 +33,6 @@ class Checkpoint:
     version: int = FORMAT_VERSION
     digest: str = field(default="", compare=False)
 
-    def tensor(self, name: str) -> np.ndarray:
-        arr = self.tensors.get(name)
-        if arr is None:
-            raise CorruptCheckpoint(f"checkpoint has no tensor {name!r}")
-        return arr
-
 
 def checkpoint_bytes(ckpt: Checkpoint) -> bytes:
     """Serialize; tensor order is the sorted name order, so equal contents

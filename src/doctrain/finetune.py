@@ -13,7 +13,7 @@ from .encoder import key_padding_bias, map_equal_length
 from .errors import ConfigError, NumericError, ValidationError
 from .model import DocumentModel
 from .optim import AdamW, ParamGroup
-from .records import list_field, read_jsonl
+from .records import int_field, int_list_field, list_field, read_jsonl
 from .seeding import make_rng
 from .tensor import Tensor, backward
 from .text import CLS_ID, SEP_ID, encode_tokens
@@ -160,30 +160,68 @@ def best_span(s_log: np.ndarray, e_log: np.ndarray, offset: int,
     return (s, e) if scores[s, e] > s_log[0] + e_log[0] else None
 
 
-class SpanQaModel:
+class _TokenTask:
+    """What the three task heads share: zero (w, b) heads over the token
+    path, one padded pass per training batch, and prediction over
+    equal-length chunks. A task adds how its examples become id sequences
+    (`_seqs`), its loss from the padded outputs (`_loss`), its answers for
+    one equal-length chunk (`_answers`) and its metrics (`_metrics`)."""
+
+    primary_metric: str
+
+    def __init__(self, model: DocumentModel, *widths: int):
+        self.model = model
+        self._heads = [model.zero_head(n) for n in widths]
+
+    def head_tensors(self) -> list[Tensor]:
+        return [t for head in self._heads for t in head]
+
+    def batch_loss(self, batch: list) -> Tensor:
+        seqs = self._seqs(batch)
+        return self._loss(batch, seqs, self.model.encode_token_batch(seqs))
+
+    def _predict(self, examples: list) -> list:
+        """Each example's prediction, from one `_seqs` of the set. Examples
+        of equal sequence length run together through `map_equal_length`;
+        each prediction is the one the example gets alone."""
+        seqs = self._seqs(examples)
+
+        def answers(chunk):
+            part = [seqs[i] for i in chunk]
+            return self._answers([examples[i] for i in chunk], part,
+                                 self.model.encode_token_batch(part))
+
+        return map_equal_length([len(q) for q in seqs], answers)
+
+    def predict(self, ex):
+        return self._predict([ex])[0]
+
+    def evaluate(self, examples) -> dict[str, float]:
+        if not examples:
+            raise ValidationError("no examples to evaluate")
+        return self._metrics(examples, self._predict(examples))
+
+
+class SpanQaModel(_TokenTask):
     """Joint start/end span scorer over [CLS] question [SEP] context.
 
     Position 0 (the leading classification slot) doubles as the
     no-answer target, so unanswerable examples train toward span (0, 0).
+    An example's context starts at position 2 + len(question).
     """
 
     primary_metric = "f1"
 
     def __init__(self, model: DocumentModel):
-        self.model = model
-        self.w_start, self.b_start = model.zero_head(1)
-        self.w_end, self.b_end = model.zero_head(1)
+        super().__init__(model, 1, 1)
+        (self.w_start, self.b_start), (self.w_end, self.b_end) = self._heads
 
-    def head_tensors(self) -> list[Tensor]:
-        return [self.w_start, self.b_start, self.w_end, self.b_end]
-
-    def _encode(self, batch: list[SpanQaExample]):
-        """Each example's ids of [CLS] question [SEP] context, the index of
-        its first context position and its kept context length; one warning
+    def _seqs(self, batch: list[SpanQaExample]) -> list[list[int]]:
+        """Each example's ids of [CLS] question [SEP] context; one warning
         line says how many contexts were cut to fit."""
         vocab = self.model.config.vocab_size
         budget = self.model.config.max_positions
-        encoded = []
+        seqs = []
         cut = 0
         for ex in batch:
             q_ids = encode_tokens(list(ex.question), vocab)
@@ -194,35 +232,30 @@ class SpanQaModel:
                     f"question of {len(q_ids)} tokens leaves no room for "
                     f"context within {budget} positions")
             cut += len(ctx_ids) > room
-            ctx_ids = ctx_ids[:room]
-            encoded.append(([CLS_ID] + q_ids + [SEP_ID] + ctx_ids,
-                            2 + len(q_ids), len(ctx_ids)))
+            seqs.append([CLS_ID] + q_ids + [SEP_ID] + ctx_ids[:room])
         if cut:
             log.warning("truncated %d of %d contexts to fit %d positions",
                         cut, len(batch), budget)
-        return encoded
+        return seqs
 
-    def _scores(self, seqs: list[list[int]]):
-        """[B, T_max] start and end logits of one padded pass over id
-        sequences, -inf past each sequence's end. The heads see [B, T, d]
-        items, so under `no_grad` each item's products are its own."""
-        out = self.model.encode_token_batch(seqs)
+    def _logits(self, out: Tensor, seqs: list[list[int]]) -> list[Tensor]:
+        """[B, T_max] start and end logits, -inf past each sequence's end.
+        The heads see [B, T, d] items, so under `no_grad` each item's
+        products are its own."""
         b, s, _ = out.shape
         pad = key_padding_bias([len(q) for q in seqs])
-        start = T.reshape(T.linear(out, self.w_start, self.b_start),
-                          (b, s)) + pad
-        end = T.reshape(T.linear(out, self.w_end, self.b_end), (b, s)) + pad
-        return start, end
+        return [T.reshape(T.linear(out, w, bias), (b, s)) + pad
+                for w, bias in self._heads]
 
-    def batch_loss(self, batch: list[SpanQaExample]) -> Tensor:
+    def _loss(self, batch, seqs, out) -> Tensor:
         """Mean over the examples of start plus end cross entropy; a gold
         span cut off by truncation trains toward no-answer."""
-        encoded = self._encode(batch)
-        start, end = self._scores([ids for ids, _, _ in encoded])
+        start, end = self._logits(out, seqs)
         ts, te = [], []
         lost = 0
-        for ex, (_, offset, kept) in zip(batch, encoded):
-            if ex.answer is None or ex.answer[1] >= kept:
+        for ex, ids in zip(batch, seqs):
+            offset = 2 + len(ex.question)
+            if ex.answer is None or ex.answer[1] >= len(ids) - offset:
                 lost += ex.answer is not None
                 s = e = 0
             else:
@@ -235,37 +268,24 @@ class SpanQaModel:
         return (T.cross_entropy_rows(start, ts, "mean")
                 + T.cross_entropy_rows(end, te, "mean"))
 
-    def _predict(self, examples: list[SpanQaExample]
-                 ) -> list[tuple[int, int] | None]:
-        """Each example's predicted context span, from one `_encode` of the
-        set. Examples of equal encoded length run together through
-        `map_equal_length`; each prediction is the one the example gets
-        alone."""
-        encoded = self._encode(examples)
+    def _answers(self, chunk, seqs, out) -> list[tuple[int, int] | None]:
+        start, end = self._logits(out, seqs)
+        return [best_span(s_log, e_log, 2 + len(ex.question),
+                          len(ids) - 2 - len(ex.question))
+                for ex, ids, s_log, e_log in zip(chunk, seqs, start.data,
+                                                 end.data)]
 
-        def spans(chunk):
-            start, end = self._scores([encoded[i][0] for i in chunk])
-            return [best_span(s_log, e_log, encoded[i][1], encoded[i][2])
-                    for i, s_log, e_log in zip(chunk, start.data, end.data)]
-
-        return map_equal_length([len(ids) for ids, _, _ in encoded], spans)
-
-    def predict(self, ex: SpanQaExample) -> tuple[int, int] | None:
-        return self._predict([ex])[0]
-
-    def evaluate(self, examples) -> dict[str, float]:
-        if not examples:
-            raise ValidationError("no examples to evaluate")
+    def _metrics(self, examples, preds) -> dict[str, float]:
         em = 0.0
         f1 = 0.0
-        for ex, pred in zip(examples, self._predict(examples)):
+        for ex, pred in zip(examples, preds):
             em += float(pred == ex.answer)
             f1 += span_token_f1(pred, ex.answer)
         n = len(examples)
         return {"exact_match": em / n, "f1": f1 / n}
 
 
-class TokenTaggerModel:
+class TokenTaggerModel(_TokenTask):
     """Per-position classifier over the token path."""
 
     primary_metric = "macro_f1"
@@ -273,40 +293,29 @@ class TokenTaggerModel:
     def __init__(self, model: DocumentModel, num_classes: int):
         if num_classes < 2:
             raise ConfigError(f"num_classes must be >= 2, got {num_classes}")
-        self.model = model
+        super().__init__(model, num_classes)
         self.num_classes = num_classes
-        self.w, self.b = model.zero_head(num_classes)
-
-    def head_tensors(self) -> list[Tensor]:
-        return [self.w, self.b]
-
-    def _check(self, ex: TokenClassExample):
-        bad = [l for l in ex.labels if not 0 <= l < self.num_classes]
-        if bad:
-            raise ValidationError(
-                f"labels {sorted(set(bad))} outside [0, {self.num_classes})")
+        self.w, self.b = self._heads[0]
 
     def _seqs(self, batch: list[TokenClassExample]) -> list[list[int]]:
+        for ex in batch:
+            bad = [l for l in ex.labels if not 0 <= l < self.num_classes]
+            if bad:
+                raise ValidationError(f"labels {sorted(set(bad))} outside "
+                                      f"[0, {self.num_classes})")
         vocab = self.model.config.vocab_size
         return self.model.fit_positions(
             [encode_tokens(list(ex.tokens), vocab) for ex in batch])
 
-    def _logits(self, batch: list[TokenClassExample]):
-        """Logits [N, C] of every kept token of the batch, in example order,
-        from one padded pass; plus each example's kept length."""
-        seqs = self._seqs(batch)
-        out = self.model.encode_token_batch(seqs)
+    def _loss(self, batch, seqs, out) -> Tensor:
+        """Mean over the examples of each one's mean token cross entropy,
+        over the logits [N, C] of every kept token in example order."""
         b, s, d = out.shape
         kept = np.concatenate([i * s + np.arange(len(q))
                                for i, q in enumerate(seqs)])
         rows = T.embedding(T.reshape(out, (b * s, d)), kept)
-        return T.linear(rows, self.w, self.b), [len(q) for q in seqs]
-
-    def batch_loss(self, batch: list[TokenClassExample]) -> Tensor:
-        """Mean over the examples of each one's mean token cross entropy."""
-        for ex in batch:
-            self._check(ex)
-        logits, lengths = self._logits(batch)
+        logits = T.linear(rows, self.w, self.b)
+        lengths = [len(q) for q in seqs]
         targets = np.concatenate([ex.labels[:n]
                                   for ex, n in zip(batch, lengths)])
         weights = np.concatenate([np.full(n, 1.0 / (n * len(batch)))
@@ -314,48 +323,29 @@ class TokenTaggerModel:
         return T.cross_entropy_rows(logits, targets, reduction="sum",
                                     weights=weights)
 
-    def _predict(self, examples: list[TokenClassExample]) -> list[list[int]]:
-        """Each example's predicted class per kept token. Examples of equal
-        kept length run together through `map_equal_length`, with the head
-        applied to [n, T, d]; each prediction is the one the example gets
-        alone."""
-        for ex in examples:
-            self._check(ex)
-        seqs = self._seqs(examples)
+    def _answers(self, chunk, seqs, out) -> list[list[int]]:
+        """Each kept token's class, with the head applied to [n, T, d]."""
+        return [[int(c) for c in row] for row in
+                T.linear(out, self.w, self.b).data.argmax(axis=-1)]
 
-        def labels(chunk):
-            out = self.model.encode_token_batch([seqs[i] for i in chunk])
-            return [[int(c) for c in row] for row in
-                    T.linear(out, self.w, self.b).data.argmax(axis=-1)]
-
-        return map_equal_length([len(q) for q in seqs], labels)
-
-    def predict(self, ex: TokenClassExample) -> list[int]:
-        return self._predict([ex])[0]
-
-    def evaluate(self, examples) -> dict[str, float]:
-        if not examples:
-            raise ValidationError("no examples to evaluate")
+    def _metrics(self, examples, preds) -> dict[str, float]:
         y_true: list[int] = []
         y_pred: list[int] = []
-        for ex, pred in zip(examples, self._predict(examples)):
+        for ex, pred in zip(examples, preds):
             y_true.extend(ex.labels[:len(pred)])
             y_pred.extend(pred)
         return {"macro_f1": macro_f1(y_true, y_pred, self.num_classes),
                 "accuracy": accuracy(y_true, y_pred)}
 
 
-class PairClassifierModel:
+class PairClassifierModel(_TokenTask):
     """Two-way classifier on the first-position output of [CLS] a [SEP] b."""
 
     primary_metric = "accuracy"
 
     def __init__(self, model: DocumentModel):
-        self.model = model
-        self.w, self.b = model.zero_head(2)
-
-    def head_tensors(self) -> list[Tensor]:
-        return [self.w, self.b]
+        super().__init__(model, 2)
+        self.w, self.b = self._heads[0]
 
     def _seqs(self, batch: list[PairExample]) -> list[list[int]]:
         vocab = self.model.config.vocab_size
@@ -363,43 +353,27 @@ class PairClassifierModel:
             [[CLS_ID] + encode_tokens(list(ex.first), vocab) + [SEP_ID]
              + encode_tokens(list(ex.second), vocab) for ex in batch])
 
-    def _logits(self, seqs: list[list[int]]) -> Tensor:
-        """[B, 2] logits from each sequence's first output row, one pass. The
-        head sees [B, 1, d] items, so under `no_grad` each item's product is
-        its own."""
-        out = self.model.encode_token_batch(seqs)
+    def _logits(self, out: Tensor) -> Tensor:
+        """[B, 2] logits from each sequence's first output row. The head sees
+        [B, 1, d] items, so under `no_grad` each item's product is its
+        own."""
         b, s, d = out.shape
         first = T.embedding(T.reshape(out, (b * s, d)),
                             (np.arange(b) * s)[:, None])
         return T.reshape(T.linear(first, self.w, self.b), (b, 2))
 
-    def batch_loss(self, batch: list[PairExample]) -> Tensor:
-        return T.cross_entropy_rows(self._logits(self._seqs(batch)),
+    def _loss(self, batch, seqs, out) -> Tensor:
+        return T.cross_entropy_rows(self._logits(out),
                                     np.array([ex.label for ex in batch]),
                                     reduction="mean")
 
-    def _predict(self, examples: list[PairExample]) -> list[int]:
-        """Each example's predicted label. Examples of equal sequence length
-        run together through `map_equal_length`; each prediction is the one
-        the example gets alone."""
-        seqs = self._seqs(examples)
+    def _answers(self, chunk, seqs, out) -> list[int]:
+        return [int(row.argmax()) for row in self._logits(out).data]
 
-        def labels(chunk):
-            logits = self._logits([seqs[i] for i in chunk])
-            return [int(row.argmax()) for row in logits.data]
-
-        return map_equal_length([len(q) for q in seqs], labels)
-
-    def predict(self, ex: PairExample) -> int:
-        return self._predict([ex])[0]
-
-    def evaluate(self, examples) -> dict[str, float]:
-        if not examples:
-            raise ValidationError("no examples to evaluate")
+    def _metrics(self, examples, preds) -> dict[str, float]:
         y_true = [ex.label for ex in examples]
-        y_pred = self._predict(examples)
-        return {"accuracy": accuracy(y_true, y_pred),
-                "f1": binary_f1(y_true, y_pred)}
+        return {"accuracy": accuracy(y_true, preds),
+                "f1": binary_f1(y_true, preds)}
 
 
 def _snapshot(tensors: list[Tensor]) -> list[np.ndarray]:
@@ -475,8 +449,8 @@ def load_span_qa(path) -> list[SpanQaExample]:
     def build(obj, _):
         answer = obj["answer"]
         if answer is not None:
-            start, end = list_field(obj, "answer")
-            answer = (int(start), int(end))
+            start, end = int_list_field(obj, "answer")
+            answer = (start, end)
         return SpanQaExample(list_field(obj, "question"),
                              list_field(obj, "context"), answer)
     return read_jsonl(path, build)
@@ -485,15 +459,14 @@ def load_span_qa(path) -> list[SpanQaExample]:
 def load_token_class(path) -> list[TokenClassExample]:
     """JSONL: {"tokens": [...], "labels": [int per token]}"""
     return read_jsonl(path, lambda obj, _: TokenClassExample(
-        list_field(obj, "tokens"),
-        tuple(int(v) for v in list_field(obj, "labels"))))
+        list_field(obj, "tokens"), int_list_field(obj, "labels")))
 
 
 def load_pairs(path) -> list[PairExample]:
     """JSONL: {"first": [...], "second": [...], "label": 0 | 1}"""
     return read_jsonl(path, lambda obj, _: PairExample(
         list_field(obj, "first"), list_field(obj, "second"),
-        int(obj["label"])))
+        int_field(obj, "label")))
 
 
 def finetune_span_qa(model: DocumentModel, train: list[SpanQaExample],

@@ -226,6 +226,9 @@ class DocumentModel:
 
     @classmethod
     def from_checkpoint(cls, ckpt: Checkpoint) -> "DocumentModel":
+        """The model `ckpt` holds. The model takes the checkpoint's float32
+        arrays rather than copies, and training updates them in place: load
+        a `Checkpoint` into one model only, or copy its arrays first."""
         raw = ckpt.meta.get("config")
         if not raw:
             raise CorruptCheckpoint("checkpoint metadata has no config echo")
@@ -239,12 +242,12 @@ class DocumentModel:
         if missing:
             raise CorruptCheckpoint(f"checkpoint lacks tensors: {missing[:5]}")
         for name, t in expected.items():
-            arr = ckpt.tensor(name)
+            arr = ckpt.tensors[name]
             if tuple(arr.shape) != t.shape:
                 raise CorruptCheckpoint(
                     f"tensor {name!r} has shape {arr.shape}, expected {t.shape}"
                 )
-            t.data = arr.astype(np.float32)
+            t.data = arr.astype(np.float32, copy=False)
         return model
 
 

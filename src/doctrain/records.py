@@ -45,6 +45,28 @@ def list_field(obj: dict, name: str) -> tuple:
     return tuple(obj[name])
 
 
+def int_field(obj: dict, name: str) -> int:
+    """`obj[name]` if it is a JSON integer; 1.0, "1" and true are rejected,
+    not coerced."""
+    value = obj[name]
+    if not _is_int(value):
+        raise DataError(f"{name} must be an integer, got {json.dumps(value)}")
+    return value
+
+
+def int_list_field(obj: dict, name: str) -> tuple[int, ...]:
+    """`list_field(obj, name)` whose items are all JSON integers."""
+    values = list_field(obj, name)
+    bad = [v for v in values if not _is_int(v)]
+    if bad:
+        raise DataError(f"{name} must hold integers, got {json.dumps(bad[0])}")
+    return values
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def write_jsonl(path, rows) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         for row in rows:

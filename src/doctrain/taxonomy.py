@@ -31,10 +31,6 @@ class Taxonomy:
     def depth(self) -> int:
         return len(self.levels)
 
-    def num_classes(self, level: int) -> int:
-        """Class count including the null class."""
-        return len(self.levels[level]) + 1
-
     def null_index(self, level: int) -> int:
         return len(self.levels[level])
 

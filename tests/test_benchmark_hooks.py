@@ -14,7 +14,9 @@ import sys
 import pytest
 
 from doctrain import encoder, finetune, trainer
-from doctrain.finetune import FinetuneConfig, TokenClassExample, TokenTaggerModel
+from doctrain.finetune import (FinetuneConfig, PairClassifierModel,
+                               PairExample, SpanQaExample, SpanQaModel,
+                               TokenClassExample, TokenTaggerModel)
 from doctrain.model import DocumentModel
 from doctrain.taxonomy import Taxonomy, pad_hierarchy
 from doctrain.trainer import TrainConfig
@@ -60,6 +62,26 @@ def test_finetune_calls_its_backward_binding_once_per_step(monkeypatch):
                                               batch_size=2))
     assert result.epochs_run == 2
     assert len(calls) == 2 * 3  # ceil(5 / 2) steps per epoch
+
+
+def test_each_task_evaluate_records_one_eval_span(monkeypatch):
+    """`Tracer.install` wraps `evaluate` on each of the three task classes,
+    which inherit it from one base: one call on each task records exactly
+    one `finetune.eval` span."""
+    tracer = tracing.Tracer()
+    for cls in (SpanQaModel, TokenTaggerModel, PairClassifierModel):
+        # restored afterwards: the class gets back no attribute of its own
+        monkeypatch.setattr(cls, "evaluate", cls.evaluate)
+        tracer.wrap(cls, "evaluate", "finetune.eval")
+    model = DocumentModel(small_config())
+    for task, ex in [
+            (SpanQaModel(model), SpanQaExample(("q",), ("a", "b"), None)),
+            (TokenTaggerModel(model, 2), TokenClassExample(("a",), (1,))),
+            (PairClassifierModel(model), PairExample(("a",), ("b",), 1))]:
+        before = len(tracer.spans)
+        task.evaluate([ex, ex])
+        assert [(s["name"], s["parent"]) for s in tracer.spans[before:]] == [
+            ("finetune.eval", None)]
 
 
 @pytest.mark.parametrize("phase", ["doc", "mlm", "lora"])

@@ -110,11 +110,6 @@ class TestCorruption:
         with pytest.raises(CorruptCheckpoint, match="trailing"):
             parse_checkpoint(body + hashlib.sha256(body).digest())
 
-    def test_missing_tensor_lookup(self):
-        ckpt = sample_checkpoint()
-        with pytest.raises(CorruptCheckpoint, match="nothere"):
-            ckpt.tensor("nothere")
-
 
 class TestMalformedStructure:
     META = json.dumps({"config": {"d_model": 4}}).encode()

@@ -22,6 +22,7 @@ from doctrain.finetune import (FinetuneConfig, PairClassifierModel,
                                finetune_token_classification, load_pairs,
                                load_span_qa, load_token_class, macro_f1,
                                span_token_f1)
+from doctrain import tensor as T
 from doctrain.model import DocumentModel
 from doctrain.tensor import Tensor, backward
 from doctrain.trainer import TrainConfig, pretrain_mlm
@@ -334,7 +335,9 @@ class TestTokenTagger:
                     for n in [40] * 14 + [3, 7, 3, 64, 7]]
         preds = task._predict(examples)
         for ex, pred in zip(examples, preds):
-            alone = task._logits([ex])[0].data.argmax(axis=1).tolist()
+            out = task.model.encode_token_batch(task._seqs([ex]))
+            rows = T.reshape(out, out.shape[1:])
+            alone = T.linear(rows, task.w, task.b).data.argmax(axis=1).tolist()
             assert pred == alone == task.predict(ex)
         y_true = [c for ex in examples for c in ex.labels]
         y_pred = [c for pred in preds for c in pred]
@@ -401,7 +404,7 @@ class TestSpanQa:
         # legal pair is (3, 3) -> context span (0, 0)
         start = Tensor(np.array([[0.0, 0.0, 0.0, 0.0, 0.0, 5.0]]))
         end = Tensor(np.array([[0.0, 0.0, 0.0, 6.0, 0.0, 0.0]]))
-        monkeypatch.setattr(task, "_scores", lambda seqs: (start, end))
+        monkeypatch.setattr(task, "_logits", lambda out, seqs: (start, end))
         got = task.predict(SpanQaExample(("q",), ("a", "b", "c"), None))
         assert got == (0, 0)
 
@@ -409,7 +412,7 @@ class TestSpanQa:
         task = SpanQaModel(DocumentModel(small_config()))
         start = Tensor(np.array([[10.0, 0.0, 0.0, 0.0, 0.0, 0.0]]))
         end = Tensor(np.array([[10.0, 0.0, 0.0, 1.0, 1.0, 1.0]]))
-        monkeypatch.setattr(task, "_scores", lambda seqs: (start, end))
+        monkeypatch.setattr(task, "_logits", lambda out, seqs: (start, end))
         assert task.predict(SpanQaExample(("q",), ("a", "b", "c"), None)) is None
 
     @settings(max_examples=300, deadline=None)
@@ -489,9 +492,12 @@ class TestSpanQa:
         assert [r.message for r in caplog.records] == [
             "truncated 2 of 19 contexts to fit 64 positions"]
         for ex, pred in zip(examples, preds):
-            ids, offset, kept = task._encode([ex])[0]
-            start, end = task._scores([ids])
-            alone = best_span(start.data[0], end.data[0], offset, kept)
+            seqs = task._seqs([ex])
+            start, end = task._logits(task.model.encode_token_batch(seqs),
+                                      seqs)
+            offset = 2 + len(ex.question)
+            alone = best_span(start.data[0], end.data[0], offset,
+                              len(seqs[0]) - offset)
             assert pred == alone == task.predict(ex)
         assert len(set(preds)) > 2
         n = len(examples)
@@ -591,14 +597,14 @@ class TestPairClassifier:
         examples = [PairExample(seg(20), seg(18), int(rng.integers(2)))
                     for _ in range(30)]
         examples += [PairExample(seg(n), seg(2), 1) for n in (1, 40, 1, 3)]
+        alone = lambda ex: task._logits(
+            task.model.encode_token_batch(task._seqs([ex]))).data[0]
         # a bias at the median margin splits the predictions between classes
-        margins = [np.subtract(*task._logits(task._seqs([ex])).data[0])
-                   for ex in examples]
+        margins = [np.subtract(*alone(ex)) for ex in examples]
         task.b.data = np.array([0.0, np.median(margins)], np.float32)
         preds = task._predict(examples)
         for ex, pred in zip(examples, preds):
-            alone = int(task._logits(task._seqs([ex])).data[0].argmax())
-            assert pred == alone == task.predict(ex)
+            assert pred == int(alone(ex).argmax()) == task.predict(ex)
         assert set(preds) == {0, 1}
         y_true = [ex.label for ex in examples]
         assert task.evaluate(examples) == {

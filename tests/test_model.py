@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 from doctrain import encoder
 from doctrain import model as model_module
-from doctrain.checkpoint import (load_checkpoint, parse_checkpoint,
-                                 save_checkpoint)
+from doctrain.checkpoint import (checkpoint_bytes, load_checkpoint,
+                                 parse_checkpoint, save_checkpoint)
 from doctrain.errors import CorruptCheckpoint, LengthError, ShapeError
 from doctrain.model import GROUPS, DocumentModel, group_of
 from doctrain import tensor as T
@@ -277,6 +277,24 @@ class TestPersistence:
         monkeypatch.undo()
         assert (model.lower.state_bytes()
                 == DocumentModel(config).lower.state_bytes())
+
+    def test_a_parsed_checkpoint_lends_its_arrays(self):
+        """`from_checkpoint` adopts the float32 arrays of a parsed file
+        instead of copying them."""
+        ckpt = parse_checkpoint(checkpoint_bytes(
+            DocumentModel(small_config(level_sizes=(3,))).to_checkpoint()))
+        model = DocumentModel.from_checkpoint(ckpt)
+        for name, t in model.named_params().items():
+            assert t.data is ckpt.tensors[name], name
+
+    def test_a_float64_checkpoint_loads_as_float32(self):
+        ckpt = DocumentModel(small_config(level_sizes=(3,))).to_checkpoint()
+        ckpt.tensors = {name: arr.astype(np.float64)
+                        for name, arr in ckpt.tensors.items()}
+        restored = DocumentModel.from_checkpoint(ckpt).named_params()
+        for name, arr in ckpt.tensors.items():
+            assert restored[name].data.dtype == np.float32, name
+            assert np.array_equal(restored[name].data, arr.astype(np.float32))
 
     def test_extra_meta_is_preserved(self, tmp_path):
         model = DocumentModel(small_config())

@@ -26,16 +26,28 @@ LOADERS = {
     "pairs": (load_pairs, {"first": ["a"], "second": ["b"], "label": 1}),
 }
 
+# loader -> a field of JSON integers given values that are not, and the
+# reason that line gets
+NON_INTEGER = {
+    "span-qa": ({"answer": [0.5, 2.9]}, "answer must hold integers, got 0.5"),
+    "token-class": ({"labels": [0, "1"]},
+                    'labels must hold integers, got "1"'),
+    "pairs": ({"label": True}, "label must be an integer, got true"),
+}
 
-def _bad_file(path, good: dict):
+
+def _bad_file(path, good: dict, override: dict | None = None):
     """Line 1 valid, line 2 blank, line 3 not JSON, line 4 lacks a field,
-    and line 5 gives its first list field, if it has one, as a string."""
+    line 5 gives its first list field, if it has one, as a string, and
+    line 6, if `override` is given, replaces those fields of the record."""
     first = next(iter(good))
     lacking = {k: v for k, v in good.items() if k != first}
     lines = [json.dumps(good), "", "not json", json.dumps(lacking)]
     listed = [k for k, v in good.items() if isinstance(v, list)]
     if listed:
         lines.append(json.dumps({**good, listed[0]: "hello"}))
+    if override:
+        lines.append(json.dumps({**good, **override}))
     path.write_text("\n".join(lines) + "\n")
     return path, (listed[0] if listed else None)
 
@@ -43,7 +55,8 @@ def _bad_file(path, good: dict):
 @pytest.mark.parametrize("name", sorted(LOADERS))
 def test_every_bad_line_is_reported_in_one_parse_error(tmp_path, name):
     load, good = LOADERS[name]
-    path, string_field = _bad_file(tmp_path / "bad.jsonl", good)
+    override, reason = NON_INTEGER.get(name, (None, None))
+    path, string_field = _bad_file(tmp_path / "bad.jsonl", good, override)
     with pytest.raises(ParseError) as exc:
         load(path)
     msg = str(exc.value)
@@ -54,6 +67,9 @@ def test_every_bad_line_is_reported_in_one_parse_error(tmp_path, name):
     if string_field is not None:
         # a string is not split into one-character list items
         assert f"line 5: {string_field} must be a list" in rest
+    if reason is not None:
+        # 0.5, "1" and true are not coerced to 0, 1 and 1
+        assert f"line 6: {reason}" in rest
 
 
 def test_bad_assignments_exit_3(tmp_path, capsys):

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from doctrain.corpus import Corpus, Document
+from doctrain.encoder import ClassificationHeads
 from doctrain.errors import (ConfigError, DataError, ParseError,
                              UnmappableCategory, ValidationError)
 from doctrain.taxonomy import (HierarchyLabels, Taxonomy, WordVectors,
@@ -45,9 +46,11 @@ class TestTaxonomyStructure:
 
     def test_null_class_sits_at_the_last_index(self):
         tax = Taxonomy.from_paths(CS_PATHS)
+        heads = ClassificationHeads(4, tax.level_sizes)
         for lv in range(tax.depth):
             assert tax.null_index(lv) == len(tax.levels[lv])
-            assert tax.num_classes(lv) == len(tax.levels[lv]) + 1
+            # the null class is the last column of its level's head
+            assert heads.biases[lv].shape == (tax.null_index(lv) + 1,)
 
     def test_level_sizes_exclude_the_null_class(self):
         tax = Taxonomy.from_paths(CS_PATHS)
