@@ -134,7 +134,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-triplets", type=int, default=4000,
                    help="cap on triplets actually trained on")
     p.add_argument("--lora-rank", type=int, default=0,
-                   help="> 0 trains low-rank adapters instead of base weights")
+                   help="> 0 trains low-rank adapters instead of base "
+                        "weights (doc objective only)")
     p.add_argument("--lora-targets", nargs="+", default=["query", "value"],
                    choices=list(LORA_TARGETS),
                    help="projections receiving adapters")

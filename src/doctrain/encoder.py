@@ -28,7 +28,7 @@ log = logging.getLogger(__name__)
 
 LORA_TARGETS = ("query", "key", "value", "output", "ffn")
 
-# the layer weights each LoRA target adapts, in LoraPair order
+# the layer weights each LoRA target adapts, by checkpoint name
 _LORA_WEIGHTS = {"query": ("attention.query.weight",),
                  "key": ("attention.key.weight",),
                  "value": ("attention.value.weight",),
@@ -180,49 +180,54 @@ def key_padding_bias(lengths: list[int]) -> np.ndarray:
     return np.where(np.arange(lengths.max()) < lengths[:, None], 0.0, -np.inf)
 
 
+def layer_shapes(d: int, f: int) -> dict[str, tuple[int, ...]]:
+    """A layer's parameters at width `d` and feed-forward width `f`,
+    checkpoint name -> shape, in the order the weights draw from the seed."""
+    return {
+        "attention.query.weight": (d, d), "attention.query.bias": (d,),
+        "attention.key.weight": (d, d), "attention.key.bias": (d,),
+        "attention.value.weight": (d, d), "attention.value.bias": (d,),
+        "attention.output.weight": (d, d), "attention.output.bias": (d,),
+        "norm1.gain": (d,), "norm1.bias": (d,),
+        "ffn.w1": (d, f), "ffn.b1": (f,),
+        "ffn.w2": (f, d), "ffn.b2": (d,),
+        "norm2.gain": (d,), "norm2.bias": (d,),
+    }
+
+
+def _prefixed(prefix: str, layers: list[TransformerLayer]) -> dict[str, Tensor]:
+    return {f"{prefix}.{i}.{name}": t
+            for i, layer in enumerate(layers)
+            for name, t in layer.params.items()}
+
+
 class TransformerLayer:
-    """One post-norm block: self-attention, then a GELU feed-forward. With
+    """One post-norm block: self-attention, then a GELU feed-forward. Its
+    tensors are `params`, keyed by checkpoint name (see `layer_shapes`). With
     `rng` None every tensor is a placeholder for a checkpoint to fill."""
 
     def __init__(self, d_model: int, num_heads: int, ffn_dim: int,
                  rng: np.random.Generator | None, trainable: bool):
         self.d_model = d_model
         self.num_heads = num_heads
-        mk = lambda *shape: Tensor(_init(rng, *shape), requires_grad=trainable)
-        zeros = lambda *shape: Tensor(np.zeros(shape, np.float32),
-                                      requires_grad=trainable)
-        ones = lambda *shape: Tensor(np.ones(shape, np.float32),
-                                     requires_grad=trainable)
-        if rng is None:
-            zeros = ones = mk
-        self.wq, self.bq = mk(d_model, d_model), zeros(d_model)
-        self.wk, self.bk = mk(d_model, d_model), zeros(d_model)
-        self.wv, self.bv = mk(d_model, d_model), zeros(d_model)
-        self.wo, self.bo = mk(d_model, d_model), zeros(d_model)
-        self.norm1_g, self.norm1_b = ones(d_model), zeros(d_model)
-        self.w1, self.b1 = mk(d_model, ffn_dim), zeros(ffn_dim)
-        self.w2, self.b2 = mk(ffn_dim, d_model), zeros(d_model)
-        self.norm2_g, self.norm2_b = ones(d_model), zeros(d_model)
+        self.params: dict[str, Tensor] = {}
+        for name, shape in layer_shapes(d_model, ffn_dim).items():
+            # a matrix draws from `rng`, a gain starts at one, a bias at zero
+            fill = np.ones if name.endswith(".gain") else np.zeros
+            data = (_init(rng, *shape) if rng is None or len(shape) == 2
+                    else fill(shape, np.float32))
+            self.params[name] = Tensor(data, requires_grad=trainable)
 
     def named_params(self) -> dict[str, Tensor]:
-        return {
-            "attention.query.weight": self.wq, "attention.query.bias": self.bq,
-            "attention.key.weight": self.wk, "attention.key.bias": self.bk,
-            "attention.value.weight": self.wv, "attention.value.bias": self.bv,
-            "attention.output.weight": self.wo, "attention.output.bias": self.bo,
-            "norm1.gain": self.norm1_g, "norm1.bias": self.norm1_b,
-            "ffn.w1": self.w1, "ffn.b1": self.b1,
-            "ffn.w2": self.w2, "ffn.b2": self.b2,
-            "norm2.gain": self.norm2_g, "norm2.bias": self.norm2_b,
-        }
+        return self.params
 
-    @staticmethod
-    def _adapted(x: Tensor, w: Tensor, b: Tensor, pairs) -> Tensor:
-        out = T.linear(x, w, b)
-        if pairs:
-            for pair in pairs:
-                # no bias, not a zero one: adding +0.0 turns -0.0 into +0.0
-                out = out + T.linear(T.linear(x, pair.a), pair.b)
+    def _adapted(self, x: Tensor, weight: str, bias: str,
+                 pairs: dict[str, LoraPair]) -> Tensor:
+        out = T.linear(x, self.params[weight], self.params[bias])
+        pair = pairs.get(weight)
+        if pair is not None:
+            # no bias, not a zero one: adding +0.0 turns -0.0 into +0.0
+            out = out + T.linear(T.linear(x, pair.a), pair.b)
         return out
 
     def forward(self, x: Tensor, key_bias: np.ndarray | None = None,
@@ -241,19 +246,17 @@ class TransformerLayer:
         if d != self.d_model:
             raise ShapeError(f"layer width {self.d_model} got input width {d}")
         b, s = (1, shape[0]) if x.ndim == 2 else shape[:2]
-        ad = adapters or {}
-        q = self._adapted(x, self.wq, self.bq, ad.get("query"))
-        k = self._adapted(x, self.wk, self.bk, ad.get("key"))
-        v = self._adapted(x, self.wv, self.bv, ad.get("value"))
+        p, ad = self.params, adapters or {}
+        q, k, v = (self._adapted(x, f"attention.{n}.weight",
+                                 f"attention.{n}.bias", ad)
+                   for n in ("query", "key", "value"))
         ctx = T.attention(q, k, v, b, s, self.num_heads, key_bias)
-        ffn_pairs = ad.get("ffn")
-        attn_out = self._adapted(ctx, self.wo, self.bo, ad.get("output"))
-        x = T.add_layer_norm(x, attn_out, self.norm1_g, self.norm1_b)
-        hidden = T.gelu(self._adapted(x, self.w1, self.b1,
-                                      ffn_pairs[:1] if ffn_pairs else None))
-        ffn_out = self._adapted(hidden, self.w2, self.b2,
-                                ffn_pairs[1:] if ffn_pairs else None)
-        return T.add_layer_norm(x, ffn_out, self.norm2_g, self.norm2_b)
+        attn_out = self._adapted(ctx, "attention.output.weight",
+                                 "attention.output.bias", ad)
+        x = T.add_layer_norm(x, attn_out, p["norm1.gain"], p["norm1.bias"])
+        hidden = T.gelu(self._adapted(x, "ffn.w1", "ffn.b1", ad))
+        ffn_out = self._adapted(hidden, "ffn.w2", "ffn.b2", ad)
+        return T.add_layer_norm(x, ffn_out, p["norm2.gain"], p["norm2.bias"])
 
 
 class UpperEncoder:
@@ -277,11 +280,7 @@ class UpperEncoder:
         return x
 
     def named_params(self) -> dict[str, Tensor]:
-        out: dict[str, Tensor] = {}
-        for i, layer in enumerate(self.layers):
-            for name, t in layer.named_params().items():
-                out[f"upper.{i}.{name}"] = t
-        return out
+        return _prefixed("upper", self.layers)
 
 
 class LowerEncoder:
@@ -344,11 +343,7 @@ class LowerEncoder:
         return [rows.mean(axis=0) for rows in x.data]
 
     def named_params(self) -> dict[str, Tensor]:
-        out = {"lower.token": self.token}
-        for i, layer in enumerate(self.layers):
-            for name, t in layer.named_params().items():
-                out[f"lower.{i}.{name}"] = t
-        return out
+        return {"lower.token": self.token, **_prefixed("lower", self.layers)}
 
     def state_bytes(self) -> bytes:
         """Digest of every frozen parameter, for freeze-contract checks."""
@@ -450,7 +445,8 @@ class LoraPair:
 
 
 class LoraAdapter:
-    """Low-rank residual factors W x + B(A x) for selected projections.
+    """Low-rank residual factors W x + B(A x) for selected projections, one
+    `LoraPair` per adapted weight, keyed by that weight's checkpoint name.
 
     B starts at zero, so a fresh adapter computes exactly the base forward.
     Square attention targets contribute 2*r*d_model parameters each; the ffn
@@ -468,41 +464,30 @@ class LoraAdapter:
             raise ConfigError(f"duplicate lora targets: {targets}")
         self.rank = rank
         self.targets = tuple(targets)
-        self._adapters: list[dict[str, list[LoraPair]]] = []
         rng = make_rng(seed, "lora")
-        d, f = config.d_model, config.ffn_dim
-        for _ in range(config.num_layers):
-            per_layer: dict[str, list[LoraPair]] = {}
-            if rank > 0:
-                for target in self.targets:
-                    shapes = ([(d, f), (f, d)] if target == "ffn" else [(d, d)])
-                    pairs = []
-                    for d_in, d_out in shapes:
-                        a = Tensor(_init(rng, d_in, rank), requires_grad=True)
-                        b = Tensor(np.zeros((rank, d_out), np.float32),
-                                   requires_grad=True)
-                        pairs.append(LoraPair(a, b))
-                    per_layer[target] = pairs
-            self._adapters.append(per_layer)
+        shapes = layer_shapes(config.d_model, config.ffn_dim)
+        # A draws in the given target order
+        names = [n for t in self.targets for n in _LORA_WEIGHTS[t]] if rank else []
+        self._adapters: list[dict[str, LoraPair]] = [
+            {name: LoraPair(
+                Tensor(_init(rng, shapes[name][0], rank), requires_grad=True),
+                Tensor(np.zeros((rank, shapes[name][1]), np.float32),
+                       requires_grad=True))
+             for name in names}
+            for _ in range(config.num_layers)]
 
-    def layer_adapters(self, layer_idx: int) -> dict[str, list[LoraPair]] | None:
-        per_layer = self._adapters[layer_idx]
-        return per_layer or None
+    def layer_adapters(self, layer_idx: int) -> dict[str, LoraPair] | None:
+        return self._adapters[layer_idx] or None
 
     def trainable_tensors(self) -> list[Tensor]:
-        out = []
-        for per_layer in self._adapters:
-            for target in sorted(per_layer):
-                for pair in per_layer[target]:
-                    out.extend((pair.a, pair.b))
-        return out
+        """Each layer's A and B factors, targets in sorted order."""
+        names = [n for t in sorted(self.targets) for n in _LORA_WEIGHTS[t]]
+        return [t for per_layer in self._adapters if per_layer
+                for name in names for t in (per_layer[name].a, per_layer[name].b)]
 
     def merged_deltas(self) -> dict[str, np.ndarray]:
         """Upper-encoder weight name -> A·B, the update that merging the
         adapter into its base weight adds (W x + B(A x) = (W + A·B) x)."""
-        out: dict[str, np.ndarray] = {}
-        for i, per_layer in enumerate(self._adapters):
-            for target, pairs in per_layer.items():
-                for name, pair in zip(_LORA_WEIGHTS[target], pairs):
-                    out[f"upper.{i}.{name}"] = pair.a.data @ pair.b.data
-        return out
+        return {f"upper.{i}.{name}": pair.a.data @ pair.b.data
+                for i, per_layer in enumerate(self._adapters)
+                for name, pair in per_layer.items()}

@@ -9,7 +9,7 @@ import os
 import time
 from dataclasses import asdict, dataclass, field
 
-from .errors import DataError, ParseError, StorageError
+from .errors import ConfigError, DataError, ParseError, StorageError
 from .records import write_json
 
 MANIFEST_VERSION = 1
@@ -116,10 +116,18 @@ class RunRecorder:
         return staged
 
     def add_output(self, path) -> str:
-        """Record `path` as an output; returns the path to write it to."""
+        """Record `path` as an output; returns the path to write it to.
+
+        A path that names a recorded input or an output added before is a
+        ConfigError, raised before anything is written to it.
+        """
         p = str(path)
-        if p not in self.manifest.outputs:
-            self.manifest.outputs.append(p)
+        for other in [*self.manifest.inputs, *self.manifest.outputs]:
+            if _same_file(p, other):
+                role = "input" if other in self.manifest.inputs else "output"
+                raise ConfigError(f"output {p} is the same file as the {role} "
+                                  f"{other}; give it a path of its own")
+        self.manifest.outputs.append(p)
         return self._stage(p)
 
     def phase(self, name: str) -> None:
@@ -173,6 +181,17 @@ class RunRecorder:
         """Remove every staged file that `commit` did not move into place."""
         for staged in self._staged:
             _remove_if_present(staged)
+
+
+def _same_file(a: str, b: str) -> bool:
+    """Whether `a` and `b` name one file: the same path once links and
+    relative parts are resolved, or, where both exist, one inode."""
+    if os.path.realpath(a) == os.path.realpath(b):
+        return True
+    try:
+        return os.path.samefile(a, b)
+    except OSError:
+        return False
 
 
 def _fsync(path: str) -> None:

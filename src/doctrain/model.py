@@ -14,6 +14,7 @@ from .encoder import (ClassificationHeads, EmbeddingTable, LoraAdapter,
                       key_padding_bias, map_equal_length)
 from .errors import ConfigError, CorruptCheckpoint, LengthError, ShapeError
 from .optim import ParamGroup
+from .records import is_int
 from .seeding import make_rng
 from .tensor import Tensor
 
@@ -251,10 +252,6 @@ class DocumentModel:
         return model
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 def _config_from_echo(raw) -> ModelConfig:
     """The `ModelConfig` a checkpoint's config echo records: a JSON object of
     known fields holding integers (`level_sizes` a list of them) that passes
@@ -268,10 +265,10 @@ def _config_from_echo(raw) -> ModelConfig:
         raise CorruptCheckpoint(f"bad config echo: unknown fields {unknown}")
     levels = raw.get("level_sizes", [])
     bad = [name for name, value in raw.items()
-           if name != "level_sizes" and not _is_int(value)]
+           if name != "level_sizes" and not is_int(value)]
     # a list from JSON; a tuple when the checkpoint never left memory
     if (not isinstance(levels, (list, tuple))
-            or not all(_is_int(c) for c in levels)):
+            or not all(is_int(c) for c in levels)):
         bad.append("level_sizes")
     if bad:
         raise CorruptCheckpoint(f"bad config echo: {bad} must be integers")

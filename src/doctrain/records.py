@@ -49,7 +49,7 @@ def int_field(obj: dict, name: str) -> int:
     """`obj[name]` if it is a JSON integer; 1.0, "1" and true are rejected,
     not coerced."""
     value = obj[name]
-    if not _is_int(value):
+    if not is_int(value):
         raise DataError(f"{name} must be an integer, got {json.dumps(value)}")
     return value
 
@@ -57,13 +57,14 @@ def int_field(obj: dict, name: str) -> int:
 def int_list_field(obj: dict, name: str) -> tuple[int, ...]:
     """`list_field(obj, name)` whose items are all JSON integers."""
     values = list_field(obj, name)
-    bad = [v for v in values if not _is_int(v)]
+    bad = [v for v in values if not is_int(v)]
     if bad:
         raise DataError(f"{name} must hold integers, got {json.dumps(bad[0])}")
     return values
 
 
-def _is_int(value) -> bool:
+def is_int(value) -> bool:
+    """Whether `value` is a JSON integer: an int that is not a bool."""
     return isinstance(value, int) and not isinstance(value, bool)
 
 

@@ -242,9 +242,13 @@ def pretrain_mlm(model: DocumentModel, corpus: Corpus,
 
     Exists for the drift comparison: masks a fraction of token positions,
     scores them against the vocabulary through a separate output head, and
-    trains with the identical optimizer and decay.
+    trains with the identical optimizer and decay. It trains no adapter, so
+    a config with `lora_rank` > 0 is refused.
     """
     config.validate()
+    if config.lora_rank > 0:
+        raise ConfigError("the mlm objective trains no LoRA adapters; "
+                          f"lora_rank must be 0, got {config.lora_rank}")
     docs = list(corpus)
     if not docs:
         raise ValidationError("empty corpus")

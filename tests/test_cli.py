@@ -256,6 +256,19 @@ class TestPretrain:
         assert first["loss"] == pytest.approx(np.log(512), abs=0.05)
 
 
+    def test_mlm_objective_refuses_lora_rank(self, tmp_path):
+        """The arm trains no adapter, so `--lora-rank` exits 2 before
+        training and writes nothing."""
+        rc = main(["pretrain", "--corpus", CORPUS,
+                   "--out", str(tmp_path / "mlm.ckpt"),
+                   "--mode", "customer_support", "--objective", "mlm",
+                   "--lora-rank", "4", "--lora-targets", "ffn",
+                   "--batch", "8", "--epochs", "1", "--seed", "1",
+                   *SMALL_MODEL_FLAGS])
+        assert rc == 2
+        assert os.listdir(tmp_path) == []
+
+
 class TestReplay:
     def test_replay_reproduces_outputs(self, pretrained, capsys):
         rc = main(["--replay", str(pretrained) + ".manifest.json"])
@@ -473,6 +486,36 @@ class TestCommit:
         # same files, same bytes: no .partial or .prev is left beside them
         assert {p: p.read_bytes() for p in tmp_path.iterdir()} == recorded
 
+    @pytest.mark.parametrize("probe", ["mine-corpus", "finetune-checkpoint",
+                                       "finetune-metrics"])
+    def test_an_output_that_is_an_input_or_output_exits_2(
+            self, probe, tmp_path, pretrained):
+        """An output path naming an input, or another output, is refused
+        before anything is written: every file keeps its bytes, none is
+        added."""
+        corpus, ckpt = tmp_path / "c.jsonl", tmp_path / "m.ckpt"
+        corpus.write_bytes(open(CORPUS, "rb").read())
+        ckpt.write_bytes(pretrained.read_bytes())
+        train = tagging_file(tmp_path / "train.jsonl", 4)
+        finetune = ["finetune", "--checkpoint", str(ckpt),
+                    "--task", "token-classification", "--num-classes", "2",
+                    "--train", train, "--dev", train, "--epochs", "1"]
+        argv = {
+            # the same file under another spelling
+            "mine-corpus": ["mine", "--corpus", str(corpus),
+                            "--out", os.path.join(tmp_path, ".", "c.jsonl"),
+                            "--mode", "customer_support", "--count", "4"],
+            "finetune-checkpoint": [*finetune, "--metrics-out",
+                                    str(tmp_path / "x.json"),
+                                    "--out", str(ckpt)],
+            "finetune-metrics": [*finetune, "--metrics-out",
+                                 str(tmp_path / "x"),
+                                 "--out", str(tmp_path / "x")],
+        }[probe]
+        before = {p: p.read_bytes() for p in tmp_path.iterdir()}
+        assert main(argv) == 2
+        assert {p: p.read_bytes() for p in tmp_path.iterdir()} == before
+
     def test_commit_flushes_files_before_moves_and_directories_after(
             self, tmp_path, monkeypatch):
         out = tmp_path / "sub" / "tri.jsonl"
@@ -575,7 +618,7 @@ class TestFinetune:
                              max_sentences=8, lower_layers=1,
                              level_sizes=(), seed=0)
         model = DocumentModel(config)
-        model.upper.layers[0].wq.data[0, 0] = np.nan
+        model.upper.layers[0].params["attention.query.weight"].data[0, 0] = np.nan
         bad = tmp_path / "nan.ckpt"
         save_checkpoint(model.to_checkpoint(), bad)
         train = tagging_file(tmp_path / "t.jsonl", 2)

@@ -68,27 +68,23 @@ def reference_layer_forward(x, p, num_heads):
         c = np.sqrt(2 / np.pi)
         return 0.5 * v * (1 + np.tanh(c * (v + 0.044715 * v**3)))
 
-    q, k, v = (split(proj(x, f"w{n}", f"b{n}")) for n in "qkv")
+    q, k, v = (split(proj(x, f"attention.{n}.weight", f"attention.{n}.bias"))
+               for n in ("query", "key", "value"))
     attn = softmax_rows(q @ k.transpose(0, 2, 1) * dh**-0.5)
     ctx = (attn @ v).transpose(1, 0, 2).reshape(s, d)
-    x = norm(x + ctx @ p["wo"] + p["bo"], "g1", "nb1")
-    hidden = gelu(x @ p["w1"] + p["fb1"])
-    return norm(x + hidden @ p["w2"] + p["fb2"], "g2", "nb2")
+    x = norm(x + proj(ctx, "attention.output.weight", "attention.output.bias"),
+             "norm1.gain", "norm1.bias")
+    hidden = gelu(proj(x, "ffn.w1", "ffn.b1"))
+    return norm(x + proj(hidden, "ffn.w2", "ffn.b2"), "norm2.gain", "norm2.bias")
 
 
 def randomize_layer(layer: TransformerLayer, rng) -> dict:
-    """Overwrite every parameter (norms included) and return a numpy copy."""
-    names = {
-        "wq": layer.wq, "bq": layer.bq, "wk": layer.wk, "bk": layer.bk,
-        "wv": layer.wv, "bv": layer.bv, "wo": layer.wo, "bo": layer.bo,
-        "g1": layer.norm1_g, "nb1": layer.norm1_b,
-        "w1": layer.w1, "fb1": layer.b1, "w2": layer.w2, "fb2": layer.b2,
-        "g2": layer.norm2_g, "nb2": layer.norm2_b,
-    }
+    """Overwrite every parameter (norms included) and return a numpy copy,
+    keyed by checkpoint name."""
     out = {}
-    for key, tensor in names.items():
+    for name, tensor in layer.params.items():
         tensor.data = rng.normal(0.0, 0.5, tensor.shape)
-        out[key] = tensor.data.copy()
+        out[name] = tensor.data.copy()
     return out
 
 
@@ -165,7 +161,9 @@ class TestTransformerLayer:
         T.backward(loss())
         assert np.all(x.grad[~valid[..., 0]] == 0.0)
         h = 1e-6
-        for tensor in (x, layer.wq, layer.wk, layer.w1, layer.norm1_g):
+        for tensor in (x, *(layer.params[n] for n in (
+                "attention.query.weight", "attention.key.weight", "ffn.w1",
+                "norm1.gain"))):
             flat, grad = tensor.data.reshape(-1), tensor.grad.reshape(-1)
             for k in rng.choice(flat.size, size=min(12, flat.size),
                                 replace=False):
@@ -237,7 +235,9 @@ class TestUpperEncoder:
         cfg = small_config()
         a = UpperEncoder(cfg, np.random.default_rng(42))
         b = UpperEncoder(cfg, np.random.default_rng(42))
-        assert np.array_equal(a.layers[0].wq.data, b.layers[0].wq.data)
+        name = "attention.query.weight"
+        assert np.array_equal(a.layers[0].params[name].data,
+                              b.layers[0].params[name].data)
 
 
 class TestLowerEncoder:
@@ -691,9 +691,8 @@ class TestLora:
     def test_nonzero_second_factor_changes_output(self, rng):
         enc = UpperEncoder(small_config(), np.random.default_rng(0))
         adapter = LoraAdapter(enc.config, 2, ("query",), seed=3)
-        for pair_list in adapter._adapters[0].values():
-            for pair in pair_list:
-                pair.b.data = rng.normal(size=pair.b.shape)
+        for pair in adapter._adapters[0].values():
+            pair.b.data = rng.normal(size=pair.b.shape)
         x = rng.normal(size=(4, 16))
         assert not np.allclose(enc.forward(Tensor(x), None, adapter).data,
                                enc.forward(Tensor(x)).data)
@@ -736,6 +735,31 @@ class TestLora:
         T.backward(T.tmean(out * out))
         for t in adapter.trainable_tensors():
             assert t.grad is not None
+
+    def test_pair_orders_follow_targets(self):
+        """A factors draw layer by layer in the given target order, `ffn.w1`
+        before `ffn.w2`; `trainable_tensors` lists each layer's pairs in
+        sorted target order, A before B; each pair is keyed by the weight
+        it adapts."""
+        cfg = small_config(num_layers=2, d_model=16, ffn_dim=24)
+        adapter = LoraAdapter(cfg, 3, ("value", "ffn", "query"), seed=4)
+        rng = make_rng(4, "lora")
+        drawn = ["attention.value.weight", "ffn.w1", "ffn.w2",
+                 "attention.query.weight"]
+        d_in = {"ffn.w1": 16, "ffn.w2": 24}
+        for per_layer in adapter._adapters:
+            assert list(per_layer) == drawn
+            for name in drawn:
+                want = rng.normal(0.0, 0.02, (d_in.get(name, 16), 3))
+                assert np.array_equal(per_layer[name].a.data,
+                                      want.astype(np.float32))
+        listed = ["ffn.w1", "ffn.w2", "attention.query.weight",
+                  "attention.value.weight"]
+        assert [id(t) for t in adapter.trainable_tensors()] == [
+            id(t) for per_layer in adapter._adapters for name in listed
+            for t in (per_layer[name].a, per_layer[name].b)]
+        assert sorted(adapter.merged_deltas()) == sorted(
+            f"upper.{i}.{name}" for i in range(2) for name in drawn)
 
     def test_determinism_across_instances(self):
         enc = UpperEncoder(small_config(), np.random.default_rng(0))

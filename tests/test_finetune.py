@@ -559,8 +559,8 @@ def test_ragged_batch_loss_is_the_mean_of_example_losses(make, rng):
     task, batch = make(model, rng)
     for t in task.head_tensors():
         t.data = rng.normal(size=t.shape)
-    tensors = task.head_tensors() + [model.embed.token,
-                                     model.upper.layers[0].wq]
+    tensors = task.head_tensors() + [
+        model.embed.token, model.upper.layers[0].params["attention.query.weight"]]
 
     backward(task.batch_loss(batch))
     batched = [t.grad.copy() for t in tensors]

@@ -161,7 +161,7 @@ class TestForwardPaths:
         model = DocumentModel(small_config())
         sent = model.encode_document(["Shared weights."]).data.copy()
         tok = model.encode_token_batch([[5, 6]]).data.copy()
-        model.upper.layers[0].w1.data[0, :] += 0.5
+        model.upper.layers[0].params["ffn.w1"].data[0, :] += 0.5
         assert not np.allclose(model.encode_document(["Shared weights."]).data,
                                sent)
         assert not np.allclose(model.encode_token_batch([[5, 6]]).data, tok)
@@ -218,9 +218,8 @@ class TestAdapters:
         model = DocumentModel(small_config())
         base_sent = model.encode_document(["Route check."]).data.copy()
         model.attach_adapter(rank=2, seed=3)
-        for pair_list in model.adapter._adapters[0].values():
-            for pair in pair_list:
-                pair.b.data = np.full(pair.b.shape, 0.3)
+        for pair in model.adapter._adapters[0].values():
+            pair.b.data = np.full(pair.b.shape, 0.3)
         assert not np.allclose(model.encode_document(["Route check."]).data,
                                base_sent)
         model.adapter = None
@@ -239,7 +238,7 @@ class TestPersistence:
     def test_checkpoint_round_trip_is_forward_exact(self, tmp_path):
         model = DocumentModel(small_config(level_sizes=(3,)))
         # move weights off their init so the restore is doing real work
-        model.upper.layers[0].wq.data += 0.25
+        model.upper.layers[0].params["attention.query.weight"].data += 0.25
         model.heads.weights[0].data += 0.125
         sent = model.encode_document(["Persist me.", "Twice."]).data
         tok = model.encode_token_batch([[4, 5, 6]]).data

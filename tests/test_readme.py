@@ -1,19 +1,41 @@
-"""The README's Python example runs as written, so a renamed or removed
-public name fails here instead of leaving the docs stale."""
+"""The README's examples run as written, so a renamed or removed public name
+or flag fails here instead of leaving the docs stale."""
 
 import os
+import shlex
+
+from doctrain.cli import main
 
 ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
 
 
-def python_block(section: str) -> str:
+def code_block(section: str, lang: str) -> str:
+    """The first ```lang block after the heading `section`."""
     with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as fh:
         text = fh.read()
-    start = text.index("```python\n", text.index(section)) + len("```python\n")
+    fence = f"```{lang}\n"
+    start = text.index(fence, text.index(section)) + len(fence)
     return text[start:text.index("\n```", start)]
 
 
 def test_library_use_example_runs(monkeypatch, capsys):
     monkeypatch.chdir(ROOT)  # the example reads fixtures/ by relative path
-    exec(compile(python_block("## Library use"), "README.md", "exec"), {})
+    exec(compile(code_block("## Library use", "python"), "README.md", "exec"),
+         {})
     assert "relative_l1_change" in capsys.readouterr().out
+
+
+def test_command_line_walkthrough_runs(tmp_path, monkeypatch, capsys):
+    """Every `doctrain` command of the walkthrough exits 0 in a fresh
+    directory, `$FIX` naming fixtures/, and the replay at its end verifies.
+    A command whose output path is one of its inputs would exit 2."""
+    fixtures = os.path.abspath(os.path.join(ROOT, "fixtures"))
+    block = code_block("## Command line", "sh").replace("\\\n", " ")
+    commands = [line.strip() for line in block.splitlines()
+                if line.strip().startswith("doctrain ")]
+    assert len(commands) == 6
+    monkeypatch.chdir(tmp_path)
+    for command in commands:
+        argv = shlex.split(command.replace("$FIX", fixtures))[1:]
+        assert main(argv) == 0, command
+    assert "replay verified" in capsys.readouterr().out

@@ -431,6 +431,17 @@ class TestPretrainMlm:
             "truncated 2 of 4 sequences to max_positions=4"]
         assert lengths == {2, 3, 4}
 
+    def test_lora_rank_rejected(self):
+        """The arm trains the base encoder only, so a LoRA config that it
+        would ignore is refused before any training."""
+        model = fresh_model()
+        before = checkpoint_bytes(model.to_checkpoint())
+        with pytest.raises(ConfigError, match="lora_rank must be 0, got 4"):
+            pretrain_mlm(model, separable_corpus(per_category=3),
+                         quick_config(lora_rank=4, lora_targets=("ffn",)))
+        assert model.adapter is None
+        assert checkpoint_bytes(model.to_checkpoint()) == before
+
     def test_short_documents_rejected(self):
         from doctrain.corpus import Corpus, Document
         corpus = Corpus([Document(id="a", sentences=("word",))], "derived")
