@@ -7,13 +7,18 @@ Pinned metric values:
   - both sides unanswerable scores span F1 1.0 by definition.
 """
 
+import hashlib
 import json
+import os
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from doctrain.checkpoint import checkpoint_bytes
+from doctrain.encoder import ModelConfig
 from doctrain.errors import ConfigError, ParseError, ValidationError
 from doctrain.finetune import (FinetuneConfig, PairClassifierModel,
                                PairExample, SpanQaExample, SpanQaModel,
@@ -28,6 +33,12 @@ from doctrain.tensor import Tensor, backward
 from doctrain.trainer import TrainConfig, pretrain_mlm
 
 from conftest import as_float64, separable_corpus, small_config
+
+FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
+
+
+def _digest(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
 
 
 def oracle_macro_f1(y_true, y_pred, num_classes):
@@ -302,6 +313,31 @@ class TestFinetuneLoop:
             config=FinetuneConfig(lr=1e-3, epochs=2, patience=5))
         assert [row["epoch"] for row in result.history] == [0, 1]
         assert all({"macro_f1", "accuracy"} <= set(row) for row in result.history)
+
+    def test_pinned_tagging_run(self):
+        """One fine-tuning run, bit for bit: patience ends it early and each
+        epoch's last batch is short. Pins the result and the tuned
+        checkpoint's bytes, task head included. A change that moves them on
+        purpose updates them here and says so in CHANGES.md."""
+        model = DocumentModel(ModelConfig(d_model=16, num_layers=1,
+                                          num_heads=2, ffn_dim=32,
+                                          vocab_size=512, lower_layers=1,
+                                          seed=0))
+        task, result = finetune_token_classification(
+            model, load_token_class(os.path.join(FIXTURES,
+                                                 "tagging_train.jsonl")),
+            load_token_class(os.path.join(FIXTURES, "tagging_dev.jsonl")),
+            num_classes=2, config=FinetuneConfig(lr=1e-3, epochs=20,
+                                                 batch_size=3, patience=2))
+        assert (result.epochs_run, result.best_epoch) == (5, 2)
+        assert result.metrics["macro_f1"] == 1.0
+        ckpt = model.to_checkpoint()
+        for i, t in enumerate(task.head_tensors()):
+            ckpt.tensors[f"task_head.{i}"] = t.data
+        assert _digest(json.dumps(asdict(result), sort_keys=True).encode()) == (
+            "fcc6a460c3bc128aaf966f6e8f2d52d36a36c4dd2d6ee012a2cc5902b745e057")
+        assert _digest(checkpoint_bytes(ckpt)) == (
+            "b962081c74c105e8bb6cdb2b479d27fbfc276d0258da00f3ebec9a1ef987d640")
 
 
 class TestTokenTagger:
