@@ -4,15 +4,16 @@ and sentence-pair classification, with their task metrics."""
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import tensor as T
 from .encoder import key_padding_bias, map_equal_length
-from .errors import ConfigError, NumericError, ValidationError
+from .errors import ConfigError, ValidationError
 from .model import DocumentModel
-from .optim import AdamW, ParamGroup
+from .optim import AdamW, ParamGroup, train_steps
 from .records import int_field, int_list_field, list_field, read_jsonl
 from .seeding import make_rng
 from .tensor import Tensor, backward
@@ -214,7 +215,6 @@ class SpanQaModel(_TokenTask):
 
     def __init__(self, model: DocumentModel):
         super().__init__(model, 1, 1)
-        (self.w_start, self.b_start), (self.w_end, self.b_end) = self._heads
 
     def _seqs(self, batch: list[SpanQaExample]) -> list[list[int]]:
         """Each example's ids of [CLS] question [SEP] context; one warning
@@ -376,23 +376,13 @@ class PairClassifierModel(_TokenTask):
                 "f1": binary_f1(y_true, preds)}
 
 
-def _snapshot(tensors: list[Tensor]) -> list[np.ndarray]:
-    return [t.data.copy() for t in tensors]
-
-
-def _restore(tensors: list[Tensor], blobs: list[np.ndarray]) -> None:
-    for t, blob in zip(tensors, blobs):
-        t.data = blob.copy()
-
-
 def finetune(task, train: list, dev: list,
              config: FinetuneConfig) -> FinetuneResult:
-    """Shared epoch loop with early stopping on the task's primary metric.
-
-    `task` is one of the task model classes above, already wrapping a
-    DocumentModel. Mutates the wrapped model in place and leaves it at the
-    best-scoring epoch's state.
-    """
+    """`optim.train_steps` at the constant rate `config.lr`. Each epoch's
+    last step evaluates `dev` and keeps a copy of the trainable tensors when
+    the task's primary metric improves; `patience` epochs without a gain
+    stop the run. `task` is one of the task model classes above; its
+    DocumentModel is tuned in place and left at the best epoch's state."""
     config.validate()
     if not train or not dev:
         raise ValidationError("both train and dev sets must be non-empty")
@@ -405,43 +395,34 @@ def finetune(task, train: list, dev: list,
     groups.append(ParamGroup("task_head", task.head_tensors()))
     optimizer = AdamW(groups, lr=config.lr)
     trainable = [t for g in groups for t in g.tensors if t.requires_grad]
-    rng = make_rng(config.seed, "finetune-shuffle")
+    per_epoch = math.ceil(len(train) / config.batch_size)
 
-    best_metric = -np.inf
-    best_state = _snapshot(trainable)
+    best_state = [t.data.copy() for t in trainable]
     best_epoch = 0
     best_metrics: dict[str, float] = {}
     history: list[dict] = []
-    stale = 0
-    epochs_run = 0
-    for epoch in range(config.epochs):
-        order = rng.permutation(len(train))
-        for lo in range(0, len(train), config.batch_size):
-            batch = [train[i] for i in order[lo:lo + config.batch_size]]
-            loss = task.batch_loss(batch)
-            if not np.isfinite(loss.data).all():
-                raise NumericError(f"non-finite loss in epoch {epoch}")
-            backward(loss)
-            optimizer.step()
-            optimizer.zero_grad()
-        epochs_run = epoch + 1
+    for row in train_steps(
+            optimizer, len(train), config.batch_size, config.epochs,
+            make_rng(config.seed, "finetune-shuffle"),
+            lambda indices: task.batch_loss([train[i] for i in indices]),
+            lambda step: config.lr, backward):
+        epoch, step_in_epoch = divmod(row["step"], per_epoch)
+        if step_in_epoch < per_epoch - 1:
+            continue
         metrics = task.evaluate(dev)
         history.append({"epoch": epoch, **metrics})
         score = metrics[task.primary_metric]
-        if score > best_metric:
-            best_metric = score
-            best_state = _snapshot(trainable)
+        if score > best_metrics.get(task.primary_metric, -np.inf):
+            best_state = [t.data.copy() for t in trainable]
             best_epoch = epoch
             best_metrics = dict(metrics)
-            stale = 0
-        else:
-            stale += 1
-            if stale >= config.patience:
-                break
+        elif epoch - best_epoch >= config.patience:
+            break
 
-    _restore(trainable, best_state)
+    for t, blob in zip(trainable, best_state):
+        t.data = blob.copy()
     return FinetuneResult(metrics=best_metrics, history=history,
-                          best_epoch=best_epoch, epochs_run=epochs_run)
+                          best_epoch=best_epoch, epochs_run=len(history))
 
 
 def load_span_qa(path) -> list[SpanQaExample]:

@@ -1,4 +1,4 @@
-"""Parameter grouping, decoupled-weight-decay Adam, and the linear LR schedule."""
+"""Parameter groups, AdamW, the linear LR schedule and the training loop."""
 
 from __future__ import annotations
 
@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, ContractError
+from .errors import ConfigError, ContractError, NumericError
 from .tensor import Tensor
 
 BETA1, BETA2 = 0.9, 0.999
@@ -158,3 +158,25 @@ class AdamW:
                 np.multiply(data, 1.0 - lr * WEIGHT_DECAY, out=data,
                             dtype=np.float64)
                 data[rows] = new
+
+
+def train_steps(optimizer: AdamW, n_items: int, batch_size: int, epochs: int,
+                rng: np.random.Generator, step_loss, lr_at, backward):
+    """Train in batches of `batch_size` cut from one `rng.permutation` of the
+    `n_items` items per epoch; yield each step's {"step", "lr", "loss"} row
+    once its update is done. A step's loss is `step_loss(indices)` and must
+    be finite before `backward(loss)`, which the caller passes from its own
+    module so that a replaced binding sees every step."""
+    step = 0
+    for _ in range(epochs):
+        order = rng.permutation(n_items)
+        for lo in range(0, n_items, batch_size):
+            loss = step_loss(order[lo:lo + batch_size])
+            if not np.isfinite(loss.data).all():
+                raise NumericError(f"non-finite loss at step {step}")
+            backward(loss)
+            lr = lr_at(step)
+            optimizer.step(lr)
+            optimizer.zero_grad()
+            yield {"step": step, "lr": lr, "loss": float(loss.item())}
+            step += 1

@@ -1,5 +1,5 @@
-"""Pre-training: one loop shared by the document objective and the MLM
-comparison arm, plus parameter-drift instrumentation."""
+"""Pre-training: the document objective and the MLM comparison arm, each run
+through `optim.train_steps`, plus parameter-drift instrumentation."""
 
 from __future__ import annotations
 
@@ -12,11 +12,11 @@ import numpy as np
 from . import tensor as T
 from .checkpoint import Checkpoint
 from .corpus import Corpus
-from .errors import ConfigError, NumericError, ValidationError
+from .errors import ConfigError, ValidationError
 from .losses import hierarchical_loss_rows, triplet_loss
 from .mining import Triplet
 from .model import GROUPS, DocumentModel
-from .optim import AdamW, ParamGroup, linear_lr
+from .optim import AdamW, ParamGroup, linear_lr, train_steps
 from .seeding import make_rng
 from .taxonomy import HierarchyLabels
 from .tensor import Tensor, backward
@@ -106,7 +106,8 @@ def total_step_count(n_items: int, batch_size: int, epochs: int) -> int:
 def _train(groups: list[ParamGroup], n_items: int, config: TrainConfig,
            rng: np.random.Generator, step_loss
            ) -> tuple[list[dict], list[dict], int]:
-    """The loop both objectives share: AdamW under the linear schedule.
+    """Both objectives' run: AdamW under the linear schedule, drift sampled
+    every `log_every` steps.
 
     Each epoch shuffles the `n_items` training items with `rng`, and
     `step_loss(indices)` returns the scalar loss of one batch of them.
@@ -115,22 +116,14 @@ def _train(groups: list[ParamGroup], n_items: int, config: TrainConfig,
     tracker = _DriftTracker(groups)
     total_steps = total_step_count(n_items, config.batch_size, config.epochs)
     loss_curve: list[dict] = []
-    step = 0
-    for _ in range(config.epochs):
-        order = rng.permutation(n_items)
-        for lo in range(0, n_items, config.batch_size):
-            loss = step_loss(order[lo:lo + config.batch_size])
-            if not np.isfinite(loss.data).all():
-                raise NumericError(f"non-finite loss at step {step}")
-            backward(loss)
-            lr = linear_lr(config.initial_lr, step, total_steps)
-            optimizer.step(lr)
-            optimizer.zero_grad()
-            loss_curve.append({"step": step, "lr": lr,
-                               "loss": float(loss.item())})
-            step += 1
-            if step % config.log_every == 0 and step < total_steps:
-                tracker.record(step)
+    for row in train_steps(
+            optimizer, n_items, config.batch_size, config.epochs, rng,
+            step_loss, lambda step: linear_lr(config.initial_lr, step,
+                                              total_steps), backward):
+        loss_curve.append(row)
+        done = row["step"] + 1
+        if done % config.log_every == 0 and done < total_steps:
+            tracker.record(done)
     tracker.record("final")
     return loss_curve, tracker.rows, total_steps
 

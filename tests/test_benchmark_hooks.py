@@ -4,7 +4,10 @@
 pin the ways the benchmark reaches into the package: its tracer replaces
 module bindings by name and counts the parameters each optimizer step
 updates, and the `finetune_tokens` workload records each step's loss by
-replacing `finetune.backward`.
+replacing `finetune.backward`. The tracer's `tensor.backward` spans (and so
+`tensor.tape_nodes_per_step`) come from replacing `trainer.backward` and
+`finetune.backward`, so pre-training and fine-tuning each hand their own
+module's `backward` binding to `optim.train_steps`, once per step.
 """
 
 import os
@@ -62,6 +65,27 @@ def test_finetune_calls_its_backward_binding_once_per_step(monkeypatch):
                                               batch_size=2))
     assert result.epochs_run == 2
     assert len(calls) == 2 * 3  # ceil(5 / 2) steps per epoch
+
+
+@pytest.mark.parametrize("objective", ["doc", "mlm"])
+def test_pretrain_calls_its_backward_binding_once_per_step(objective,
+                                                           monkeypatch):
+    calls = []
+    real_backward = trainer.backward
+    monkeypatch.setattr(trainer, "backward", lambda loss: (
+        calls.append(1), real_backward(loss))[1])
+    tax = Taxonomy.from_paths([("astro",), ("law",)])
+    model = DocumentModel(small_config(level_sizes=tax.level_sizes))
+    corpus = separable_corpus(per_category=3)
+    config = TrainConfig(batch_size=4, epochs=2)
+    if objective == "mlm":
+        result = trainer.pretrain_mlm(model, corpus, config)
+    else:
+        result = trainer.pretrain(model, corpus, triplets_for(corpus, 6),
+                                  {d.id: pad_hierarchy(d.hierarchy_path, tax)
+                                   for d in corpus}, config)
+    assert result.total_steps == 2 * 2  # ceil(6 / 4) steps per epoch
+    assert len(calls) == result.total_steps
 
 
 def test_each_task_evaluate_records_one_eval_span(monkeypatch):

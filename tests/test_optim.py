@@ -8,8 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from doctrain.errors import ConfigError, ContractError
-from doctrain.optim import AdamW, ParamGroup, linear_lr
+from doctrain import tensor as T
+from doctrain.errors import ConfigError, ContractError, NumericError
+from doctrain.optim import AdamW, ParamGroup, linear_lr, train_steps
 from doctrain.tensor import Tensor
 
 
@@ -162,6 +163,29 @@ class TestAdamW:
     def test_group_helpers(self):
         g = ParamGroup("w", [param(np.ones((2, 3))), param([-2.0])])
         assert sum(t.size for t in g.tensors) == 7
+
+
+class TestTrainSteps:
+    def test_non_finite_loss_stops_before_backward_and_step(self):
+        """Step 0 trains; step 1's NaN loss raises a NumericError naming
+        step 1 before `backward` or the optimizer runs, so every parameter
+        keeps the bytes step 0 left."""
+        p = param([1.0, -2.0, 0.5])
+        opt = AdamW([ParamGroup("w", [p])], lr=0.1)
+        scale = iter([1.0, np.nan])
+        calls = []
+        rows = train_steps(opt, 4, 2, 1, np.random.default_rng(0),
+                           lambda idx: T.tmean(T.mul(p, next(scale))),
+                           lambda step: 0.1,
+                           lambda loss: (calls.append(1), T.backward(loss)))
+        assert next(rows) == {"step": 0, "lr": 0.1, "loss": pytest.approx(
+            -0.5 / 3)}
+        after_step0 = p.data.tobytes()
+        with pytest.raises(NumericError, match="at step 1"):
+            next(rows)
+        assert len(calls) == opt.step_count == 1
+        assert p.grad is None
+        assert p.data.tobytes() == after_step0
 
 
 def dense_adamw(theta, grads, lrs):
