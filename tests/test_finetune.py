@@ -37,10 +37,6 @@ from conftest import as_float64, separable_corpus, small_config
 FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
 
 
-def _digest(data: bytes) -> str:
-    return hashlib.sha256(data).hexdigest()
-
-
 def oracle_macro_f1(y_true, y_pred, num_classes):
     """Independent confusion-matrix implementation."""
     scores = []
@@ -334,9 +330,10 @@ class TestFinetuneLoop:
         ckpt = model.to_checkpoint()
         for i, t in enumerate(task.head_tensors()):
             ckpt.tensors[f"task_head.{i}"] = t.data
-        assert _digest(json.dumps(asdict(result), sort_keys=True).encode()) == (
+        rows = json.dumps(asdict(result), sort_keys=True).encode()
+        assert hashlib.sha256(rows).hexdigest() == (
             "fcc6a460c3bc128aaf966f6e8f2d52d36a36c4dd2d6ee012a2cc5902b745e057")
-        assert _digest(checkpoint_bytes(ckpt)) == (
+        assert hashlib.sha256(checkpoint_bytes(ckpt)).hexdigest() == (
             "b962081c74c105e8bb6cdb2b479d27fbfc276d0258da00f3ebec9a1ef987d640")
 
 
