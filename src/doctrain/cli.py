@@ -20,8 +20,8 @@ from .errors import (ConfigError, DataError, DocTrainError, ParseError,
 from .finetune import (FinetuneConfig, finetune_pair_classification,
                        finetune_span_qa, finetune_token_classification,
                        load_pairs, load_span_qa, load_token_class)
-from .manifest import (RunRecorder, argv_from_manifest, file_digest,
-                       load_manifest, verify_replay)
+from .manifest import (RunRecorder, argv_from_manifest, load_manifest,
+                       verify_replay)
 from .mining import load_triplets, mine_triplets_metadata, mine_triplets_rouge, save_triplets
 from .model import DocumentModel
 from .records import list_field, read_jsonl, write_json, write_jsonl
@@ -85,7 +85,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="rouge strategy: maximum anchor/negative F1")
     p.add_argument("--truncate-tokens", type=int, default=512,
                    help="rouge strategy: tokens scored per document")
-    p.set_defaults(func=cmd_mine)
+    p.set_defaults(func=cmd_mine, reads=["corpus"], writes=["out"])
 
     p = sub.add_parser("derive-taxonomy",
                        help="build a category tree from corpus content",
@@ -102,7 +102,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--branching", type=int, default=2,
                    help="children per split")
     p.add_argument("--seed", type=int, default=0, help="root random seed")
-    p.set_defaults(func=cmd_derive_taxonomy)
+    p.set_defaults(func=cmd_derive_taxonomy, reads=["corpus"],
+                   writes=["out", "assignments"])
 
     p = sub.add_parser("pretrain",
                        help="train the upper encoder on document triplets",
@@ -143,7 +144,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="drift sampling interval in steps")
     p.add_argument("--seed", type=int, default=0, help="root random seed")
     _add_model_flags(p)
-    p.set_defaults(func=cmd_pretrain)
+    p.set_defaults(func=cmd_pretrain, reads=["corpus", "triplets", "taxonomy",
+                                             "assignments", "word_vectors"],
+                   writes=["out", "out.losses.jsonl", "out.drift.jsonl"])
 
     p = sub.add_parser("finetune",
                        help="fine-tune a checkpoint on a token-path task",
@@ -169,7 +172,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--patience", type=int, default=5,
                    help="epochs without dev improvement before stopping")
     p.add_argument("--seed", type=int, default=0, help="root random seed")
-    p.set_defaults(func=cmd_finetune)
+    p.set_defaults(func=cmd_finetune, reads=["checkpoint", "train", "dev"],
+                   writes=["metrics_out", "out"])
 
     p = sub.add_parser("analyze",
                        help="embedding-space correspondence reports",
@@ -194,29 +198,25 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--csv-out", default=None,
                    help="pca: coordinates CSV path (default: <out>.csv)")
     p.add_argument("--seed", type=int, default=0, help="root random seed")
-    p.set_defaults(func=cmd_analyze)
+    p.set_defaults(func=cmd_analyze, reads=["corpus", "checkpoint"],
+                   writes=["csv_out", "out"])
 
     p = sub.add_parser("inspect-checkpoint",
                        help="print checkpoint metadata and tensor shapes",
                        **fmt)
     p.add_argument("--checkpoint", required=True, help="checkpoint path")
-    p.set_defaults(func=cmd_inspect)
+    p.set_defaults(func=cmd_inspect, reads=["checkpoint"], writes=[])
 
     return parser
 
 
 def _resolved_config(args: argparse.Namespace) -> dict:
-    skip = {"func", "subcommand", "replay"}
-    out = {}
-    for key, value in vars(args).items():
-        if key in skip:
-            continue
-        out[key] = list(value) if isinstance(value, tuple) else value
-    return out
+    skip = {"func", "subcommand", "replay", "reads", "writes"}
+    return {key: list(value) if isinstance(value, tuple) else value
+            for key, value in vars(args).items() if key not in skip}
 
 
 def cmd_mine(args: argparse.Namespace, rec: RunRecorder) -> None:
-    rec.add_input(args.corpus)
     corpus = load_corpus(args.corpus, args.mode)
     rec.phase("load")
     if args.strategy == "metadata":
@@ -228,20 +228,19 @@ def cmd_mine(args: argparse.Namespace, rec: RunRecorder) -> None:
             neg_threshold=args.neg_threshold,
             truncate_tokens=args.truncate_tokens)
     rec.phase("mine")
-    save_triplets(triplets, rec.add_output(args.out))
+    save_triplets(triplets, rec.staged(args.out))
     rec.phase("write")
     log.info("wrote %d triplets to %s", len(triplets), args.out)
 
 
 def cmd_derive_taxonomy(args: argparse.Namespace, rec: RunRecorder) -> None:
-    rec.add_input(args.corpus)
     corpus = load_corpus(args.corpus, args.mode)
     rec.phase("load")
     taxonomy, doc_paths = derive_taxonomy(
         corpus, levels=args.levels, branching=args.branching, seed=args.seed)
     rec.phase("derive")
-    taxonomy.save(rec.add_output(args.out))
-    write_jsonl(rec.add_output(args.assignments),
+    taxonomy.save(rec.staged(args.out))
+    write_jsonl(rec.staged(args.assignments),
                 [{"id": doc_id, "path": list(doc_paths[doc_id])}
                  for doc_id in sorted(doc_paths)])
     rec.phase("write")
@@ -278,7 +277,6 @@ def _hierarchy_labels(corpus, taxonomy: Taxonomy, word_vectors_path,
 
 
 def cmd_pretrain(args: argparse.Namespace, rec: RunRecorder) -> None:
-    rec.add_input(args.corpus)
     corpus = load_corpus(args.corpus, args.mode)
 
     train_config = TrainConfig(
@@ -295,12 +293,7 @@ def cmd_pretrain(args: argparse.Namespace, rec: RunRecorder) -> None:
         if args.taxonomy is None:
             raise ConfigError("--taxonomy is required when the hierarchy "
                               "loss is on (--loss hier|both)")
-        rec.add_input(args.taxonomy)
         taxonomy = Taxonomy.load(args.taxonomy)
-        if args.word_vectors:
-            rec.add_input(args.word_vectors)
-        if args.assignments:
-            rec.add_input(args.assignments)
         labels = _hierarchy_labels(corpus, taxonomy, args.word_vectors,
                                    args.assignments)
     level_sizes = tuple(taxonomy.level_sizes) if taxonomy else ()
@@ -319,26 +312,20 @@ def cmd_pretrain(args: argparse.Namespace, rec: RunRecorder) -> None:
     else:
         if args.triplets is None:
             raise ConfigError("--triplets is required for the doc objective")
-        rec.add_input(args.triplets)
         triplets = load_triplets(args.triplets)
         result = pretrain(model, corpus, triplets, labels, train_config)
     rec.phase("train")
 
-    save_checkpoint(result.checkpoint, rec.add_output(args.out))
-    write_jsonl(rec.add_output(args.out + ".losses.jsonl"),
-                result.loss_curve)
-    write_jsonl(rec.add_output(args.out + ".drift.jsonl"),
-                result.drift)
+    save_checkpoint(result.checkpoint, rec.staged(args.out))
+    write_jsonl(rec.staged(args.out + ".losses.jsonl"), result.loss_curve)
+    write_jsonl(rec.staged(args.out + ".drift.jsonl"), result.drift)
     rec.phase("write")
     log.info("trained %d steps; final loss %.6f", result.total_steps,
              result.loss_curve[-1]["loss"])
 
 
 def cmd_finetune(args: argparse.Namespace, rec: RunRecorder) -> None:
-    rec.add_input(args.checkpoint)
     model = DocumentModel.from_checkpoint(load_checkpoint(args.checkpoint))
-    rec.add_input(args.train)
-    rec.add_input(args.dev)
     config = FinetuneConfig(
         lr=args.lr, epochs=args.epochs, batch_size=args.batch,
         max_examples=args.max_examples, patience=args.patience,
@@ -361,13 +348,13 @@ def cmd_finetune(args: argparse.Namespace, rec: RunRecorder) -> None:
         task, result = finetune_pair_classification(model, train, dev, config)
     rec.phase("train")
 
-    write_json(rec.add_output(args.metrics_out),
+    write_json(rec.staged(args.metrics_out),
                {"task": args.task, **asdict(result)})
     if args.out is not None:
         ckpt = model.to_checkpoint(extra_meta={"finetuned_task": args.task})
         for i, t in enumerate(task.head_tensors()):
             ckpt.tensors[f"task_head.{i}"] = t.data.astype("<f4")
-        save_checkpoint(ckpt, rec.add_output(args.out))
+        save_checkpoint(ckpt, rec.staged(args.out))
     rec.phase("write")
     log.info("fine-tuned %s: %s", args.task, result.metrics)
 
@@ -380,12 +367,10 @@ def _require(args: argparse.Namespace, names: list[str]) -> None:
 
 
 def cmd_analyze(args: argparse.Namespace, rec: RunRecorder) -> None:
-    rec.add_input(args.corpus)
     corpus = load_corpus(args.corpus, args.mode)
     model = None
     if args.kind in ("wl", "correlation", "pca"):
         _require(args, ["checkpoint"])
-        rec.add_input(args.checkpoint)
         model = DocumentModel.from_checkpoint(load_checkpoint(args.checkpoint))
     rec.phase("load")
 
@@ -404,7 +389,7 @@ def cmd_analyze(args: argparse.Namespace, rec: RunRecorder) -> None:
         ids = [d.id for d in corpus]
         vecs = model.encode_documents([list(d.sentences) for d in corpus])
         res = pca_project(vecs, k=args.components, seed=args.seed)
-        with open(rec.add_output(args.csv_out), "w", encoding="utf-8") as fh:
+        with open(rec.staged(args.csv_out), "w", encoding="utf-8") as fh:
             fh.write("id," + ",".join(f"c{i}" for i in range(args.components))
                      + "\n")
             for doc_id, row in zip(ids, res.coordinates):
@@ -425,12 +410,11 @@ def cmd_analyze(args: argparse.Namespace, rec: RunRecorder) -> None:
                   **{k: v.tolist() for k, v in asdict(rep).items()}}
     rec.phase("analyze")
 
-    write_json(rec.add_output(args.out), report)
+    write_json(rec.staged(args.out), report)
     rec.phase("write")
 
 
 def cmd_inspect(args: argparse.Namespace, rec: RunRecorder) -> None:
-    rec.add_input(args.checkpoint)
     ckpt = load_checkpoint(args.checkpoint)
     rec.phase("load")
     report = {
@@ -447,37 +431,54 @@ def cmd_inspect(args: argparse.Namespace, rec: RunRecorder) -> None:
                      indent=2, sort_keys=True))
 
 
-def _materialize_defaults(args: argparse.Namespace) -> None:
-    """Resolve defaults that depend on other flags, so the manifest records
-    concrete values."""
-    if args.subcommand == "derive-taxonomy" and args.assignments is None:
-        args.assignments = args.out + ".assignments.jsonl"
-    if (args.subcommand == "analyze" and args.kind == "pca"
-            and args.csv_out is None):
-        args.csv_out = args.out + ".csv"
+def _files(args: argparse.Namespace):
+    """The run's input paths, output paths and manifest path.
+
+    Each subparser declares the flags naming files it reads and writes, an
+    unset one naming none; "out.drift.jsonl" is `--out` plus ".drift.jsonl".
+    Defaults derived from `--out` are resolved into `args`, for the manifest.
+    """
+    out, writes = getattr(args, "out", None), list(args.writes)
+    if "assignments" in writes and args.assignments is None:
+        args.assignments = out + ".assignments.jsonl"
+    if "csv_out" in writes and args.kind != "pca":
+        writes.remove("csv_out")  # written by --kind pca only
+    elif "csv_out" in writes and args.csv_out is None:
+        args.csv_out = out + ".csv"
+
+    def paths(specs):
+        named = [(getattr(args, flag), dot + suffix)
+                 for flag, dot, suffix in (s.partition(".") for s in specs)]
+        return [path + suffix for path, suffix in named if path is not None]
+
+    outputs = paths(writes)
+    primary = out or next(iter(outputs), None)
+    return paths(args.reads), outputs, primary and primary + ".manifest.json"
 
 
-def _manifest_path(args: argparse.Namespace) -> str:
-    primary = getattr(args, "out", None) or getattr(args, "metrics_out", None)
-    return str(primary) + ".manifest.json"
-
-
-def _run_subcommand(args: argparse.Namespace):
+def _run_subcommand(args: argparse.Namespace, recorded=None):
     """Run one handler, then commit its staged outputs and manifest.
 
-    A replay never commits: its rerun is only digested, so the recorded
-    outputs and manifest it is checked against stay as they were.
+    A path clash or an unreadable input fails before the handler starts,
+    and so does a replay's changed input (`recorded` is the manifest
+    replayed). A replay never commits: its rerun is only digested, so the
+    recorded outputs and manifest stay as they were.
     """
-    _materialize_defaults(args)
-    rec = RunRecorder(args.subcommand, _resolved_config(args))
+    files = _files(args)
+    rec = RunRecorder(args.subcommand, _resolved_config(args), *files)
+    if recorded is not None:
+        changed = sorted(path for path, digest in recorded.inputs.items()
+                         if rec.manifest.inputs.get(path) != digest)
+        if changed:
+            raise DataError(f"replay inputs changed since the manifest "
+                            f"was recorded: {changed}")
     try:
         args.func(args, rec)
-        if args.subcommand != "inspect-checkpoint":
+        if rec.manifest_path is not None:
             rec.finish()
-            if args.replay is None:
-                manifest_path = _manifest_path(args)
-                rec.commit(manifest_path)
-                log.info("manifest written to %s", manifest_path)
+            if recorded is None:
+                rec.commit()
+                log.info("manifest written to %s", rec.manifest_path)
     finally:
         rec.discard()
     return rec.manifest
@@ -506,14 +507,7 @@ def main(argv: list[str] | None = None) -> int:
             except SystemExit:
                 raise ParseError(f"manifest {args.replay} records a config "
                                  f"that does not parse") from None
-            # name a changed input before paying for a rerun whose outputs
-            # would only show up as changed
-            changed = sorted(path for path, digest in recorded.inputs.items()
-                             if file_digest(path) != digest)
-            if changed:
-                raise DataError(f"replay inputs changed since the manifest "
-                                f"was recorded: {changed}")
-            fresh = _run_subcommand(replay_args)
+            fresh = _run_subcommand(replay_args, recorded)
             verify_replay(recorded, fresh)
             print(f"replay verified: {len(fresh.output_digests)} outputs "
                   f"reproduced byte-identically")

@@ -420,7 +420,7 @@ def finetune(task, train: list, dev: list,
             break
 
     for t, blob in zip(trainable, best_state):
-        t.data = blob.copy()
+        t.data = blob
     return FinetuneResult(metrics=best_metrics, history=history,
                           best_epoch=best_epoch, epochs_run=len(history))
 

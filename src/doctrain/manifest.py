@@ -9,7 +9,8 @@ import os
 import time
 from dataclasses import asdict, dataclass, field
 
-from .errors import ConfigError, DataError, ParseError, StorageError
+from .errors import (ConfigError, ContractError, DataError, ParseError,
+                     StorageError)
 from .records import write_json
 
 MANIFEST_VERSION = 1
@@ -93,42 +94,41 @@ def verify_replay(recorded: RunManifest, fresh: RunManifest) -> None:
 
 
 class RunRecorder:
-    """Collects inputs, outputs and phase timings while a subcommand runs.
+    """Records one run's input digests, outputs and phase timings.
 
-    Outputs are written to staging files beside their final paths; only
-    `commit` moves them into place, so a failed run or a replay, which never
-    commits, leaves every final path as it was.
+    Built before any work from every path the run reads and writes and its
+    manifest path, it refuses (ConfigError) an output or the manifest that
+    names an input, another output or each other, then digests the inputs.
+    Outputs go to the staging files `staged` names; only `commit` moves them
+    into place, so a failed run or a replay leaves every final path as it was.
     """
 
-    def __init__(self, subcommand: str, config: dict):
-        self.manifest = RunManifest(subcommand=subcommand, config=config)
-        self._t0 = time.monotonic()
-        self._phase_start = self._t0
-        self._staged: list[str] = []
+    def __init__(self, subcommand: str, config: dict, inputs: list[str],
+                 outputs: list[str], manifest_path: str | None):
+        self._t0 = self._phase_start = time.monotonic()
+        self.manifest = RunManifest(subcommand, config, outputs=list(outputs))
+        self.manifest_path = manifest_path
+        self._finals = list(outputs)  # then the manifest, moved last
+        if manifest_path is not None:
+            self._finals.append(manifest_path)
+        named = [("input", p) for p in inputs]
+        for i, p in enumerate(self._finals):
+            role = "output" if i < len(outputs) else "manifest"
+            for other_role, other in named:
+                if _same_file(p, other):
+                    raise ConfigError(f"the {role} {p} is the same file as "
+                                      f"the {other_role} {other}; give it a "
+                                      f"path of its own")
+            named.append((role, p))
+        self.manifest.inputs = {p: file_digest(p)
+                                for p in dict.fromkeys(inputs)}
 
-    def add_input(self, path) -> None:
-        self.manifest.inputs[str(path)] = file_digest(path)
-
-    def _stage(self, path: str) -> str:
-        staged = path + ".partial"  # fixed, so the next run overwrites it
-        if staged not in self._staged:
-            self._staged.append(staged)
-        return staged
-
-    def add_output(self, path) -> str:
-        """Record `path` as an output; returns the path to write it to.
-
-        A path that names a recorded input or an output added before is a
-        ConfigError, raised before anything is written to it.
-        """
-        p = str(path)
-        for other in [*self.manifest.inputs, *self.manifest.outputs]:
-            if _same_file(p, other):
-                role = "input" if other in self.manifest.inputs else "output"
-                raise ConfigError(f"output {p} is the same file as the {role} "
-                                  f"{other}; give it a path of its own")
-        self.manifest.outputs.append(p)
-        return self._stage(p)
+    def staged(self, path: str) -> str:
+        """The staging file to write the declared output `path` to."""
+        if path not in self.manifest.outputs:
+            raise ContractError(f"{path} is not a declared output of this "
+                                f"run")
+        return _staging(path)
 
     def phase(self, name: str) -> None:
         now = time.monotonic()
@@ -137,12 +137,12 @@ class RunRecorder:
 
     def finish(self) -> RunManifest:
         for p in self.manifest.outputs:
-            self.manifest.output_digests[p] = file_digest(self._stage(p))
+            self.manifest.output_digests[p] = file_digest(_staging(p))
         self.manifest.timings["wall_total"] = round(
             time.monotonic() - self._t0, 6)
         return self.manifest
 
-    def commit(self, manifest_path) -> None:
+    def commit(self) -> None:
         """Move the staged outputs into place, then the manifest last.
 
         All or nothing: each final path that exists is first hard-linked
@@ -151,10 +151,10 @@ class RunRecorder:
         each staged file is flushed before the first move, and each
         directory that received one after the last.
         """
-        finals = [*self.manifest.outputs, str(manifest_path)]
-        write_json(self._stage(finals[-1]), asdict(self.manifest))
+        finals = self._finals
+        write_json(_staging(self.manifest_path), asdict(self.manifest))
         for p in finals:
-            _fsync(self._stage(p))
+            _fsync(_staging(p))
         earlier = [p for p in finals if os.path.exists(p)]
         moved: list[str] = []
         try:
@@ -162,7 +162,7 @@ class RunRecorder:
                 _remove_if_present(p + ".prev")  # left by a killed commit
                 os.link(p, p + ".prev")
             for p in finals:
-                os.replace(self._stage(p), p)
+                os.replace(_staging(p), p)
                 moved.append(p)
         except BaseException:
             for p in moved:
@@ -178,9 +178,13 @@ class RunRecorder:
             _fsync(d)
 
     def discard(self) -> None:
-        """Remove every staged file that `commit` did not move into place."""
-        for staged in self._staged:
-            _remove_if_present(staged)
+        """Remove every staging file that `commit` did not move into place."""
+        for p in self._finals:
+            _remove_if_present(_staging(p))
+
+
+def _staging(path: str) -> str:
+    return path + ".partial"  # fixed, so the next run overwrites it
 
 
 def _same_file(a: str, b: str) -> bool:

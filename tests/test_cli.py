@@ -15,10 +15,12 @@ import numpy as np
 import pytest
 
 from doctrain import cli
+from doctrain import manifest as manifest_module
 from doctrain.checkpoint import load_checkpoint, save_checkpoint
 from doctrain.cli import _resolved_config, build_parser, main
 from doctrain.encoder import LowerEncoder, ModelConfig
-from doctrain.manifest import argv_from_manifest, load_manifest
+from doctrain.errors import ContractError
+from doctrain.manifest import RunRecorder, argv_from_manifest, load_manifest
 from doctrain.model import DocumentModel
 from doctrain.taxonomy import Taxonomy
 
@@ -342,6 +344,22 @@ class TestReplay:
         assert str(corpus) in capsys.readouterr().err
         assert (out.read_bytes(), manifest.read_bytes()) == recorded
 
+    def test_replay_digests_each_input_once(self, tmp_path, monkeypatch):
+        """The recorder's digest of each input is the one replay checks."""
+        out = tmp_path / "tri.jsonl"
+        assert main(["mine", "--corpus", CORPUS, "--out", str(out),
+                     "--mode", "customer_support", "--count", "4"]) == 0
+        opened = []
+
+        def counting_open(path, *args, **kwargs):
+            opened.append(str(path))
+            return open(path, *args, **kwargs)
+
+        monkeypatch.setattr(manifest_module, "open", counting_open,
+                            raising=False)
+        assert main(["--replay", str(out) + ".manifest.json"]) == 0
+        assert opened.count(CORPUS) == 1
+
     def test_mismatching_replay_keeps_the_recorded_outputs(self, tmp_path,
                                                            monkeypatch,
                                                            capsys):
@@ -487,14 +505,16 @@ class TestCommit:
         assert {p: p.read_bytes() for p in tmp_path.iterdir()} == recorded
 
     @pytest.mark.parametrize("probe", ["mine-corpus", "finetune-checkpoint",
-                                       "finetune-metrics"])
+                                       "finetune-metrics", "mine-manifest",
+                                       "finetune-manifest"])
     def test_an_output_that_is_an_input_or_output_exits_2(
-            self, probe, tmp_path, pretrained):
-        """An output path naming an input, or another output, is refused
-        before anything is written: every file keeps its bytes, none is
-        added."""
+            self, probe, tmp_path, pretrained, capsys):
+        """An output path or the manifest path naming an input, another
+        output or each other is refused before any work: every file keeps
+        its bytes, none is added."""
         corpus, ckpt = tmp_path / "c.jsonl", tmp_path / "m.ckpt"
         corpus.write_bytes(open(CORPUS, "rb").read())
+        (tmp_path / "c.manifest.json").write_bytes(corpus.read_bytes())
         ckpt.write_bytes(pretrained.read_bytes())
         train = tagging_file(tmp_path / "train.jsonl", 4)
         finetune = ["finetune", "--checkpoint", str(ckpt),
@@ -511,10 +531,83 @@ class TestCommit:
             "finetune-metrics": [*finetune, "--metrics-out",
                                  str(tmp_path / "x"),
                                  "--out", str(tmp_path / "x")],
+            # the manifest would replace the corpus it was mined from
+            "mine-manifest": ["mine",
+                              "--corpus", str(tmp_path / "c.manifest.json"),
+                              "--out", str(tmp_path / "c"),
+                              "--mode", "customer_support", "--count", "4"],
+            "finetune-manifest": [*finetune, "--metrics-out",
+                                  str(tmp_path / "m2.ckpt.manifest.json"),
+                                  "--out", str(tmp_path / "m2.ckpt")],
+        }[probe]
+        before = {p: p.read_bytes() for p in tmp_path.iterdir()}
+        capsys.readouterr()
+        assert main(argv) == 2
+        assert {p: p.read_bytes() for p in tmp_path.iterdir()} == before
+        role = "manifest" if probe.endswith("manifest") else "output"
+        assert f"error: the {role} " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("probe", ["finetune", "pretrain"])
+    def test_a_clash_exits_2_before_any_training(self, probe, tmp_path, mined,
+                                                 pretrained, monkeypatch):
+        """A checkpoint tuned in place, or a checkpoint written over its
+        own triplets, is refused before the training call."""
+        def trained(*args, **kwargs):
+            raise AssertionError("trained before the clash was refused")
+
+        monkeypatch.setattr(cli, "finetune_token_classification", trained)
+        monkeypatch.setattr(cli, "pretrain", trained)
+        ckpt, triplets = tmp_path / "m.ckpt", tmp_path / "tri.jsonl"
+        ckpt.write_bytes(pretrained.read_bytes())
+        triplets.write_bytes(mined.read_bytes())
+        train = tagging_file(tmp_path / "train.jsonl", 4)
+        argv = {
+            "finetune": ["finetune", "--checkpoint", str(ckpt),
+                         "--out", str(ckpt), "--task", "token-classification",
+                         "--num-classes", "2", "--train", train,
+                         "--dev", train,
+                         "--metrics-out", str(tmp_path / "x.json")],
+            "pretrain": ["pretrain", "--corpus", CORPUS,
+                         "--triplets", str(triplets), "--out", str(triplets),
+                         "--mode", "customer_support", "--loss", "triplet",
+                         *SMALL_MODEL_FLAGS],
         }[probe]
         before = {p: p.read_bytes() for p in tmp_path.iterdir()}
         assert main(argv) == 2
         assert {p: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+    def test_staging_an_undeclared_output_is_refused(self, tmp_path):
+        out = str(tmp_path / "a.jsonl")
+        rec = RunRecorder("mine", {}, [CORPUS], [out], out + ".manifest.json")
+        assert rec.staged(out) == out + ".partial"
+        with pytest.raises(ContractError):
+            rec.staged(str(tmp_path / "b.jsonl"))
+
+    @pytest.mark.parametrize("name", ["mine", "derive-taxonomy", "pretrain",
+                                      "finetune", "analyze"])
+    def test_every_file_argument_is_recorded(self, name, tmp_path, mined,
+                                             pretrained):
+        out, inputs = tmp_path / "out", tmp_path / "in"
+        out.mkdir()
+        inputs.mkdir()
+        argv = _writing_runs(out, inputs, mined, pretrained)[name]
+        assert main(argv) == 0
+        [manifest] = map(load_manifest, out.glob("*.manifest.json"))
+        files = {arg for arg in argv if os.path.isfile(arg)}
+        assert files and files <= {*manifest.inputs, *manifest.outputs}
+
+    def test_a_file_flag_this_run_does_not_read_is_recorded(self, tmp_path,
+                                                            mined):
+        """`--taxonomy` feeds the hierarchy loss only; set beside
+        `--loss triplet` it is still digested, so replay checks it."""
+        out = tmp_path / "m.ckpt"
+        assert main(["pretrain", "--corpus", CORPUS, "--out", str(out),
+                     "--mode", "customer_support", "--triplets", str(mined),
+                     "--taxonomy", TAXONOMY, "--loss", "triplet",
+                     "--batch", "4", "--max-triplets", "4",
+                     *SMALL_MODEL_FLAGS]) == 0
+        manifest = load_manifest(str(out) + ".manifest.json")
+        assert manifest.inputs[TAXONOMY] == sha256_of(TAXONOMY)
 
     def test_commit_flushes_files_before_moves_and_directories_after(
             self, tmp_path, monkeypatch):

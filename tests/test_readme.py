@@ -27,7 +27,8 @@ def test_library_use_example_runs(monkeypatch, capsys):
 
 def test_command_line_walkthrough_runs(tmp_path, monkeypatch, capsys):
     """Every `doctrain` command of the walkthrough exits 0 in a fresh
-    directory, `$FIX` naming fixtures/, and the replay at its end verifies.
+    directory, `$FIX` naming fixtures/, and the replay at its end verifies,
+    as does a replay of every other manifest the walkthrough wrote.
     A command whose output path is one of its inputs would exit 2."""
     fixtures = os.path.abspath(os.path.join(ROOT, "fixtures"))
     block = code_block("## Command line", "sh").replace("\\\n", " ")
@@ -39,3 +40,10 @@ def test_command_line_walkthrough_runs(tmp_path, monkeypatch, capsys):
         argv = shlex.split(command.replace("$FIX", fixtures))[1:]
         assert main(argv) == 0, command
     assert "replay verified" in capsys.readouterr().out
+    manifests = sorted(p.name for p in tmp_path.glob("*.manifest.json"))
+    assert manifests == ["model.ckpt.manifest.json",
+                         "triplets.jsonl.manifest.json",
+                         "tuned.ckpt.manifest.json", "wl.json.manifest.json"]
+    for manifest in manifests:
+        assert main(["--replay", manifest]) == 0, manifest
+        assert "replay verified" in capsys.readouterr().out, manifest
