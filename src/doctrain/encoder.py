@@ -71,7 +71,7 @@ class ModelConfig:
         return self
 
 
-# parameters are float32 arrays; see AdamW for the float64 optimizer state
+# parameters are float32 arrays, and so is AdamW's state for them
 def _init(rng: np.random.Generator | None, *shape: int) -> np.ndarray:
     """A fresh draw from `rng`; with None, an unfilled placeholder that a
     checkpoint fills, which costs neither draws nor page faults."""

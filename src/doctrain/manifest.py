@@ -98,7 +98,10 @@ class RunRecorder:
 
     Built before any work from every path the run reads and writes and its
     manifest path, it refuses (ConfigError) an output or the manifest that
-    names an input, another output or each other, then digests the inputs.
+    names an input, another output or each other, and any of these paths
+    that is the staging name (`.partial`) or set-aside name (`.prev`) of an
+    output or the manifest, which `commit` writes and removes. Then it
+    digests the inputs.
     Outputs go to the staging files `staged` names; only `commit` moves them
     into place, so a failed run or a replay leaves every final path as it was.
     """
@@ -120,6 +123,14 @@ class RunRecorder:
                                       f"the {other_role} {other}; give it a "
                                       f"path of its own")
             named.append((role, p))
+        for role, p in named[len(inputs):]:
+            for aside in (_staging(p), p + ".prev"):
+                for other_role, other in named:
+                    if _same_file(aside, other):
+                        raise ConfigError(f"the {other_role} {other} is "
+                                          f"{aside}, which the commit of the "
+                                          f"{role} {p} writes; give it a path "
+                                          f"of its own")
         self.manifest.inputs = {p: file_digest(p)
                                 for p in dict.fromkeys(inputs)}
 

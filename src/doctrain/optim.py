@@ -43,8 +43,7 @@ def linear_lr(initial_lr: float, step: int, total_steps: int) -> float:
 @dataclass
 class _Slot:
     touched: np.ndarray  # per row: has its gradient ever been non-zero
-    # float64 moments of the touched rows only, in row order, whatever the
-    # parameter's dtype
+    # moments of the touched rows only, in row order, in the parameter's dtype
     m: np.ndarray
     v: np.ndarray
 
@@ -61,18 +60,19 @@ class _Slot:
             self.v = np.insert(self.v, at, 0.0, axis=0)
         else:  # fresh zeros, as dense moments were: less resident memory
             shape = (np.count_nonzero(added), *self.m.shape[1:])
-            self.m, self.v = np.zeros(shape), np.zeros(shape)
+            self.m = np.zeros(shape, self.m.dtype)
+            self.v = np.zeros(shape, self.m.dtype)
         self.touched |= added
 
 
 def _adam(theta, g, m, v, lr: float, bias1: float, bias2: float) -> np.ndarray:
-    """Advance the moments `m` and `v` in place by gradient `g` and return
-    the decayed and updated `theta`, all in float64 whatever the dtypes of
-    `theta` and `g`. Two float64 buffers serve every operation."""
-    buf = np.multiply(g, 1.0 - BETA1, dtype=np.float64)
+    """Advance the moments `m` and `v` in place by gradient `g`, decay and
+    update `theta` in place and return it, all in the moments' dtype. Two
+    buffers of that dtype serve every operation."""
+    buf = np.multiply(g, 1.0 - BETA1, dtype=m.dtype)
     m *= BETA1
     m += buf
-    np.multiply(g, g, out=buf, dtype=np.float64)
+    np.multiply(g, g, out=buf, dtype=m.dtype)
     buf *= 1.0 - BETA2
     v *= BETA2
     v += buf
@@ -82,9 +82,9 @@ def _adam(theta, g, m, v, lr: float, bias1: float, bias2: float) -> np.ndarray:
     step = np.divide(m, bias1)
     step *= lr
     step /= buf
-    np.multiply(theta, 1.0 - lr * WEIGHT_DECAY, out=buf, dtype=np.float64)
-    buf -= step
-    return buf
+    theta *= 1.0 - lr * WEIGHT_DECAY
+    theta -= step
+    return theta
 
 
 class AdamW:
@@ -94,10 +94,13 @@ class AdamW:
     carry a gradient when `step` is called; a missing one is a contract
     violation.
 
-    The moments and the update are float64; the result is stored in the
-    parameter's own dtype, so a float32 parameter gets the float32 rounding
-    of the float64 update (mixed precision as in Micikevicius et al., arXiv
-    1710.03740, with float32 in place of float16).
+    The moments and the update are in the parameter's own dtype: a float32
+    parameter gets float32 state and arithmetic, the usual setting with
+    float32 master weights (Micikevicius et al., arXiv 1710.03740), and a
+    float64 one (a test's cast model) keeps float64 throughout. At float32,
+    a gradient element above about 1.8e19 in magnitude overflows g*g: its
+    v becomes inf and its Adam term 0 from then on, so that element only
+    decays; the parameter stays finite.
 
     The moments are kept, and the Adam term computed, only for rows (first
     axis; a 0-d tensor is one row) whose gradient has ever been non-zero.
@@ -141,22 +144,19 @@ class AdamW:
                 data, g = np.atleast_1d(p.data, p.grad)
                 slot = self._slots.get(id(p))
                 if slot is None:
-                    empty = np.zeros((0, *data.shape[1:]))
+                    empty = np.zeros((0, *data.shape[1:]), data.dtype)
                     slot = _Slot(np.zeros(len(data), dtype=bool), empty,
                                  empty.copy())
                     self._slots[id(p)] = slot
                 if len(slot.m) < len(data):
                     slot.add_rows(g.any(axis=tuple(range(1, g.ndim))))
                 if len(slot.m) == len(data):
-                    data[...] = _adam(data, g, slot.m, slot.v, lr, bias1, bias2)
+                    _adam(data, g, slot.m, slot.v, lr, bias1, bias2)
                     continue
                 rows = np.flatnonzero(slot.touched)
                 new = _adam(data[rows], g[rows], slot.m, slot.v, lr, bias1,
                             bias2)
-                # the idle rows' whole update, computed in float64 through
-                # the ufunc's small buffers: no table-sized temporary
-                np.multiply(data, 1.0 - lr * WEIGHT_DECAY, out=data,
-                            dtype=np.float64)
+                data *= 1.0 - lr * WEIGHT_DECAY  # the idle rows' whole update
                 data[rows] = new
 
 

@@ -506,12 +506,14 @@ class TestCommit:
 
     @pytest.mark.parametrize("probe", ["mine-corpus", "finetune-checkpoint",
                                        "finetune-metrics", "mine-manifest",
-                                       "finetune-manifest"])
+                                       "finetune-manifest",
+                                       "finetune-staging"])
     def test_an_output_that_is_an_input_or_output_exits_2(
             self, probe, tmp_path, pretrained, capsys):
         """An output path or the manifest path naming an input, another
-        output or each other is refused before any work: every file keeps
-        its bytes, none is added."""
+        output or each other, or the staging name of another output, is
+        refused before any work: every file keeps its bytes, none is
+        added."""
         corpus, ckpt = tmp_path / "c.jsonl", tmp_path / "m.ckpt"
         corpus.write_bytes(open(CORPUS, "rb").read())
         (tmp_path / "c.manifest.json").write_bytes(corpus.read_bytes())
@@ -539,6 +541,10 @@ class TestCommit:
             "finetune-manifest": [*finetune, "--metrics-out",
                                   str(tmp_path / "m2.ckpt.manifest.json"),
                                   "--out", str(tmp_path / "m2.ckpt")],
+            # the checkpoint would be staged over the metrics, then lost
+            "finetune-staging": [*finetune, "--metrics-out",
+                                 str(tmp_path / "m2.ckpt.partial"),
+                                 "--out", str(tmp_path / "m2.ckpt")],
         }[probe]
         before = {p: p.read_bytes() for p in tmp_path.iterdir()}
         capsys.readouterr()
@@ -546,6 +552,24 @@ class TestCommit:
         assert {p: p.read_bytes() for p in tmp_path.iterdir()} == before
         role = "manifest" if probe.endswith("manifest") else "output"
         assert f"error: the {role} " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("input_name, out", [
+        ("t.jsonl.partial", "t.jsonl"), ("t.jsonl.prev", "t.jsonl"),
+        ("t.manifest.json.partial", "t"), ("t.manifest.json.prev", "t")])
+    def test_an_input_named_as_a_staging_file_exits_2(
+            self, input_name, out, tmp_path, capsys):
+        """A corpus at the `.partial` or `.prev` name of the output or of
+        the manifest, which the commit writes through, is refused before
+        any work: the corpus keeps its bytes and no file is added."""
+        corpus = tmp_path / input_name
+        corpus.write_bytes(open(CORPUS, "rb").read())
+        before = {p: p.read_bytes() for p in tmp_path.iterdir()}
+        capsys.readouterr()
+        assert main(["mine", "--corpus", str(corpus),
+                     "--out", str(tmp_path / out),
+                     "--mode", "customer_support", "--count", "4"]) == 2
+        assert {p: p.read_bytes() for p in tmp_path.iterdir()} == before
+        assert f"error: the input {corpus} is " in capsys.readouterr().err
 
     @pytest.mark.parametrize("probe", ["finetune", "pretrain"])
     def test_a_clash_exits_2_before_any_training(self, probe, tmp_path, mined,

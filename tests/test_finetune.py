@@ -334,7 +334,7 @@ class TestFinetuneLoop:
         assert hashlib.sha256(rows).hexdigest() == (
             "fcc6a460c3bc128aaf966f6e8f2d52d36a36c4dd2d6ee012a2cc5902b745e057")
         assert hashlib.sha256(checkpoint_bytes(ckpt)).hexdigest() == (
-            "b962081c74c105e8bb6cdb2b479d27fbfc276d0258da00f3ebec9a1ef987d640")
+            "eff86f7b4bbee87c454b9e5cfd5b28afb5fe2dd02a46bd863c25fd188a55cff2")
 
 
 class TestTokenTagger:

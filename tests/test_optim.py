@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from doctrain import tensor as T
 from doctrain.errors import ConfigError, ContractError, NumericError
-from doctrain.optim import AdamW, ParamGroup, linear_lr, train_steps
+from doctrain.optim import AdamW, ParamGroup, _adam, linear_lr, train_steps
 from doctrain.tensor import Tensor
 
 
@@ -51,40 +51,39 @@ class TestLinearSchedule:
 class TestAdamW:
     def test_single_step_matches_hand_formula(self):
         """One step from fresh state, compared against the written-out
-        update: float64 arithmetic on the float32 gradient, stored as the
-        float32 rounding."""
-        theta0 = np.array([1.0, -2.0, 0.5])
+        update: float32 arithmetic on the float32 parameter and gradient,
+        each operation rounded as the optimizer rounds it."""
+        theta0 = np.array([1.0, -2.0, 0.5], dtype=np.float32)
         g = np.array([0.3, -0.1, 0.0], dtype=np.float32)
-        p = param(theta0)
+        p = param(theta0.copy())
         p.grad = g.copy()
         opt = AdamW([ParamGroup("w", [p])], lr=1e-3)
         opt.step()
 
-        g = g.astype(np.float64)
-        m_hat = (0.1 * g) / (1 - 0.9)          # == g after bias correction
-        v_hat = (0.001 * g * g) / (1 - 0.999)  # == g*g
+        m_hat = (0.1 * g) / (1 - 0.9)            # ~= g after bias correction
+        v_hat = (g * g * 0.001) / (1 - 0.999)    # ~= g*g
         want = theta0 * (1 - 1e-3 * 0.01)
         want -= 1e-3 * m_hat / (np.sqrt(v_hat) + 1e-8)
-        assert p.data.dtype == np.float32
-        assert np.array_equal(p.data, want.astype(np.float32))
+        assert want.dtype == p.data.dtype == np.float32
+        assert np.array_equal(p.data, want)
 
     def test_two_steps_match_hand_recursion(self):
         grads = [np.array([0.2], np.float32), np.array([-0.4], np.float32)]
         p = param([0.7])
         opt = AdamW([ParamGroup("w", [p])], lr=0.01)
 
-        m = np.zeros(1)
-        v = np.zeros(1)
-        ref = p.data.copy()  # float32: each step starts from what was stored
+        m = np.zeros(1, np.float32)  # float32 state, as the parameter's
+        v = np.zeros(1, np.float32)
+        ref = p.data.copy()
         for i, g in enumerate(grads, start=1):
             p.grad = g.copy()
             opt.step()
-            g = g.astype(np.float64)
-            m = 0.9 * m + 0.1 * g
-            v = 0.999 * v + 0.001 * g * g
-            ref = (ref.astype(np.float64) * (1 - 0.01 * 0.01)
+            m = 0.9 * m + (1 - 0.9) * g
+            v = 0.999 * v + (1 - 0.999) * (g * g)
+            ref = (ref * (1 - 0.01 * 0.01)
                    - 0.01 * (m / (1 - 0.9**i)) / (
-                       np.sqrt(v / (1 - 0.999**i)) + 1e-8)).astype(np.float32)
+                       np.sqrt(v / (1 - 0.999**i)) + 1e-8))
+            assert ref.dtype == np.float32
             assert np.array_equal(p.data, ref)
 
     def test_zero_grad_clears_all_groups(self):
@@ -147,7 +146,7 @@ class TestAdamW:
             opt.step()
         assert p.data.dtype == np.float32
         slot = opt._slots[id(p)]
-        assert slot.m.dtype == slot.v.dtype == np.float64
+        assert slot.m.dtype == slot.v.dtype == np.float32
 
     def test_float64_parameter_is_updated_in_float64(self):
         """The update is stored in the parameter's own dtype: a float64
@@ -159,6 +158,90 @@ class TestAdamW:
         assert p.data.dtype == np.float64
         assert p.data[0] == pytest.approx(want, rel=1e-15)
         assert p.data[0] != np.float32(p.data[0])
+
+    def test_float64_parameter_keeps_float64_moments(self):
+        """A float64 table, dense and with idle rows, keeps float64 moments;
+        so does a float64 parameter given a float32 gradient."""
+        table = Tensor(np.ones((4, 2)), requires_grad=True)
+        vector = Tensor(np.ones(3), requires_grad=True)
+        opt = AdamW([ParamGroup("w", [table, vector])], lr=0.01)
+        for _ in range(2):
+            table.grad = np.array([[1.0, 2.0], [0, 0], [3.0, 0], [0, 0]])
+            vector.grad = np.full(3, 1 / 3, np.float32)
+            opt.step()
+        for p in (table, vector):
+            slot = opt._slots[id(p)]
+            assert p.data.dtype == slot.m.dtype == slot.v.dtype == np.float64
+        assert len(opt._slots[id(table)].m) == 2
+        assert opt._slots[id(vector)].m[0] == pytest.approx(
+            0.19 * float(np.float32(1 / 3)), rel=1e-15)
+
+    @pytest.mark.parametrize("lr0", [1e-3, 0.1])
+    def test_stays_close_to_a_float64_reference(self, lr0):
+        """Three hundred steps with float32 moments and arithmetic end within
+        2e-5, and within a thousandth of the distance the table travelled, of
+        the same steps taken with float64 moments and update, stored as
+        float32 after each step (this optimizer before it kept state in the
+        parameter's dtype)."""
+        rng = np.random.default_rng(0)
+        theta = rng.normal(size=(16, 8)).astype(np.float32)
+        table = param(theta.copy())
+        opt = AdamW([ParamGroup("w", [table])], lr=lr0)
+        ref, m, v = theta.copy(), np.zeros(theta.shape), np.zeros(theta.shape)
+        for t in range(1, 301):
+            g = rng.normal(size=theta.shape).astype(np.float32)
+            g[rng.random(16) < 0.3] = 0.0  # some rows idle at each step
+            lr = linear_lr(lr0, t - 1, 300)
+            table.grad = g
+            opt.step(lr=lr)
+            m = 0.9 * m + 0.1 * g.astype(np.float64)
+            v = 0.999 * v + 0.001 * g.astype(np.float64)**2
+            ref = (ref.astype(np.float64) * (1.0 - lr * 0.01) - lr * (m / (1 - 0.9**t)) / (
+                np.sqrt(v / (1 - 0.999**t)) + 1e-8)).astype(np.float32)
+        gap = np.abs(table.data - ref).max()
+        assert gap < 2e-5
+        assert gap < 1e-3 * np.abs(ref - theta).max()
+
+    def test_zero_gradient_row_only_decays(self):
+        """A row whose gradient is all zeros takes exactly the float32 decay
+        at each step, next to a busy row: EPS (1e-8) is a normal float32,
+        so its Adam term 0/(sqrt(0) + EPS) is exactly 0, not 0/0."""
+        theta = np.array([[1.5, -0.25, 3.0], [0.5, -0.75, 2.0]], np.float32)
+        table = param(theta.copy())
+        opt = AdamW([ParamGroup("w", [table])], lr=0.1)
+        want = theta[0].copy()
+        for step in range(4):
+            table.grad = np.array([[0, 0, 0], [1, -2, 3]], np.float32)
+            opt.step()
+            want *= np.float32(1 - 0.1 * 0.01)
+        assert table.data[0].tobytes() == want.tobytes()
+        assert not np.array_equal(table.data[1], theta[1] * 0.999**4)
+        zeros = np.zeros(3, np.float32)
+        row = theta[0].copy()
+        out = _adam(row, zeros, zeros.copy(), zeros.copy(), 0.1, 0.1, 0.001)
+        assert out is row
+        assert out.tobytes() == (theta[0] * np.float32(0.999)).tobytes()
+
+    @pytest.mark.parametrize("huge", [2e19, -3e38])
+    def test_gradient_whose_square_overflows_leaves_a_finite_parameter(
+            self, huge):
+        """|g| above about 1.8e19 overflows g*g in float32 to inf: v is inf,
+        the Adam term is 0, and the element keeps only its decay, then and
+        at every later step; no NaN appears and the other elements train."""
+        p = param([1.0, 2.0])
+        opt = AdamW([ParamGroup("w", [p])], lr=0.01)
+        with np.errstate(over="ignore"):
+            p.grad = np.array([huge, 0.5], np.float32)
+            opt.step()
+            slot = opt._slots[id(p)]
+            assert np.isinf(slot.v[0]) and np.isfinite(slot.m[0])
+            for _ in range(3):
+                p.grad = np.array([0.5, 0.5], np.float32)
+                opt.step()
+        assert np.isfinite(p.data).all()
+        decay = np.float32(1 - 0.01 * 0.01)
+        assert p.data[0] == np.float32(1.0) * decay * decay * decay * decay
+        assert p.data[1] < 2.0 - 0.03
 
     def test_group_helpers(self):
         g = ParamGroup("w", [param(np.ones((2, 3))), param([-2.0])])
@@ -189,19 +272,17 @@ class TestTrainSteps:
 
 
 def dense_adamw(theta, grads, lrs):
-    """The dense update every row took before AdamW skipped idle rows:
-    float64 arithmetic from the float32 parameter and gradient, stored as
-    float32 after each step."""
-    m = np.zeros(theta.shape)
-    v = np.zeros(theta.shape)
+    """The dense update every row took before AdamW skipped idle rows, in
+    the parameter's dtype: state, arithmetic and result all float32 for a
+    float32 parameter and gradient."""
+    m = np.zeros_like(theta)
+    v = np.zeros_like(theta)
     for t, (g, lr) in enumerate(zip(grads, lrs), start=1):
-        g = g.astype(np.float64)
         m = 0.9 * m + (1.0 - 0.9) * g
         v = 0.999 * v + (1.0 - 0.999) * (g * g)
-        new = theta.astype(np.float64) * (1.0 - lr * 0.01)
-        new = new - lr * (m / (1.0 - 0.9**t)) / (
+        theta = theta * (1.0 - lr * 0.01) - lr * (m / (1.0 - 0.9**t)) / (
             np.sqrt(v / (1.0 - 0.999**t)) + 1e-8)
-        theta = new.astype(np.float32)
+    assert theta.dtype == np.float32
     return theta
 
 
@@ -275,7 +356,7 @@ class TestTouchedRows:
     def test_idle_rows_cost_no_table_sized_allocation(self):
         """With 8 of 8192 rows touched, the moments hold those 8 rows, and
         the first two steps together allocate less than one copy of the
-        float32 table (dense moments are two float64 copies)."""
+        float32 table (dense moments are two more copies)."""
         rng = np.random.default_rng(0)
         table = param(rng.normal(size=(8192, 128)).astype(np.float32))
         grad = np.zeros_like(table.data)
@@ -291,12 +372,13 @@ class TestTouchedRows:
             tracemalloc.stop()
         assert peak < table.data.nbytes
         slot = opt._slots[id(table)]
-        assert slot.m.nbytes == slot.v.nbytes == 8 * 128 * 8
+        assert slot.m.dtype == slot.v.dtype == np.float32
+        assert slot.m.nbytes == slot.v.nbytes == 8 * 128 * 4
 
-    def test_all_rows_step_works_in_two_float64_buffers(self):
+    def test_all_rows_step_works_in_two_table_sized_buffers(self):
         """With every row touched, the moments and the update are written
-        in place: a step allocates two float64 buffers of the table's size
-        and not one temporary per operation."""
+        in place: a step allocates two buffers of the table's size and
+        dtype, and not one temporary per operation."""
         rng = np.random.default_rng(0)
         table = param(rng.normal(size=(1024, 128)))
         table.grad = rng.normal(size=table.shape).astype(np.float32)
@@ -308,4 +390,4 @@ class TestTouchedRows:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 3 * table.size * 8
+        assert peak < 3 * table.data.nbytes

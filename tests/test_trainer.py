@@ -651,12 +651,12 @@ class TestPinnedLoops:
         assert _digest(checkpoint_bytes(result.checkpoint)) == ckpt_digest
 
     @pytest.mark.parametrize("lora_rank, last_loss, rows_digest, ckpt_digest", [
-        (0, 10.403170122643989,
-         "f84f0ebea8bd22cec664e2db40028f84cd1a523691d8b59c8744e02b6765cf2c",
-         "2569db8b9eb6e41c5e3376d41a8cc21c92a6c3d80aabb3de4b2b5d4f3e9e349f"),
-        (2, 10.41154769499755,
-         "ee0ba8c6ee3e7da4047e13be9cbcbf218cffa71c395aa8e2d5047f778ec7ad94",
-         "50de5f1e9a5a097b45c1b5a247a218aa4d56a37c489d78128718b75eaa05f8da"),
+        (0, 10.403170069040133,
+         "9600c4c893b18439f67886e782241c6cee08f9440a34a7c65337b388190b5ce7",
+         "da76d1448ce7ace9000af312a6011f3f9cdfe1d7970d435c8824b09323fd6a66"),
+        (2, 10.411547695622087,
+         "73b93450542c4f6024829f7f947efa548df81d8f87ec9f1d0c32d46e3aaad22c",
+         "228c63b312e6fc4b6c0f97fc602c9d73387d20a5316c765102714be9b60cc5f3"),
     ], ids=["base", "lora"])
     def test_doc_objective(self, lora_rank, last_loss, rows_digest,
                            ckpt_digest):
@@ -675,6 +675,6 @@ class TestPinnedLoops:
         result = pretrain_mlm(_pinned_model(max_positions=64), corpus,
                               TrainConfig(**self.CONFIG))
         self.check(
-            result, 14, 6.112903390737752,
-            "1a0c9399b26e86a46cf23bac9a67140024511932fd81ea6df3a6515e3000de2b",
-            "0b86e2a8a163920dc24773bda68924541785fb28d701599c98a9bcf1da685d6d")
+            result, 14, 6.112903436260146,
+            "3df45153be9b2f6ff51d6ad3cad571942d51e4ac66c82003657b99fc04693df7",
+            "ef6bdb4edee15dc750406e239ea0ea336a34ceac83e95290b1d8b726a70e485e")
