@@ -196,8 +196,9 @@ class TestAdamW:
             opt.step(lr=lr)
             m = 0.9 * m + 0.1 * g.astype(np.float64)
             v = 0.999 * v + 0.001 * g.astype(np.float64)**2
-            ref = (ref.astype(np.float64) * (1.0 - lr * 0.01) - lr * (m / (1 - 0.9**t)) / (
-                np.sqrt(v / (1 - 0.999**t)) + 1e-8)).astype(np.float32)
+            new = ref.astype(np.float64) * (1.0 - lr * 0.01) - lr * (
+                m / (1 - 0.9**t)) / (np.sqrt(v / (1 - 0.999**t)) + 1e-8)
+            ref = new.astype(np.float32)
         gap = np.abs(table.data - ref).max()
         assert gap < 2e-5
         assert gap < 1e-3 * np.abs(ref - theta).max()
@@ -210,7 +211,7 @@ class TestAdamW:
         table = param(theta.copy())
         opt = AdamW([ParamGroup("w", [table])], lr=0.1)
         want = theta[0].copy()
-        for step in range(4):
+        for _ in range(4):
             table.grad = np.array([[0, 0, 0], [1, -2, 3]], np.float32)
             opt.step()
             want *= np.float32(1 - 0.1 * 0.01)
